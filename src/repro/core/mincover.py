@@ -14,26 +14,40 @@ drop redundant CFDs.  It is used three ways by ``PropCFD_SPC``:
 - partition-wise during ``RBR`` to curb intermediate growth (the paper's
   Section 4.3 optimization), and
 - on the final result (Figure 2, line 13).
+
+With ``kernel="bitset"`` and no finite-domain attribute, both passes run
+their implication tests on one compiled
+:class:`~repro.kernel.implication.ImplicationProgram` per relation and
+pass (LHS trimming against the full compiled Sigma, redundancy removal
+against its alive-rule mask) instead of calling
+:func:`~repro.core.implication.implies`.  The covers are identical; any
+other setting runs the baseline tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .cfd import CFD
+from .cfd import CFD, PatternItems
 from .implication import implies
 from .schema import RelationSchema
+from .values import PatternValue, is_const, is_wildcard
+
+if TYPE_CHECKING:
+    from ..kernel.implication import ImplicationProgram
 
 
 def min_cover(
     sigma: Iterable[CFD],
     schema: RelationSchema | None = None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """Compute a minimal cover of *sigma*.
 
     Deterministic: CFDs are processed in sorted (repr) order so the same
     input always yields the same cover.  The result consists of
-    normal-form, nontrivial CFDs.
+    normal-form, nontrivial CFDs.  *kernel* ``"bitset"`` runs the
+    implication tests on the compiled program (see the module docstring).
     """
     normalized: list[CFD] = []
     for dep in sigma:
@@ -48,16 +62,23 @@ def min_cover(
     for phi in normalized:
         by_relation.setdefault(phi.relation, []).append(phi)
 
+    packed = kernel == "bitset" and (
+        schema is None or not schema.has_finite_domain_attribute()
+    )
     result: list[CFD] = []
     for relation in sorted(by_relation):
-        result.extend(_min_cover_relation(by_relation[relation], schema))
+        result.extend(_min_cover_relation(by_relation[relation], schema, packed))
     return result
 
 
 def _min_cover_relation(
-    sigma: list[CFD], schema: RelationSchema | None
+    sigma: list[CFD], schema: RelationSchema | None, packed: bool
 ) -> list[CFD]:
     current = sorted(set(sigma), key=repr)
+    if packed:
+        cover = _min_cover_packed(current)
+        if cover is not None:
+            return cover
 
     current = [_trim_lhs(phi, current, schema) for phi in current]
     current = sorted(set(current), key=repr)
@@ -95,10 +116,64 @@ def _trim_lhs(
     return trimmed
 
 
+def _min_cover_packed(current: list[CFD]) -> list[CFD] | None:
+    """Both MinCover passes on compiled programs (same cover as baseline).
+
+    Trimming tests each candidate as bare (LHS items, RHS) against the
+    full compiled Sigma; redundancy removal compiles the trimmed set once
+    and tests each rule with itself retired from the alive mask.
+    ``None`` when a constant cannot be interned.
+    """
+    # Imported on use, like the other kernel seams below core.
+    from ..kernel.implication import ImplicationProgram
+
+    program = ImplicationProgram.compile(current)
+    if program is None:
+        return None
+    current = [_trim_lhs_packed(phi, program) for phi in current]
+    current = sorted(set(current), key=repr)
+    # Trimming only drops LHS items, so every constant is internable.
+    program = ImplicationProgram(current)
+    for rule, phi in enumerate(current):
+        program.retire(rule)
+        if not program.implies(phi.lhs, phi.rhs_attr, phi.rhs_entry):
+            program.revive(rule)
+    return [phi for phi, alive in zip(current, program.alive) if alive]
+
+
+def _trim_lhs_packed(phi: CFD, program: "ImplicationProgram") -> CFD:
+    """:func:`_trim_lhs` without building the candidate CFDs."""
+    if phi.is_equality:
+        return phi
+    rhs_attr = phi.rhs_attr
+    rhs_entry = phi.rhs_entry
+    lhs = phi.lhs
+    for name, _ in phi.lhs:
+        if len(lhs) <= 1:
+            break
+        candidate = tuple(item for item in lhs if item[0] != name)
+        if _is_trivial(candidate, rhs_attr, rhs_entry):
+            continue
+        if program.implies(candidate, rhs_attr, rhs_entry):
+            lhs = candidate
+    if lhs is phi.lhs:
+        return phi
+    return CFD(phi.relation, lhs, phi.rhs)
+
+
+def _is_trivial(lhs: PatternItems, rhs_attr: str, rhs_entry: PatternValue) -> bool:
+    """``CFD.is_trivial`` of the normal-form CFD ``(lhs -> rhs)``."""
+    for name, entry in lhs:
+        if name == rhs_attr:
+            return entry == rhs_entry or (is_const(entry) and is_wildcard(rhs_entry))
+    return False
+
+
 def partitioned_min_cover(
     sigma: Iterable[CFD],
     partition_size: int,
     schema: RelationSchema | None = None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """MinCover applied partition-wise (the paper's RBR optimization).
 
@@ -113,5 +188,5 @@ def partitioned_min_cover(
     result: list[CFD] = []
     for start in range(0, len(sigma), partition_size):
         block = sigma[start : start + partition_size]
-        result.extend(min_cover(block, schema))
+        result.extend(min_cover(block, schema, kernel=kernel))
     return result

@@ -36,6 +36,7 @@ to the baseline (see ``docs/kernel.md``).
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable
 
 from ..core.chase import SymVar
@@ -140,7 +141,10 @@ class PackedPairRunner:
 
     def __init__(self, sigma: list, cache, capacity: int | None = None) -> None:
         self._sigma = sigma
-        self._cache = cache  # BranchPairCache (base pairs + counters)
+        # BranchPairCache (base pairs + counters).  The cache owns this
+        # runner; a strong back-reference would make the pair a cycle that
+        # keeps every tableau alive until a full garbage collection.
+        self._cache = weakref.ref(cache)
         self._capacity = capacity
         self._templates: dict[tuple, _Template] = {}
         self._packs: dict[tuple[int, int], _Template | None] = {}
@@ -162,7 +166,7 @@ class PackedPairRunner:
         pack = self._packs.get((i, j), _MISSING)
         if pack is not _MISSING:
             return pack
-        base = self._cache.base_pair(i, j)
+        base = self._cache().base_pair(i, j)
         if base is None:
             self._packs[(i, j)] = None
             return None
@@ -478,7 +482,7 @@ class PackedPairRunner:
         shared :class:`BranchPairCache` counters so the engine stats and
         perf-smoke assertions read the same signals either way.
         """
-        cache = self._cache
+        cache = self._cache()
         state = template.outcomes.get(lhs, _MISSING)
         if state is not _MISSING:
             cache.coupled_hits += 1

@@ -4,8 +4,10 @@ Two kernels exist (``KERNELS``):
 
 - ``"bitset"`` — the factorised, bit-packed fast path of this package:
   attribute closures on int bitmasks, equivalence classes on int
-  union-find, and the single-chase branch-pair loop on a packed
-  union-find over interned cell ids (:mod:`repro.kernel.chase`).
+  union-find, the single-chase branch-pair loop on a packed union-find
+  over interned cell ids (:mod:`repro.kernel.chase`), and MinCover's
+  implication tests on a two-tuple union-find chase over a Sigma
+  compiled once per relation (:mod:`repro.kernel.implication`).
 - ``"baseline"`` — the original frozenset/dict implementation, kept as
   the differential oracle.
 
@@ -18,8 +20,10 @@ lines written under one kernel stay valid under the other.
 
 The bitset kernel covers exactly the *single-chase* setting (no
 finite-domain attribute in the view, or ``assume_infinite``, and no
-``max_instantiations`` cap) on a cache-enabled engine; anything else
-falls back to the baseline automatically (see ``docs/kernel.md``).
+``max_instantiations`` cap) on a cache-enabled engine; compiled
+implication likewise needs a cache-enabled engine and no finite-domain
+attribute in ``min_cover``'s schema.  Anything else falls back to the
+baseline automatically (see ``docs/kernel.md``).
 """
 
 from __future__ import annotations

@@ -84,6 +84,7 @@ def prop_cfd_spc(
     final_min_cover: bool = True,
     minimize_input: bool = True,
     sigma_scope: frozenset[str] | None = None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """Compute a minimal propagation cover of *sigma* via *view*.
 
@@ -99,6 +100,7 @@ def prop_cfd_spc(
         final_min_cover=final_min_cover,
         minimize_input=minimize_input,
         sigma_scope=sigma_scope,
+        kernel=kernel,
     ).cover
 
 
@@ -117,8 +119,9 @@ def prop_cfd_spc_report(
     ``minimize_input=False`` also serves callers (the batch engine) that
     pre-minimize Sigma once and share it across many views; *rbr_stats*
     accumulates RBR work counters across calls.  *kernel* selects the
-    ``ComputeEQ`` union-find representation (``"bitset"`` → the packed
-    int-array variant; answers are identical either way).
+    ``ComputeEQ`` union-find representation and the ``MinCover``
+    implication tests (``"bitset"`` → the packed int-array variants;
+    answers are identical either way).
 
     *sigma_scope* restricts Sigma to CFDs on the named relations before
     anything runs.  The cover is invariant under scoping to (a superset
@@ -141,7 +144,7 @@ def prop_cfd_spc_report(
 
     start = timer()
     if minimize_input:
-        sigma_cfds = min_cover(sigma_cfds)  # line 1
+        sigma_cfds = min_cover(sigma_cfds, kernel=kernel)  # line 1
     t_input = timer() - start
 
     sigma_v = view.rename_source_cfds(sigma_cfds)  # lines 5-6
@@ -168,7 +171,9 @@ def prop_cfd_spc_report(
     start = timer()
     dropped = view.dropped_attributes()
     report.dropped_attributes = len(dropped)
-    sigma_c = rbr(sigma_v, dropped, partition_size=partition_size, stats=rbr_stats)  # line 11
+    sigma_c = rbr(
+        sigma_v, dropped, partition_size=partition_size, stats=rbr_stats, kernel=kernel
+    )  # line 11
     report.after_rbr_size = len(sigma_c)
     report.seconds_rbr = timer() - start
 
@@ -177,7 +182,7 @@ def prop_cfd_spc_report(
     start = timer()
     combined = sigma_c + sigma_d
     if final_min_cover:
-        report.cover = min_cover(combined)  # line 13
+        report.cover = min_cover(combined, kernel=kernel)  # line 13
         report.seconds_final_mincover = timer() - start
     else:
         seen: set[CFD] = set()

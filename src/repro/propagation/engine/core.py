@@ -1296,7 +1296,7 @@ class PropagationEngine:
             return min_cover(sigma_cfds)
         minimized = self._min_sigma.get(sigma_key)
         if minimized is None:
-            minimized = min_cover(sigma_cfds)
+            minimized = min_cover(sigma_cfds, kernel=self.kernel)
             self._min_sigma[sigma_key] = minimized
         return minimized
 
@@ -1352,6 +1352,7 @@ class PropagationEngine:
                             branch,
                             partition_size=partition_size,
                             sigma_scope=b_touched,
+                            kernel=self.kernel,
                         )
                         self._branch_covers.put(memo_key, cover)
                     return list(cover)
@@ -1374,6 +1375,7 @@ class PropagationEngine:
                     branch_cover=branch_cover,
                     seed=seed,
                     seed_report=seed_report if seed else None,
+                    kernel=self.kernel,
                 )
         minimized = self._minimized_sigma(sigma_cfds, sigma_key)
         report = prop_cfd_spc_report(
@@ -1381,7 +1383,8 @@ class PropagationEngine:
             view,
             minimize_input=False,
             rbr_stats=self.stats.rbr,
-            kernel=self.kernel,
+            # The uncached engine is the fuzz matrix's baseline oracle.
+            kernel=self.kernel if self.use_cache else None,
         )
         return report.cover
 

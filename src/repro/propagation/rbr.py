@@ -138,13 +138,15 @@ def rbr(
     drop_attributes: Iterable[str],
     partition_size: int | None = 40,
     stats: RBRStats | None = None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """``RBR(Sigma, U - Y)``: drop every attribute outside the projection.
 
     *partition_size* enables the intermediate partitioned MinCover pass
     after each drop (Section 4.3's optimization); ``None`` disables it.
     Attributes are dropped in sorted order for determinism.  *stats*
-    accumulates work counters (used by the batch engine's ablations).
+    accumulates work counters (used by the batch engine's ablations);
+    *kernel* selects the MinCover implication tests.
     """
     gamma: list[CFD] = []
     seen: set[CFD] = set()
@@ -167,7 +169,7 @@ def rbr(
             and len(gamma) > partition_size
             and len(gamma) > 1.2 * last_size
         ):
-            gamma = partitioned_min_cover(gamma, partition_size)
+            gamma = partitioned_min_cover(gamma, partition_size, kernel=kernel)
             if stats is not None:
                 stats.mincover_passes += 1
             last_size = len(gamma)

@@ -87,6 +87,7 @@ def prop_cfd_spcu(
     branch_cover=None,
     seed: list[CFD] | None = None,
     seed_report=None,
+    kernel: str | None = None,
 ) -> list[CFD]:
     """A propagation cover of *sigma* via the SPCU view *view*.
 
@@ -119,6 +120,9 @@ def prop_cfd_spcu(
     cover is ``MinCover`` of the full pool's survivors either way
     (byte-identical to a cold run by construction); *seed_report* (a
     ``bool -> None`` callback) receives the hit/miss outcome.
+
+    *kernel* selects the MinCover implication tests of the default
+    per-branch covers and of the final cover.
     """
     if check is None:
         check = propagates
@@ -126,7 +130,7 @@ def prop_cfd_spcu(
     per_branch_covers = [
         branch_cover(sigma, branch, partition_size)
         if branch_cover is not None
-        else prop_cfd_spc(sigma, branch, partition_size=partition_size)
+        else prop_cfd_spc(sigma, branch, partition_size=partition_size, kernel=kernel)
         for branch in branches
     ]
     guards = [branch_guards(branch) for branch in branches]
@@ -175,4 +179,4 @@ def prop_cfd_spcu(
     survivors = [
         phi for phi, verdict in zip(candidates, verify(candidates)) if verdict
     ]
-    return min_cover(survivors)
+    return min_cover(survivors, kernel=kernel)

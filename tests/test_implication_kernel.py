@@ -1,0 +1,315 @@
+"""Differential tests for the compiled implication program.
+
+``repro.kernel.implication`` decides ``Sigma |= phi`` on a packed
+two-tuple chase over a Sigma compiled once per relation, and
+``min_cover(..., kernel="bitset")`` runs both MinCover passes on it.
+Everything here is checked against the untouched baseline
+``repro.core.implication.implies`` on seeded streams, so failures
+reproduce:
+
+- verdict by verdict, on hand-built corners (equality-form CFDs in Sigma
+  and as phi, conflicting constants, multi-RHS phi, phi attributes
+  absent from Sigma, constant-LHS self-pairing, constants that compare
+  equal across types) and on random and generator-drawn streams;
+- the alive mask against rebuilding ``rest`` without the tested rule;
+- ``min_cover`` output byte for byte under both kernels;
+- the fallbacks: a finite-domain schema, ``kernel="baseline"``,
+  ``REPRO_KERNEL=baseline``, an uncached engine and an uninternable
+  constant all run the baseline tests.
+"""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from repro import CFD
+from repro import io as repro_io
+from repro.core import mincover
+from repro.core.fd import FD
+from repro.core.implication import implies
+from repro.core.mincover import min_cover
+from repro.core.domains import BOOL
+from repro.core.schema import Attribute, RelationSchema
+from repro.generators import random_cfds, random_schema
+from repro.kernel.implication import ImplicationProgram
+from repro.propagation.closure_baseline import example_41_workload
+from repro.propagation.engine import PropagationEngine
+
+SEEDS = [0, 1, 2, 3, 4, 5]
+
+ATTRS = ["A", "B", "C", "D", "E"]
+#: 1, 1.0 and True compare equal; the program must treat them as the
+#: baseline's ``==`` does.
+CONSTANTS = [1, 1.0, True, 0, 2, "a", "b"]
+
+
+def _random_cfd(rng: random.Random, attrs=ATTRS, relation="R") -> CFD:
+    if rng.random() < 0.1:
+        a, b = rng.sample(attrs, 2)
+        return CFD.equality(relation, a, b)
+    lhs = {
+        name: rng.choice(CONSTANTS) if rng.random() < 0.4 else "_"
+        for name in rng.sample(attrs, rng.randint(0, 3))
+    }
+    rhs_names = rng.sample(attrs, 1 if rng.random() < 0.8 else 2)
+    rhs = {
+        name: rng.choice(CONSTANTS) if rng.random() < 0.35 else "_"
+        for name in rhs_names
+    }
+    return CFD(relation, lhs, rhs)
+
+
+def _random_sigma(rng: random.Random, count: int) -> list[CFD]:
+    out = []
+    while len(out) < count:
+        cfd = _random_cfd(rng)
+        if not cfd.is_trivial():
+            out.append(cfd)
+    return out
+
+
+def packed_implies(sigma, phi) -> bool:
+    """``Sigma |= phi`` on a freshly compiled program.
+
+    Mirrors the baseline's input handling: FDs are embedded as CFDs, only
+    rules on phi's relation count, and a general-form phi holds when each
+    of its nontrivial normal forms does.
+    """
+    if isinstance(phi, FD):
+        phi = CFD.from_fd(phi)
+    rules = sorted(
+        {
+            normal
+            for dep in sigma
+            if dep.relation == phi.relation
+            for normal in (CFD.from_fd(dep) if isinstance(dep, FD) else dep).normalize()
+        },
+        key=repr,
+    )
+    program = ImplicationProgram(rules)
+    return all(
+        program.implies(normal.lhs, normal.rhs_attr, normal.rhs_entry)
+        for normal in phi.normalize()
+        if not normal.is_trivial()
+    )
+
+
+def _canonical(cover: list[CFD]) -> str:
+    """Byte identity: repr order plus the wire documents (types kept)."""
+    return json.dumps(
+        [repr(phi) for phi in cover] + repro_io.dependencies_to_json(cover),
+        sort_keys=True,
+    )
+
+
+# ----------------------------------------------------------------------
+# Verdicts.
+# ----------------------------------------------------------------------
+
+
+R = "R"
+
+CORNERS = [
+    # Equality-form CFDs in Sigma, and as phi.
+    ([CFD.equality(R, "A", "B"), CFD(R, {"B": "_"}, {"C": "_"})], CFD(R, {"A": "_"}, {"C": "_"})),
+    ([CFD.equality(R, "A", "B"), CFD.equality(R, "B", "C")], CFD.equality(R, "A", "C")),
+    ([CFD.equality(R, "A", "B")], CFD.equality(R, "A", "C")),
+    ([CFD(R, {}, {"A": 1}), CFD(R, {}, {"B": 1})], CFD.equality(R, "A", "B")),
+    ([CFD(R, {"A": "_"}, {"B": "_"})], CFD.equality(R, "A", "B")),
+    ([CFD.equality(R, "A", "B"), CFD(R, {}, {"A": "a"})], CFD(R, {"C": "_"}, {"B": "a"})),
+    # Conflicting constants: the premise is unsatisfiable, phi is implied.
+    ([CFD(R, {"A": 1}, {"B": "a"}), CFD(R, {"A": 1}, {"B": "b"})], CFD(R, {"A": 1}, {"C": "_"})),
+    ([CFD(R, {}, {"B": "a"}), CFD(R, {}, {"B": "b"})], CFD(R, {"D": "_"}, {"C": 2})),
+    ([CFD(R, {"A": "_"}, {"B": "_"}), CFD(R, {}, {"B": "a"})], CFD(R, {"B": "b"}, {"C": "_"})),
+    ([CFD.equality(R, "A", "B")], CFD(R, {"A": 1, "B": 2}, {"C": "_"})),
+    # Multi-RHS phi: every normal form must hold.
+    ([CFD(R, {"A": "_"}, {"B": "_", "C": 1})], CFD(R, {"A": "_", "D": "_"}, {"B": "_", "C": 1})),
+    ([CFD(R, {"A": "_"}, {"B": "_"})], CFD(R, {"A": "_"}, {"B": "_", "C": "_"})),
+    # phi attributes Sigma never mentions.
+    ([CFD(R, {"A": "_"}, {"B": "_"})], CFD(R, {"A": "_", "Z": "z"}, {"B": "_"})),
+    ([CFD(R, {"A": "_"}, {"B": "_"})], CFD(R, {"A": "_"}, {"Z": "_"})),
+    ([CFD(R, {"A": "_"}, {"B": "_"})], CFD(R, {"Z": 1}, {"Z": 2})),
+    ([CFD(R, {}, {"A": "a"}), CFD(R, {}, {"A": "b"})], CFD(R, {"Y": "_"}, {"Z": "_"})),
+    ([CFD(R, {"A": "_"}, {"B": "_"})], CFD.equality(R, "A", "Z")),
+    # Constant-LHS self-pairing: (A1, A2=c -> A=a) fires on one tuple.
+    ([CFD(R, {"A1": "_", "A2": "c"}, {"A": "a"})], CFD(R, {"A2": "c"}, {"A": "a"})),
+    ([CFD(R, {"A1": "_", "A2": "c"}, {"A": "a"})], CFD(R, {"A2": "c", "B": "_"}, {"A": "_"})),
+    ([CFD(R, {"A1": "_", "A2": "c"}, {"A": "a"})], CFD(R, {"A1": "_"}, {"A": "a"})),
+    ([CFD(R, {"A": "_"}, {"A": "a"})], CFD(R, {"B": "_"}, {"A": "a"})),
+    ([CFD(R, {"A": 1}, {"A": 2})], CFD(R, {"A": 1}, {"B": "_"})),
+    # Constants equal across types behave as the baseline's ``==``.
+    ([CFD(R, {"A": 1}, {"B": True})], CFD(R, {"A": True}, {"B": 1.0})),
+    ([CFD(R, {"A": 1.0}, {"B": "_"})], CFD(R, {"A": True, "C": "_"}, {"B": "_"})),
+    ([CFD(R, {}, {"B": 1}), CFD(R, {}, {"B": True})], CFD(R, {"A": "_"}, {"C": "_"})),
+    ([CFD(R, {}, {"B": 1}), CFD(R, {"B": 1.0}, {"C": 0})], CFD(R, {"A": "_"}, {"C": False})),
+    # Plain FDs on either side.
+    ([FD(R, ("A",), ("B",)), FD(R, ("B",), ("C",))], FD(R, ("A",), ("C",))),
+    # Rules on other relations are ignored.
+    ([CFD("S", {"A": "_"}, {"B": "_"})], CFD(R, {"A": "_"}, {"B": "_"})),
+]
+
+
+@pytest.mark.parametrize("sigma,phi", CORNERS, ids=[repr(p) for _, p in CORNERS])
+def test_corner_verdicts_match_baseline(sigma, phi):
+    assert packed_implies(sigma, phi) == implies(sigma, phi)
+
+
+def test_corners_exercise_both_verdicts():
+    verdicts = {implies(sigma, phi) for sigma, phi in CORNERS}
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_verdicts_match_baseline(seed):
+    rng = random.Random(7100 + seed)
+    seen = set()
+    for _ in range(150):
+        sigma = _random_sigma(rng, rng.randint(0, 8))
+        phi = _random_cfd(rng)
+        expected = implies(sigma, phi)
+        assert packed_implies(sigma, phi) == expected, (sigma, phi)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_generator_verdicts_match_baseline(seed):
+    """Generator-drawn Sigma and phi (wide LHS, constant-LHS patterns)."""
+    rng = random.Random(7200 + seed)
+    schema = random_schema(rng, num_relations=2, min_attributes=5, max_attributes=7)
+    for constant_lhs in (False, True):
+        sigma = random_cfds(
+            rng, schema, 24, max_lhs=4, min_lhs=1, var_pct=0.5, constant_lhs=constant_lhs
+        )
+        # Candidate phis: Sigma's own rules, trimmed and untrimmed.
+        for rule in sigma:
+            for phi in [rule] + [rule.drop_lhs_attribute(a) for a in rule.lhs_attrs]:
+                assert packed_implies(sigma, phi) == implies(sigma, phi), phi
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_alive_mask_matches_rebuilt_rest(seed):
+    rng = random.Random(7300 + seed)
+    for _ in range(30):
+        sigma = sorted(
+            {n for cfd in _random_sigma(rng, 8) for n in cfd.normalize()}, key=repr
+        )
+        program = ImplicationProgram(sigma)
+        alive = list(sigma)
+        for rule, phi in enumerate(sigma):
+            program.retire(rule)
+            rest = [other for other in alive if other != phi]
+            expected = implies(rest, phi)
+            assert program.implies(phi.lhs, phi.rhs_attr, phi.rhs_entry) == expected
+            if expected:
+                alive = rest
+            else:
+                program.revive(rule)
+        assert [p for p, a in zip(sigma, program.alive) if a] == alive
+
+
+def test_uninternable_constant_is_not_compiled():
+    nan = CFD(R, {"A": float("nan")}, {"B": "_"})
+    assert ImplicationProgram.compile([nan]) is None
+    program = ImplicationProgram([CFD(R, {"A": "_"}, {"B": "_"})])
+    with pytest.raises(ValueError):
+        program.implies(nan.lhs, nan.rhs_attr, nan.rhs_entry)
+    # MinCover answers such a relation on the baseline.
+    assert min_cover([nan], kernel="bitset") == min_cover([nan]) == [nan]
+
+
+# ----------------------------------------------------------------------
+# min_cover byte identity.
+# ----------------------------------------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("baseline implies called on the compiled path")
+
+
+def _assert_same_cover(sigma: list) -> None:
+    expected = _canonical(min_cover(sigma))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mincover, "implies", _refuse)
+        got = _canonical(min_cover(sigma, kernel="bitset"))
+    assert got == expected
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_min_cover_byte_identical_on_random_sigma(seed):
+    rng = random.Random(7400 + seed)
+    for _ in range(25):
+        _assert_same_cover(_random_sigma(rng, rng.randint(1, 12)))
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_min_cover_byte_identical_on_generator_sigma(seed):
+    rng = random.Random(7500 + seed)
+    schema = random_schema(rng, num_relations=3, min_attributes=6, max_attributes=9)
+    for var_pct in (0.4, 0.5):
+        _assert_same_cover(
+            random_cfds(rng, schema, 40, max_lhs=5, min_lhs=1, var_pct=var_pct)
+        )
+
+
+def test_min_cover_byte_identical_with_equality_rules():
+    _assert_same_cover([
+        CFD.equality(R, "A", "B"),
+        CFD.equality(R, "B", "C"),
+        CFD.equality(R, "A", "C"),
+        CFD(R, {"A": "_"}, {"D": "_"}),
+        CFD(R, {"B": "_", "E": "_"}, {"D": "_"}),
+        CFD(R, {"C": 1}, {"E": True}),
+        CFD(R, {"B": 1.0}, {"E": 1}),
+    ])
+
+
+# ----------------------------------------------------------------------
+# Fallbacks: these settings must run the baseline tests.
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def no_program(monkeypatch):
+    """Fail loudly if anything compiles an implication program."""
+
+    def refuse(cls, sigma):
+        raise AssertionError("compiled program used on a baseline path")
+
+    monkeypatch.setattr(ImplicationProgram, "compile", classmethod(refuse))
+
+
+def test_finite_domain_schema_falls_back(no_program):
+    schema = RelationSchema(R, [Attribute("A"), Attribute("B"), Attribute("C", BOOL)])
+    sigma = [CFD(R, {"A": "_"}, {"B": "_"}), CFD(R, {"C": True}, {"B": "b"})]
+    assert min_cover(sigma, schema, kernel="bitset") == min_cover(sigma, schema)
+
+
+def test_baseline_kernel_falls_back(no_program):
+    sigma = [CFD(R, {"A": "_"}, {"B": "_"}), CFD(R, {"A": "_", "C": 1}, {"B": "_"})]
+    assert min_cover(sigma, kernel="baseline") == [sigma[0]]
+
+
+@pytest.mark.parametrize(
+    "engine_options,env",
+    [
+        ({"kernel": "baseline"}, None),
+        ({}, "baseline"),
+        ({"use_cache": False, "kernel": "bitset"}, None),
+    ],
+    ids=["kernel-baseline", "env-baseline", "uncached"],
+)
+def test_engine_settings_fall_back(engine_options, env, monkeypatch):
+    view, sigma, _ = example_41_workload(3)
+    expected = PropagationEngine(kernel="bitset").cover(sigma, view)
+    if env is not None:
+        monkeypatch.setenv("REPRO_KERNEL", env)
+    monkeypatch.setattr(
+        ImplicationProgram,
+        "compile",
+        classmethod(lambda cls, s: pytest.fail("compiled program on a baseline path")),
+    )
+    assert PropagationEngine(**engine_options).cover(sigma, view) == expected

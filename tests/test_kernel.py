@@ -254,6 +254,31 @@ def test_kernel_engine_still_counts_chases():
     assert "closure=" in repr(stats)
 
 
+def test_runner_does_not_keep_its_cache_alive():
+    """A dropped view cache is freed at once, runners and tableaux included.
+
+    The cache owns its runners; were the runner's back-reference strong,
+    the pair would be a reference cycle holding every tableau until the
+    next full garbage collection.
+    """
+    import gc
+    import weakref
+
+    from repro.propagation.check import BranchPairCache, _sigma_state, find_counterexample
+
+    sigma, view, phis = _workload(0)
+    cache = BranchPairCache(view, enabled=True)
+    find_counterexample(sigma, view, phis[0], cache=cache, kernel="bitset")
+    cache.kernel_runner(*_sigma_state(sigma))
+    alive = weakref.ref(cache)
+    gc.disable()
+    try:
+        del cache
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 # ----------------------------------------------------------------------
 # Automatic fallback.
 # ----------------------------------------------------------------------
