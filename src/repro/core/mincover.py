@@ -18,20 +18,22 @@ drop redundant CFDs.  It is used three ways by ``PropCFD_SPC``:
 With ``kernel="bitset"`` and no finite-domain attribute, both passes run
 their implication tests on one compiled
 :class:`~repro.kernel.implication.ImplicationProgram` per relation and
-pass (LHS trimming against the full compiled Sigma, redundancy removal
-against its alive-rule mask) instead of calling
-:func:`~repro.core.implication.implies`.  The covers are identical; any
-other setting runs the baseline tests.
+pass — a chase on bitmasks rather than ``SymVar`` cells — instead of
+calling :func:`~repro.core.implication.implies`.  LHS trimming tests
+each candidate as a kept-items mask of its compiled rule against the
+full Sigma; redundancy removal tests each rule with itself retired from
+the alive-rule mask.  The covers are identical; any other setting runs
+the baseline tests.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from .cfd import CFD, PatternItems
+from .cfd import CFD
 from .implication import implies
 from .schema import RelationSchema
-from .values import PatternValue, is_const, is_wildcard
+from .values import is_const, is_wildcard
 
 if TYPE_CHECKING:
     from ..kernel.implication import ImplicationProgram
@@ -119,10 +121,10 @@ def _trim_lhs(
 def _min_cover_packed(current: list[CFD]) -> list[CFD] | None:
     """Both MinCover passes on compiled programs (same cover as baseline).
 
-    Trimming tests each candidate as bare (LHS items, RHS) against the
-    full compiled Sigma; redundancy removal compiles the trimmed set once
-    and tests each rule with itself retired from the alive mask.
-    ``None`` when a constant cannot be interned.
+    Trimming tests each candidate as a kept-items mask of its rule
+    against the full compiled Sigma; redundancy removal compiles the
+    trimmed set once and tests each rule with itself retired from the
+    alive mask.  ``None`` when a constant cannot be keyed.
     """
     # Imported on use, like the other kernel seams below core.
     from ..kernel.implication import ImplicationProgram
@@ -130,43 +132,43 @@ def _min_cover_packed(current: list[CFD]) -> list[CFD] | None:
     program = ImplicationProgram.compile(current)
     if program is None:
         return None
-    current = [_trim_lhs_packed(phi, program) for phi in current]
+    current = [_trim_lhs_packed(phi, rule, program) for rule, phi in enumerate(current)]
     current = sorted(set(current), key=repr)
-    # Trimming only drops LHS items, so every constant is internable.
+    # Trimming only drops LHS items, so every constant can be keyed.
     program = ImplicationProgram(current)
-    for rule, phi in enumerate(current):
+    for rule in range(len(current)):
         program.retire(rule)
-        if not program.implies(phi.lhs, phi.rhs_attr, phi.rhs_entry):
+        if not program.implies_rule(rule):
             program.revive(rule)
     return [phi for phi, alive in zip(current, program.alive) if alive]
 
 
-def _trim_lhs_packed(phi: CFD, program: "ImplicationProgram") -> CFD:
-    """:func:`_trim_lhs` without building the candidate CFDs."""
+def _trim_lhs_packed(phi: CFD, rule: int, program: "ImplicationProgram") -> CFD:
+    """:func:`_trim_lhs` on *program*'s rule *rule* (which is *phi*).
+
+    A candidate is never trivial here: it keeps *phi*'s entry for the RHS
+    attribute, and *phi* is nontrivial.  A wildcard item of a
+    constant-RHS rule constrains no single tuple, so the candidate without
+    it is equivalent to *phi*, which is in the Sigma trimmed against: it
+    is dropped without a test.
+    """
     if phi.is_equality:
         return phi
-    rhs_attr = phi.rhs_attr
-    rhs_entry = phi.rhs_entry
     lhs = phi.lhs
-    for name, _ in phi.lhs:
-        if len(lhs) <= 1:
+    const_rhs = is_const(phi.rhs_entry)
+    keep = (1 << len(lhs)) - 1
+    kept = len(lhs)
+    for position, (_, entry) in enumerate(lhs):
+        if kept <= 1:
             break
-        candidate = tuple(item for item in lhs if item[0] != name)
-        if _is_trivial(candidate, rhs_attr, rhs_entry):
-            continue
-        if program.implies(candidate, rhs_attr, rhs_entry):
-            lhs = candidate
-    if lhs is phi.lhs:
+        candidate = keep & ~(1 << position)
+        if (const_rhs and is_wildcard(entry)) or program.implies_rule(rule, candidate):
+            keep = candidate
+            kept -= 1
+    if kept == len(lhs):
         return phi
-    return CFD(phi.relation, lhs, phi.rhs)
-
-
-def _is_trivial(lhs: PatternItems, rhs_attr: str, rhs_entry: PatternValue) -> bool:
-    """``CFD.is_trivial`` of the normal-form CFD ``(lhs -> rhs)``."""
-    for name, entry in lhs:
-        if name == rhs_attr:
-            return entry == rhs_entry or (is_const(entry) and is_wildcard(rhs_entry))
-    return False
+    items = tuple(item for position, item in enumerate(lhs) if keep >> position & 1)
+    return CFD(phi.relation, items, phi.rhs)
 
 
 def partitioned_min_cover(

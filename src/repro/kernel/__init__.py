@@ -1,10 +1,10 @@
 """The bit-packed fast path for cold propagation queries.
 
 Interns attributes, constants and chase variables to dense integer ids
-so the hot fixpoints — attribute closure, ``ComputeEQ`` union-find, the
-branch-pair chase, and MinCover's CFD implication tests
-(:mod:`repro.kernel.implication`) — run on flat int arrays instead of
-frozenset/dict/``SymVar`` algebra.  Selected per engine with
+so the hot fixpoints — attribute closure, ``ComputeEQ`` union-find and
+the branch-pair chase on flat int arrays, MinCover's CFD implication
+tests (:mod:`repro.kernel.implication`) on three bitmasks per test — run
+without frozenset/dict/``SymVar`` algebra.  Selected per engine with
 ``kernel="bitset"`` (the default; ``REPRO_KERNEL`` overrides the
 default), with the baseline implementations kept intact as the
 differential oracle and the automatic fallback for constructs the

@@ -6,8 +6,9 @@ Two kernels exist (``KERNELS``):
   attribute closures on int bitmasks, equivalence classes on int
   union-find, the single-chase branch-pair loop on a packed union-find
   over interned cell ids (:mod:`repro.kernel.chase`), and MinCover's
-  implication tests on a two-tuple union-find chase over a Sigma
-  compiled once per relation (:mod:`repro.kernel.implication`).
+  implication tests on the swap-symmetric two-tuple chase, kept per
+  attribute group in three bitmasks, over a Sigma compiled once per
+  relation (:mod:`repro.kernel.implication`).
 - ``"baseline"`` — the original frozenset/dict implementation, kept as
   the differential oracle.
 

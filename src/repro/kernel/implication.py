@@ -1,4 +1,4 @@
-"""Compiled CFD implication for ``MinCover``: a packed two-tuple chase.
+"""Compiled CFD implication for ``MinCover``: a chase on three bitmasks.
 
 ``core.implication.implies`` decides ``Sigma |= phi`` by re-normalising
 Sigma, running its chase-free screens over every rule, building a
@@ -7,38 +7,39 @@ rules — all of it from scratch for every test.  ``MinCover`` asks that
 question once per candidate LHS attribute and once per rule, always
 against the same (or one rule smaller) Sigma of a single relation.
 
-:class:`ImplicationProgram` builds the shared structure once per
-relation and makes each test pay only for what differs:
+:class:`ImplicationProgram` compiles that Sigma once and decides each
+test on machine ints, in the style of ``kernel/closure.py``.  The state
+is exact because of symmetry:
 
-- attributes are interned to indices ``0..n-1``; the canonical instance
-  is ``2n`` integer cells (cell ``a`` in row 0, ``a + n`` in row 1);
-- constants are interned to ids by value (a dict, so values that compare
-  equal — ``1``, ``1.0``, ``True`` — share an id exactly as the
-  baseline's ``==`` treats them);
-- each rule compiles to a flat program: an *equality* rule to per-row
-  cell pairs, a *constant-RHS* rule to per-row ``(checks, rhs cell,
-  constant)`` triples, a *pair* rule to ``(checks, key cell pairs, rhs
-  cells)`` across both rows;
-- the chase is union-find over the cells with one constant slot per
-  class root.  Equating two classes bound to distinct constants is the
-  vacuous ``UNDEFINED`` outcome, so ``phi`` is implied.  ``phi`` holds
-  when its two RHS cells share a class — or carry the same constant —
-  and that constant is ``phi``'s RHS constant when it has one.
+- the canonical two-tuple instance, phi's LHS coupling and every rule
+  are unchanged when the two rows are swapped, and the chase is
+  Church–Rosser, so the chased state is swap-symmetric (firing every
+  single-tuple rule on both rows at once keeps each step symmetric);
+- equality rules only ever equate two cells of one row, pair rules and
+  the coupling only the two cells of one attribute.  Grouping attributes
+  by the alive equality rules up front, every class is one attribute
+  group, in one row or across both rows.
 
-The phi-independent part of every test — the two fresh rows chased
-under Sigma alone — is chased once (per *alive* rule set) and copied;
-each test only adds phi's LHS coupling and continues the fixpoint from
-there.  Chase confluence makes this exact: the extended chase only
-equates, so its result is a least fixpoint and
-``closure(base ∪ coupling) = closure(closure(base) ∪ coupling)``.
-Because unions only ever grow, a test stops as soon as phi's conclusion
-holds: the final state either keeps it or is undefined, and both mean
-phi is implied.
+So a test's state is three bit fields of one int: ``agreed`` (groups
+where the rows agree, by coupling or by carrying a constant), ``consts``
+(groups that carry a constant) and ``facts`` (one bit per ``(group,
+constant)`` literal Sigma mentions, and a test-local bit for a literal
+only phi mentions).  Constants are keyed by value, so ``1``, ``1.0`` and
+``True`` share a literal exactly as the baseline's ``==`` treats them.
+Each rule compiles once to masks (:func:`_rule`); writing a constant to
+a group that holds a different literal is the vacuous ``UNDEFINED``
+outcome, so phi is implied.  An equality-form phi ``A = B`` is the
+one-row question; pair rules never add a constant, so it reads the
+groups' literals off the same state.
+
+Sigma's chase of two fresh rows runs once per alive rule set; each test
+adds phi's LHS coupling and rescans only the rules that had not fired
+there.  The state only grows, so a test stops once phi's goal bit is set.
 
 The program covers the infinite-domain setting only (no finite-domain
 attribute).  Constants that are not equal to themselves (``nan``)
-cannot be interned faithfully; :meth:`ImplicationProgram.compile`
-returns ``None`` for such a Sigma and the caller runs the baseline.
+cannot be keyed faithfully; :meth:`ImplicationProgram.compile` returns
+``None`` for such a Sigma and the caller runs the baseline.
 ``tests/test_implication_kernel.py`` compares every verdict with the
 untouched ``core.implication.implies``.
 """
@@ -48,13 +49,13 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from ..core.cfd import CFD
-from ..core.values import is_const, is_special
+from ..core.values import Const, is_special
 
 __all__ = ["ImplicationProgram"]
 
 
 class _Uninternable(ValueError):
-    """A constant the packed chase cannot represent (e.g. ``nan``)."""
+    """A constant the mask program cannot key (e.g. ``nan``)."""
 
 
 class ImplicationProgram:
@@ -66,79 +67,70 @@ class ImplicationProgram:
     """
 
     __slots__ = (
-        "n",
         "index",
-        "const_ids",
         "alive",
-        "_rules",
-        "_bases",
+        "_sigma",
+        "_groups",
+        "_literals",
+        "_fires",
+        "_couplings",
+        "_goals",
+        "_base",
     )
 
     def __init__(self, sigma: Sequence[CFD]) -> None:
         names = sorted({name for phi in sigma for name in phi.attributes})
-        self.n = n = len(names)
         self.index: dict[str, int] = {name: i for i, name in enumerate(names)}
-        self.const_ids: dict[Any, int] = {}
         self.alive = [True] * len(sigma)
-        index = self.index
-        # Per rule: (equalities, const rows, pair program); the first two
-        # are tuples of per-row entries, row 0 first.
-        rules = []
-        for phi in sigma:
-            if phi.is_equality:
-                a = index[phi.lhs[0][0]]
-                b = index[phi.rhs[0][0]]
-                rules.append((((a, b), (a + n, b + n)), (), None))
-                continue
-            checks = [
-                (index[name], self._intern(entry.value))
-                for name, entry in phi.lhs
-                if is_const(entry)
-            ]
-            checks0 = tuple(checks)
-            checks1 = tuple((cell + n, want) for cell, want in checks)
-            rhs = index[phi.rhs_attr]
-            if is_const(phi.rhs_entry):
-                target = self._intern(phi.rhs_entry.value)
-                rows = ((checks0, rhs, target), (checks1, rhs + n, target))
-                rules.append(((), rows, None))
-            else:
-                # Two rows agree on a constant LHS position once both
-                # match the pattern, so only wildcard positions key.
-                keys = tuple(
-                    (index[name], index[name] + n)
-                    for name, entry in phi.lhs
-                    if not is_const(entry)
-                )
-                rules.append(((), (), (checks0 + checks1, keys, rhs, rhs + n)))
-        self._rules = rules
-        self._bases: dict[bool, Any] = {}
+        self._sigma = sigma
+        self._base: tuple | None = None
+        self._compile(self._grouping())
 
     @classmethod
     def compile(cls, sigma: Sequence[CFD]) -> "ImplicationProgram | None":
         """The program for *sigma*, or ``None`` when a constant cannot be
-        interned (the caller then answers on the baseline)."""
+        keyed (the caller then answers on the baseline)."""
         try:
             return cls(sigma)
         except _Uninternable:
             return None
 
-    def _intern(self, value: Any, extra: dict | None = None) -> int:
-        ids = self.const_ids
-        node = ids.get(value)
-        if node is not None:
-            return node
-        if value != value:
-            raise _Uninternable(f"constant {value!r} is not equal to itself")
-        if extra is None:
-            node = ids[value] = len(ids)
-            return node
-        # A test-local constant Sigma never mentions: numbered past the
-        # table so it compares unequal to every rule constant.
-        node = extra.get(value)
-        if node is None:
-            node = extra[value] = len(ids) + len(extra)
-        return node
+    def _grouping(self) -> list[int]:
+        """Each attribute's group: the least attribute index that the
+        alive equality rules equate it with."""
+        index = self.index
+        groups = list(range(len(index)))
+        for alive, phi in zip(self.alive, self._sigma):
+            if alive and phi.is_equality:
+                a = index[phi.lhs[0][0]]
+                while groups[a] != a:
+                    a = groups[a]
+                b = index[phi.rhs_attr]
+                while groups[b] != b:
+                    b = groups[b]
+                groups[max(a, b)] = min(a, b)
+        for a in range(len(groups)):
+            groups[a] = groups[groups[a]]  # roots come first: one hop suffices
+        return groups
+
+    def _compile(self, groups: list[int]) -> None:
+        """Compile every rule for *groups* (see :func:`_rule`); an
+        equality rule has no firing masks and its two groups as coupling."""
+        self._groups = groups
+        self._literals: dict[tuple[int, Any], int] = {}
+        slots = _slots(self.index, groups)
+        literal = _literal_table(self._literals, len(groups))
+        self._fires: list = []
+        self._couplings: list = []
+        self._goals: list = []
+        for phi in self._sigma:
+            if phi.is_equality:
+                rule = None, (slots[phi.lhs[0][0]][0], slots[phi.rhs_attr][0]), 0
+            else:
+                rule = _rule(phi.lhs, phi.rhs_attr, phi.rhs_entry, slots, literal)
+            self._fires.append(rule[0])
+            self._couplings.append(rule[1])
+            self._goals.append(rule[2])
 
     # ------------------------------------------------------------------
     # The alive mask.
@@ -147,12 +139,49 @@ class ImplicationProgram:
     def retire(self, rule: int) -> None:
         """Take rule *rule* out of Sigma for subsequent tests."""
         self.alive[rule] = False
-        self._bases.clear()
+        self._changed(rule)
 
     def revive(self, rule: int) -> None:
         """Put a retired rule back."""
         self.alive[rule] = True
-        self._bases.clear()
+        self._changed(rule)
+
+    def _changed(self, rule: int) -> None:
+        """Drop what toggling *rule* invalidates.
+
+        An equality rule that regroups attributes recompiles everything;
+        the base depends on equality rules only through the grouping.
+        Any other rule whose premise the chased base does not meet never
+        fired there, so the base stays Sigma's least fixpoint with or
+        without it; only the list of rules still to scan changes.
+        """
+        fire = self._fires[rule]
+        if fire is None:
+            groups = self._grouping()
+            if groups != self._groups:
+                self._base = None
+                self._compile(groups)
+            return
+        if self._base is None:
+            return
+        state, pending = self._base
+        if state is None or not fire[0] & ~state:
+            self._base = None
+        elif self.alive[rule]:
+            pending.append(fire)
+        else:
+            pending.remove(fire)
+
+    def _prepared(self) -> tuple:
+        """``(state, pending)``: Sigma's chase of two fresh rows (``None``
+        when it is undefined) and the alive rules it left unfired."""
+        base = self._base
+        if base is None:
+            live = [f for f, alive in zip(self._fires, self.alive) if alive and f]
+            state = _chase(0, live, 0)
+            pending = [] if state is None else [f for f in live if f[0] & ~state]
+            base = self._base = (state, pending)
+        return base
 
     # ------------------------------------------------------------------
     # Tests.
@@ -163,182 +192,144 @@ class ImplicationProgram:
 
         *lhs* is a CFD's ``(attribute, pattern entry)`` items; an
         equality-form CFD (``rhs_entry`` the special variable) is tested
-        on the one-row instance.  The CFD itself is never built, so a
-        caller can test candidates it may discard.  Raises ``ValueError``
-        for a constant the program cannot intern (see :meth:`compile`).
+        on one row.  The CFD itself is never built, so a caller can test
+        candidates it may discard.  Raises ``ValueError`` for a constant
+        the program cannot key (see :meth:`compile`).
         """
+        slots = _slots(self.index, self._groups)
         if is_special(rhs_entry):
-            return self._implies_equality(next(iter(lhs))[0], rhs_attr)
-        return self._implies_pair(lhs, rhs_attr, rhs_entry)
+            a = slots.get(next(iter(lhs))[0])
+            b = slots.get(rhs_attr)
+            # A cell no rule touches stays a fresh variable.
+            a = -1 if a is None else a[0]
+            b = -2 if b is None else b[0]
+            return self._implies_equality(a, b)
+        # phi-only literals get bits past every Sigma literal: no rule
+        # reads or writes them.
+        literal = _literal_table(dict(self._literals), len(self._groups))
+        _, coupling, goal = _rule(lhs, rhs_attr, rhs_entry, slots, literal)
+        return self._implies(coupling, -1, goal)
 
-    def _implies_pair(self, lhs, rhs_attr: str, rhs_entry) -> bool:
-        base = self._base(True)
-        if base is None:
-            return True  # Sigma is unsatisfiable on any two tuples
-        parent, cval, consts, pairs = base
-        parent = parent[:]
-        cval = cval[:]
-        index = self.index
-        n = self.n
-        extra: dict = {}
-        for name, entry in lhs:
-            a = index.get(name)
-            if a is None:
-                continue  # no rule reads an attribute Sigma never mentions
-            if is_const(entry):
-                want = self._intern(entry.value, extra)
-                for cell in (a, a + n):
-                    while parent[cell] != cell:
-                        cell = parent[cell]
-                    have = cval[cell]
-                    if have < 0:
-                        cval[cell] = want
-                    elif have != want:
-                        return True
-            elif _union(parent, cval, a, a + n) is None:
-                return True
-        a = index.get(rhs_attr)
-        if a is None:
-            # Sigma never writes the RHS: phi holds only vacuously.
-            return _fixpoint(parent, cval, consts, pairs, -1, -1, -1) is not False
-        want = self._intern(rhs_entry.value, extra) if is_const(rhs_entry) else -1
-        return _fixpoint(parent, cval, consts, pairs, a, a + n, want) is not False
+    def implies_rule(self, rule: int, keep: int = -1) -> bool:
+        """Whether the alive rules imply rule *rule* with only the LHS
+        items at the positions set in *keep* (all by default).
 
-    def _implies_equality(self, a_name: str, b_name: str) -> bool:
-        base = self._base(False)
-        if base is None:
-            return True
-        parent, cval, consts, _ = base
-        a = self.index.get(a_name, -1)
-        b = self.index.get(b_name, -1)
-        if a < 0 or b < 0:
-            a = b = -1  # a cell no rule touches stays a fresh variable
-        return _fixpoint(parent[:], cval[:], consts, (), a, b, -1) is not False
-
-    def _base(self, two_rows: bool):
-        """Sigma's chase of fresh rows (cached per alive set), or ``None``.
-
-        Returns ``(parent, cval, const rules, pair rules)``: the chased
-        state every test copies, and the alive rules' row programs.
+        MinCover's trimming candidates are such bitmasks, so neither a
+        tuple nor a ``CFD`` is built per candidate.
         """
-        if two_rows in self._bases:
-            return self._bases[two_rows]
-        size = 2 * self.n
-        parent = list(range(size))
-        cval = [-1] * size
-        consts: list = []
-        pairs: list = []
-        base = (parent, cval, consts, pairs)
-        for alive, (equalities, rows, pair) in zip(self.alive, self._rules):
-            if not alive:
-                continue
-            if not two_rows:
-                equalities = equalities[:1]
-                rows = rows[:1]
-                pair = None
-            for a, b in equalities:
-                if _union(parent, cval, a, b) is None:
-                    base = None
-            consts.extend(rows)
-            if pair is not None:
-                pairs.append(pair)
-        if base is not None and _fixpoint(parent, cval, consts, pairs, -1, -1, -1) is None:
-            base = None
-        self._bases[two_rows] = base
-        return base
+        if self._fires[rule] is None:
+            return self._implies_equality(*self._couplings[rule])
+        return self._implies(self._couplings[rule], keep, self._goals[rule])
 
+    def _implies(self, coupling, keep: int, goal: int) -> bool:
+        state, pending = self._base or self._prepared()
+        if state is None:
+            return True  # Sigma is unsatisfiable on any two tuples
+        for adds, held in coupling:
+            if keep & 1 and adds & ~state:
+                if state & held:
+                    return True
+                state |= adds
+            keep >>= 1
+        if state & goal:
+            return True
+        state = _chase(state, pending, goal)
+        return state is None or state & goal != 0
 
-def _union(parent: list[int], cval: list[int], a: int, b: int) -> bool | None:
-    """Merge the classes of *a* and *b*; ``None`` on a constant clash.
-
-    Two classes bound to the same constant already compare equal, so they
-    are left unmerged (``False``, no change)."""
-    while parent[a] != a:
-        a = parent[a]
-    while parent[b] != b:
-        b = parent[b]
-    if a == b:
+    def _implies_equality(self, a: int, b: int) -> bool:
+        state = self._prepared()[0]
+        if state is None or a == b:
+            return True
+        literals = self._literals
+        for (group, value), bit in literals.items():
+            if group == a and state & bit:
+                return state & literals.get((b, value), 0) != 0
         return False
-    ca = cval[a]
-    cb = cval[b]
-    if ca >= 0 and cb >= 0:
-        return False if ca == cb else None
-    parent[b] = a
-    if ca < 0:
-        cval[a] = cb
-    return True
 
 
-def _fixpoint(parent, cval, consts, pairs, g0, g1, want) -> bool | None:
-    """Chase to fixpoint or until the goal holds.
+def _slots(index: dict[str, int], groups: list[int]) -> dict[str, tuple[int, int, int]]:
+    """Per attribute: its group, the group's ``agreed`` and ``consts`` bits."""
+    n = len(groups)
+    return {
+        name: (groups[a], 1 << groups[a], 1 << (n + groups[a]))
+        for name, a in index.items()
+    }
 
-    Returns ``None`` when the chase is undefined (two distinct constants
-    equated), ``True`` once cells *g0* and *g1* are equal (and carry
-    constant *want* when it is ``>= 0``), ``False`` at a fixpoint where
-    they are not (``g0 < 0`` means no goal).  A test's verdict is thus
-    ``is not False``.
 
-    Every round rescans all rules; one that already fired re-checks as a
-    no-op.  find/union are inlined: this loop is the whole cost of a test.
+def _literal_table(table: dict, n: int):
+    """``literal(group, value)``: the literal's bit in *table*, adding a
+    new bit past all others on a miss."""
+
+    def literal(group: int, value: Any) -> int:
+        bit = table.get((group, value))
+        if bit is None:
+            if value != value:
+                raise _Uninternable(f"constant {value!r} is not equal to itself")
+            bit = table[(group, value)] = 1 << (2 * n + len(table))
+        return bit
+
+    return literal
+
+
+def _rule(lhs, rhs_attr: str, rhs_entry, slots: dict, literal) -> tuple:
+    """A normal-form CFD's ``(fire, coupling, goal)``.
+
+    *fire* is ``(need, adds, held)``: the rule fires once ``need`` (its
+    constant LHS literals and, for a pair rule, the ``agreed`` bits of its
+    wildcard LHS groups) is in the state, and sets ``adds`` (the RHS
+    group's ``agreed`` bit; for a constant RHS also its ``consts`` bit and
+    literal).  A constant write clashes when ``held``, the group's
+    ``consts`` bit, is set but the literal is not.  *coupling* holds one
+    ``(adds, held)`` per LHS item, which is how phi's LHS enters a test;
+    *goal* is the bit that means phi holds.  Attributes without a slot
+    are ones no rule reads or writes: their items couple nothing, and a
+    phi whose RHS is one holds only vacuously (goal ``0``).
     """
-    while True:
-        if g0 >= 0:
-            x = g0
-            while parent[x] != x:
-                x = parent[x]
-            y = g1
-            while parent[y] != y:
-                y = parent[y]
-            cx = cval[x]
-            if (x == y or (cx >= 0 and cx == cval[y])) and (want < 0 or cx == want):
-                return True
+    pair = not isinstance(rhs_entry, Const)
+    need = 0
+    coupling = []
+    for name, want in lhs:
+        slot = slots.get(name)
+        if slot is None:
+            continue
+        group, agreed, held = slot
+        if isinstance(want, Const):
+            bit = literal(group, want.value)
+            need |= bit
+            coupling.append((agreed | held | bit, held))
+        else:
+            coupling.append((agreed, 0))
+            if pair:
+                need |= agreed  # a pair rule keys on wildcard items
+    coupling = tuple(coupling)
+    slot = slots.get(rhs_attr)
+    if slot is None:
+        return None, coupling, 0
+    group, agreed, held = slot
+    if pair:
+        return (need, agreed, 0), coupling, agreed
+    bit = literal(group, rhs_entry.value)
+    return (need, agreed | held | bit, held), coupling, bit
+
+
+def _chase(state: int, rules: list, goal: int) -> int | None:
+    """Fire *rules* from *state* to fixpoint, or until a *goal* bit is set.
+
+    Returns the state reached, or ``None`` when the chase is undefined.
+    Every round rescans *rules*; one that already fired re-checks as a
+    no-op.  This loop is the whole cost of a test.
+    """
+    missing = ~state
+    fired = True
+    while fired:
         fired = False
-        for checks, cell, target in consts:
-            for check, wanted in checks:
-                while parent[check] != check:
-                    check = parent[check]
-                if cval[check] != wanted:
-                    break
-            else:
-                while parent[cell] != cell:
-                    cell = parent[cell]
-                have = cval[cell]
-                if have < 0:
-                    cval[cell] = target
-                    fired = True
-                elif have != target:
+        for need, adds, held in rules:
+            if not need & missing and adds & missing:
+                if state & held:
                     return None
-        for checks, keys, r0, r1 in pairs:
-            for check, wanted in checks:
-                while parent[check] != check:
-                    check = parent[check]
-                if cval[check] != wanted:
-                    break
-            else:
-                for k0, k1 in keys:
-                    while parent[k0] != k0:
-                        k0 = parent[k0]
-                    while parent[k1] != k1:
-                        k1 = parent[k1]
-                    if k0 != k1:
-                        c = cval[k0]
-                        if c < 0 or c != cval[k1]:
-                            break
-                else:
-                    while parent[r0] != r0:
-                        r0 = parent[r0]
-                    while parent[r1] != r1:
-                        r1 = parent[r1]
-                    if r0 != r1:
-                        c0 = cval[r0]
-                        c1 = cval[r1]
-                        if c0 >= 0 and c1 >= 0:
-                            if c0 != c1:
-                                return None
-                        else:
-                            parent[r1] = r0
-                            if c0 < 0:
-                                cval[r0] = c1
-                            fired = True
-        if not fired:
-            return False
+                state |= adds
+                if state & goal:
+                    return state
+                missing = ~state
+                fired = True
+    return state

@@ -11,8 +11,9 @@ Two kinds of evidence that ``kernel="bitset"`` covers are right:
   compiled ``min_cover`` is checked with the untouched baseline
   ``core.implication.implies`` alone: the cover is equivalent to its
   input, no member is implied by the rest, and no LHS attribute of a
-  member can be dropped.  The certificate shares no code with the
-  packed chase.
+  member can be dropped.  A constant-dense pool (constants from 2-3
+  values, so literals meet and clash) gets the same certificate.  The
+  certificate shares no code with the packed chase.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import pytest
 from repro import CFD
 from repro.core.implication import equivalent, implies
 from repro.core.mincover import min_cover
+from repro.core.values import is_const
 from repro.fuzz.cases import parse_case
 from repro.generators import random_cfds, random_schema, random_spc_view
 from repro.propagation.closure_baseline import example_41_workload
@@ -115,6 +117,45 @@ def test_fig5_smoke_pool_min_cover_certified(index):
     # The final MinCover of Figure 2 (line 13), over the view's CFDs.
     pool = prop_cfd_spc_report(sigma, view, final_min_cover=False).cover
     certify_min_cover(pool, min_cover(pool, kernel="bitset"))
+
+
+DENSE_ATTRS = ["A", "B", "C", "D", "E", "F", "G"]
+
+
+def _constant_dense_sigma(seed: int, count: int = 24) -> list[CFD]:
+    """One relation's CFDs with constants from a pool of 2-3 values.
+
+    The Fig. 5 generator draws constants from [1, 100000], so its rules
+    almost never share a literal; here one rule's RHS constant is often
+    another's LHS check, and constant clashes happen.  A constant-RHS
+    rule gets a constant LHS check, so Sigma alone does not already clash
+    on two fresh rows (which would make every candidate implied).
+    """
+    rng = random.Random(PAPER_SEED + seed)
+    pool = [1, 2, "a"][: 2 + seed % 2]
+
+    def entry():
+        return rng.choice(pool) if rng.random() < 0.5 else "_"
+
+    sigma = []
+    for _ in range(count):
+        names = rng.sample(DENSE_ATTRS, rng.randint(2, 4))
+        rhs_name = names.pop()
+        lhs = {name: entry() for name in names}
+        rhs = entry()
+        if rhs != "_" and set(lhs.values()) == {"_"}:
+            lhs[names[0]] = rng.choice(pool)
+        sigma.append(CFD("R", lhs, {rhs_name: rhs}))
+    return sigma
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_constant_dense_min_cover_certified(seed):
+    sigma = _constant_dense_sigma(seed)
+    checks = {item for phi in sigma for item in phi.lhs if is_const(item[1])}
+    writes = {phi.rhs[0] for phi in sigma if is_const(phi.rhs[0][1])}
+    assert checks & writes, "no rule's RHS literal is another rule's LHS check"
+    certify_min_cover(sigma, min_cover(sigma, kernel="bitset"))
 
 
 def test_example_41_min_cover_certified():

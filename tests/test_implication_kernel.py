@@ -12,6 +12,10 @@ reproduce:
   absent from Sigma, constant-LHS self-pairing, constants that compare
   equal across types) and on random and generator-drawn streams;
 - the alive mask against rebuilding ``rest`` without the tested rule;
+- the mask representation's corners: clashes and checks through an
+  attribute group, regrouping when an equality rule is retired, the
+  one-row equality test, a Sigma that clashes on two fresh rows, and
+  constant-RHS wildcards trimmed without a test;
 - ``min_cover`` output byte for byte under both kernels;
 - the fallbacks: a finite-domain schema, ``kernel="baseline"``,
   ``REPRO_KERNEL=baseline``, an uncached engine and an uninternable
@@ -209,6 +213,114 @@ def test_alive_mask_matches_rebuilt_rest(seed):
             else:
                 program.revive(rule)
         assert [p for p, a in zip(sigma, program.alive) if a] == alive
+
+
+# ----------------------------------------------------------------------
+# Corners of the mask representation: attribute groups, literals, the
+# one-row state and the shared base.
+# ----------------------------------------------------------------------
+
+
+def test_group_clash_between_phi_constants_is_vacuous():
+    # A = B groups the two attributes, so phi writes 1 and 2 to one group.
+    sigma = [CFD.equality(R, "A", "B")]
+    phi = CFD(R, {"A": 1, "B": 2}, {"C": "_"})
+    assert implies(sigma, phi) is True
+    assert packed_implies(sigma, phi) is True
+
+
+def test_constant_check_satisfied_through_the_group():
+    # phi's B = 1 meets the check A = 1 because A and B share a group.
+    sigma = [CFD.equality(R, "A", "B"), CFD(R, {"A": 1, "D": "_"}, {"C": "c"})]
+    phi = CFD(R, {"B": 1}, {"C": "c"})
+    assert implies(sigma, phi) is True
+    assert packed_implies(sigma, phi) is True
+    other = CFD(R, {"B": 2}, {"C": "c"})
+    assert packed_implies(sigma, other) == implies(sigma, other) is False
+
+
+def test_retiring_and_reviving_an_equality_rule_regroups():
+    sigma = [
+        CFD.equality(R, "A", "B"),
+        CFD(R, {"A": "_"}, {"C": "_"}),
+        CFD(R, {"B": 1}, {"D": 2}),
+    ]
+    program = ImplicationProgram(sigma)
+    phis = [
+        CFD(R, {"B": "_"}, {"C": "_"}),
+        CFD(R, {"A": 1}, {"D": 2}),
+        CFD.equality(R, "A", "B"),
+    ]
+
+    def verdicts() -> list[bool]:
+        rest = [rule for rule, alive in zip(sigma, program.alive) if alive]
+        expected = [implies(rest, phi) for phi in phis]
+        assert [program.implies(p.lhs, p.rhs_attr, p.rhs_entry) for p in phis] == expected
+        return expected
+
+    assert verdicts() == [True, True, True]
+    program.retire(0)
+    assert verdicts() == [False, False, False]
+    assert program.implies_rule(0) is False
+    program.revive(0)
+    assert verdicts() == [True, True, True]
+
+
+@pytest.mark.parametrize(
+    "sigma,expected",
+    [
+        ([CFD(R, {}, {"A": 1}), CFD(R, {}, {"B": True})], True),
+        ([CFD(R, {}, {"A": 1}), CFD(R, {}, {"B": 2})], False),
+        ([CFD(R, {}, {"A": 1}), CFD(R, {"A": 1}, {"B": 1.0})], True),
+        # A pair rule never fires on one row.
+        ([CFD(R, {"C": "_"}, {"A": "_"}), CFD(R, {"C": "_"}, {"B": "_"})], False),
+        ([CFD.equality(R, "A", "C"), CFD.equality(R, "C", "B")], True),
+        # The row is undefined: A carries 1 and 2.
+        ([CFD(R, {}, {"A": 1}), CFD(R, {"D": "_"}, {"A": 2})], True),
+    ],
+)
+def test_equality_phi_answered_on_one_row(sigma, expected):
+    phi = CFD.equality(R, "A", "B")
+    assert implies(sigma, phi) is expected
+    assert packed_implies(sigma, phi) is expected
+
+
+def test_fresh_rows_that_already_clash_imply_every_candidate():
+    sigma = sorted(
+        [
+            CFD(R, {"B": "_"}, {"A": 1}),
+            CFD(R, {"C": "_"}, {"A": 2}),
+            CFD(R, {"C": "_", "D": "_", "E": 3}, {"F": "_"}),
+            CFD(R, {"B": 1, "D": "_"}, {"E": "_"}),
+        ],
+        key=repr,
+    )
+    program = ImplicationProgram(sigma)
+    for rule, phi in enumerate(sigma):
+        assert program.implies_rule(rule) is implies(sigma, phi) is True
+        for position, name in enumerate(phi.lhs_attrs):
+            candidate = phi.drop_lhs_attribute(name)
+            keep = ~(1 << position)
+            assert program.implies_rule(rule, keep) is implies(sigma, candidate) is True
+    _assert_same_cover(sigma)
+
+
+@pytest.mark.parametrize(
+    "rule,trimmed",
+    [
+        # Every wildcard item goes, in LHS order, until one item is left.
+        (CFD(R, {"A": "_", "B": "_", "C": "_"}, {"D": 1}), CFD(R, {"C": "_"}, {"D": 1})),
+        # A constant item stays (nothing else implies the candidate) and
+        # the wildcards around it go.
+        (CFD(R, {"A": "_", "B": 1, "C": "_"}, {"D": 1}), CFD(R, {"B": 1}, {"D": 1})),
+        (CFD(R, {"A": 1, "B": "_", "C": "_"}, {"D": 1}), CFD(R, {"A": 1}, {"D": 1})),
+        # Wildcard RHS: the pair rule keys on its wildcards, none drop.
+        (CFD(R, {"A": "_", "B": 1}, {"D": "_"}), CFD(R, {"A": "_", "B": 1}, {"D": "_"})),
+    ],
+)
+def test_constant_rhs_wildcards_trimmed_in_lhs_order(rule, trimmed):
+    assert min_cover([rule]) == [trimmed]
+    _assert_same_cover([rule])
 
 
 def test_uninternable_constant_is_not_compiled():
