@@ -87,45 +87,43 @@ class CFD:
         lhs: Mapping[str, Any] | Iterable[tuple[str, Any]],
         rhs: Mapping[str, Any] | Iterable[tuple[str, Any]],
     ) -> None:
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "lhs", _as_items(lhs))
-        object.__setattr__(self, "rhs", _as_items(rhs))
-        if not self.rhs:
+        lhs = _as_items(lhs)
+        rhs = _as_items(rhs)
+        if not rhs:
             raise ValueError("a CFD needs a nonempty right-hand side")
-        special_l = [v for _, v in self.lhs if is_special(v)]
-        special_r = [v for _, v in self.rhs if is_special(v)]
+        special_l = [v for _, v in lhs if is_special(v)]
+        special_r = [v for _, v in rhs if is_special(v)]
         if special_l or special_r:
-            if not (
-                len(self.lhs) == 1
-                and len(self.rhs) == 1
-                and special_l
-                and special_r
-            ):
+            if not (len(lhs) == 1 and len(rhs) == 1 and special_l and special_r):
                 raise ValueError(
                     "the special variable x may only appear in the "
                     "equality form R(A -> B, (x || x))"
                 )
-        # Hot-path caches (reasoning code touches these millions of times).
-        object.__setattr__(self, "_lhs_attrs", tuple(n for n, _ in self.lhs))
-        object.__setattr__(self, "_rhs_attrs", tuple(n for n, _ in self.rhs))
-        object.__setattr__(
-            self,
-            "_attributes",
-            frozenset(self._lhs_attrs) | frozenset(self._rhs_attrs),
-        )
-        object.__setattr__(self, "_lhs_map", dict(self.lhs))
-        object.__setattr__(
-            self, "_is_equality", len(self.rhs) == 1 and bool(special_r)
-        )
-        if len(self.rhs) == 1:
-            object.__setattr__(self, "_rhs_attr", self.rhs[0][0])
-            object.__setattr__(self, "_rhs_entry", self.rhs[0][1])
+        self._init(relation, lhs, rhs, bool(special_r))
+
+    def _init(
+        self, relation: str, lhs: PatternItems, rhs: PatternItems, equality: bool
+    ) -> None:
+        """Set the fields from validated, sorted items, plus the hot-path
+        caches (reasoning code touches these millions of times)."""
+        setattr_ = object.__setattr__
+        setattr_(self, "relation", relation)
+        setattr_(self, "lhs", lhs)
+        setattr_(self, "rhs", rhs)
+        lhs_attrs = tuple(n for n, _ in lhs)
+        rhs_attrs = tuple(n for n, _ in rhs)
+        setattr_(self, "_lhs_attrs", lhs_attrs)
+        setattr_(self, "_rhs_attrs", rhs_attrs)
+        setattr_(self, "_attributes", frozenset(lhs_attrs) | frozenset(rhs_attrs))
+        setattr_(self, "_lhs_map", dict(lhs))
+        setattr_(self, "_is_equality", equality)
+        if len(rhs) == 1:
+            setattr_(self, "_rhs_attr", rhs[0][0])
+            setattr_(self, "_rhs_entry", rhs[0][1])
         else:
-            object.__setattr__(self, "_rhs_attr", None)
-            object.__setattr__(self, "_rhs_entry", None)
-        object.__setattr__(
-            self, "_hash", hash((self.relation, self.lhs, self.rhs))
-        )
+            setattr_(self, "_rhs_attr", None)
+            setattr_(self, "_rhs_entry", None)
+        setattr_(self, "_hash", hash((relation, lhs, rhs)))
 
     def __hash__(self) -> int:
         # Matches the frozen-dataclass derivation over the compared
@@ -149,12 +147,19 @@ class CFD:
 
     @classmethod
     def from_fd(cls, fd: FD) -> "CFD":
-        """Embed a traditional FD as a CFD with an all-wildcard pattern."""
-        return cls(
+        """Embed a traditional FD as a CFD with an all-wildcard pattern.
+
+        The FD's attribute tuples are already sorted and duplicate-free,
+        so the items are built directly, without ``__init__``'s checks.
+        """
+        cfd = cls.__new__(cls)
+        cfd._init(
             fd.relation,
-            {a: WILDCARD for a in fd.lhs},
-            {b: WILDCARD for b in fd.rhs},
+            tuple((a, WILDCARD) for a in fd.lhs),
+            tuple((b, WILDCARD) for b in fd.rhs),
+            False,
         )
+        return cfd
 
     # ------------------------------------------------------------------
     # Accessors.

@@ -2,8 +2,9 @@
 
 Interns attributes, constants and chase variables to dense integer ids
 so the hot fixpoints — attribute closure, ``ComputeEQ`` union-find and
-the branch-pair chase on flat int arrays, MinCover's CFD implication
-tests (:mod:`repro.kernel.implication`) on three bitmasks per test — run
+the branch-pair chase on flat int arrays, and the CFD implication tests
+of MinCover and of single-branch SPC checks over distinct relations
+(:mod:`repro.kernel.implication`) on three bitmasks per test — run
 without frozenset/dict/``SymVar`` algebra.  Selected per engine with
 ``kernel="bitset"`` (the default; ``REPRO_KERNEL`` overrides the
 default), with the baseline implementations kept intact as the

@@ -71,6 +71,7 @@ class ImplicationProgram:
         "alive",
         "_sigma",
         "_groups",
+        "_slots",
         "_literals",
         "_fires",
         "_couplings",
@@ -118,7 +119,7 @@ class ImplicationProgram:
         equality rule has no firing masks and its two groups as coupling."""
         self._groups = groups
         self._literals: dict[tuple[int, Any], int] = {}
-        slots = _slots(self.index, groups)
+        self._slots = slots = _slots(self.index, groups)
         literal = _literal_table(self._literals, len(groups))
         self._fires: list = []
         self._couplings: list = []
@@ -196,7 +197,7 @@ class ImplicationProgram:
         candidates it may discard.  Raises ``ValueError`` for a constant
         the program cannot key (see :meth:`compile`).
         """
-        slots = _slots(self.index, self._groups)
+        slots = self._slots
         if is_special(rhs_entry):
             a = slots.get(next(iter(lhs))[0])
             b = slots.get(rhs_attr)
@@ -204,10 +205,17 @@ class ImplicationProgram:
             a = -1 if a is None else a[0]
             b = -2 if b is None else b[0]
             return self._implies_equality(a, b)
-        # phi-only literals get bits past every Sigma literal: no rule
-        # reads or writes them.
-        literal = _literal_table(dict(self._literals), len(self._groups))
-        _, coupling, goal = _rule(lhs, rhs_attr, rhs_entry, slots, literal)
+        literals = self._literals
+        try:
+            _, coupling, goal = _rule(
+                lhs, rhs_attr, rhs_entry, slots, lambda g, v: literals[g, v]
+            )
+        except KeyError:
+            # phi carries a literal Sigma lacks: it gets a bit past every
+            # Sigma literal, in a copy of the table (no rule reads or
+            # writes it).
+            literal = _literal_table(dict(literals), len(self._groups))
+            _, coupling, goal = _rule(lhs, rhs_attr, rhs_entry, slots, literal)
         return self._implies(coupling, -1, goal)
 
     def implies_rule(self, rule: int, keep: int = -1) -> bool:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from ..algebra.instance import DatabaseInstance
+from ..algebra.ops import AttrEq
 from ..algebra.spc import SPCView
 from ..algebra.spcu import SPCUView
 from ..core.cfd import CFD
@@ -57,7 +58,7 @@ from ..core.chase import (
     premise_positions,
 )
 from ..core.fd import FD
-from ..core.values import is_const
+from ..core.values import const, is_const
 from ..tableau.tableau import materialize_branch
 from .cache import LRUCache
 
@@ -203,11 +204,16 @@ class BranchPairCache:
         self._coupled: LRUCache = LRUCache(capacity)
         self._chased: LRUCache = LRUCache(capacity)
         self._runners: LRUCache = LRUCache(capacity)  # sigma_key -> runner
+        self._programs: LRUCache = LRUCache(capacity)  # sigma_key -> program
 
     @property
     def evictions(self) -> int:
         """LRU evictions across the bounded tableau layers."""
-        total = self._coupled.evictions + self._chased.evictions
+        total = (
+            self._coupled.evictions
+            + self._chased.evictions
+            + self._programs.evictions
+        )
         for runner in self._runners.values():
             total += runner.evictions
         return total
@@ -227,6 +233,37 @@ class BranchPairCache:
             runner = PackedPairRunner(sigma, self, capacity=self._capacity)
             self._runners.put(sigma_key, runner)
         return runner
+
+    def implication_program(self, sigma: list, sigma_key: frozenset):
+        """The compiled implication program of the view under *sigma*
+        (built once per Sigma), or ``None`` when it does not apply.
+
+        It applies to a view of one branch whose atoms read pairwise
+        distinct relations, with no finite-domain attribute.  There the
+        two-copy chase of :func:`find_counterexample` is the two-tuple
+        implication chase of ``Sigma_V``: ``rho(Sigma)`` in view space
+        plus one rule per selection atom and per ``Rc`` constant
+        (``docs/kernel.md``).  A constant the program cannot key also
+        gives ``None``; the caller then runs the pair loop.
+        """
+        program = self._programs.get(sigma_key, _MISSING)
+        if program is _MISSING:
+            program = None
+            branch = self.branches[0]
+            sources = [atom.source for atom in branch.atoms]
+            if (
+                len(self.branches) == 1
+                and self.single_chase
+                and len(set(sources)) == len(sources)
+            ):
+                from ..kernel.implication import ImplicationProgram
+
+                try:
+                    program = ImplicationProgram.compile(_view_sigma(branch, sigma))
+                except TypeError:  # an unhashable selection constant
+                    pass
+            self._programs.put(sigma_key, program)
+        return program
 
     # ------------------------------------------------------------------
     # Layer 1: materialized branch pairs.
@@ -333,6 +370,56 @@ class BranchPairCache:
         return result
 
 
+def _view_sigma(view: SPCView, sigma: list[CFD]) -> list[CFD]:
+    """``Sigma_V``: *sigma* renamed into *view*'s space, plus the
+    selection atoms and ``Rc`` constants as equality-form and constant
+    view CFDs."""
+    rules = view.rename_source_cfds(sigma)
+    for sel in view.selection:
+        if isinstance(sel, AttrEq):
+            rules.append(CFD.equality(view.name, sel.left, sel.right))
+        else:
+            rules.append(CFD.constant(view.name, sel.attr, const(sel.value)))
+    for attr, value in view.constants.items():
+        rules.append(CFD.constant(view.name, attr, const(value)))
+    return rules
+
+
+def program_verdict(cache: BranchPairCache, program, phi: CFD) -> bool | None:
+    """``Sigma |=_V phi`` on *cache*'s compiled implication program.
+
+    Follows :func:`find_counterexample`'s contract (trivial conjuncts
+    skipped, unprojected attributes a ``KeyError``) and ticks one chase
+    per conjunct tested.  ``None`` when phi carries a constant the
+    program cannot key: the caller then runs the pair loop.
+    """
+    branch = cache.branches[0]
+    projection = set(branch.projection)
+    for normal in phi.normalize():
+        if normal.is_trivial():
+            continue
+        _require_projected(normal, projection)
+        if branch.unsatisfiable:
+            continue  # the view is empty: every conjunct holds
+        try:
+            holds = program.implies(normal.lhs, normal.rhs_attr, normal.rhs_entry)
+        except ValueError:
+            return None
+        cache.chase_invocations += 1
+        if not holds:
+            return False
+    return True
+
+
+def _require_projected(phi: CFD, projection: set[str]) -> None:
+    missing = phi.attributes - projection
+    if missing:
+        raise KeyError(
+            f"view dependency references attributes {sorted(missing)} "
+            "that the view does not project"
+        )
+
+
 def propagates(
     sigma: Iterable[DependencyLike],
     view: ViewLike,
@@ -409,12 +496,7 @@ def find_counterexample(
     for normal_phi in phi.normalize():
         if normal_phi.is_trivial():
             continue
-        missing = normal_phi.attributes - projection
-        if missing:
-            raise KeyError(
-                f"view dependency references attributes {sorted(missing)} "
-                "that the view does not project"
-            )
+        _require_projected(normal_phi, projection)
         if normal_phi.is_equality:
             witness = _equality_counterexample(
                 sigma_cfds,

@@ -90,7 +90,9 @@ from ..check import (
     DependencyLike,
     ViewLike,
     _as_cfds,
+    _require_projected,
     find_counterexample,
+    program_verdict,
 )
 from ..cover import prop_cfd_spc, prop_cfd_spc_report
 from ..rbr import RBRStats
@@ -132,7 +134,9 @@ class EngineStats:
     workers; with ``jobs=1`` the perf-regression tests bound it by the
     number of unique closures/LHS shapes in a batch (fan-out groups
     misses by LHS shape before chunking, so chunk boundaries can add at
-    most ``jobs - 1`` duplicate chases per shape).
+    most ``jobs - 1`` duplicate chases per shape).  A miss decided on a
+    compiled implication program ticks one per conjunct it tests, and no
+    ``coupled``/``chased`` counter (it builds no skeleton).
     ``verdict_hits``/``cover_hits`` count memory-tier hits; the
     ``persistent_*`` counters and ``evictions`` mirror the tiered memo
     caches and ``tableau_evictions`` the LRU-bounded
@@ -253,6 +257,9 @@ def _check_chunk_worker(payload) -> tuple[list[bool], dict]:
         assume_infinite=assume_infinite,
         kernel=kernel,
     )
+    # Chunks are grouped by LHS shape for the pair loop's skeleton
+    # sharing, so workers stay on it rather than the compiled program.
+    engine._compiled_checks = False
     verdicts = engine.check_many(sigma, view, phis)
     return verdicts, _worker_stats(engine.stats)
 
@@ -355,6 +362,10 @@ class PropagationEngine:
         (finite domains, instantiation caps, unhashable constants,
         disabled caches) fall back to the baseline automatically.
     """
+
+    #: Whether sequential check misses may be decided on a compiled
+    #: implication program (see :meth:`_resolve_check_misses`).
+    _compiled_checks = True
 
     def __init__(
         self,
@@ -894,7 +905,7 @@ class PropagationEngine:
                 for memo_key, verdict in zip(
                     keys,
                     self._resolve_check_misses(
-                        scoped, view, view_key, cache, miss_phis
+                        scoped, sigma_key, view, view_key, cache, miss_phis
                     ),
                 ):
                     pkey = pending[memo_key][1]
@@ -924,6 +935,7 @@ class PropagationEngine:
     def _resolve_check_misses(
         self,
         scoped: list[CFD],
+        sigma_key: frozenset,
         view: ViewLike,
         view_key: tuple,
         cache: BranchPairCache,
@@ -938,7 +950,9 @@ class PropagationEngine:
         tableau caches — where multi-branch unions additionally go
         through the per-pair verdict memo (:meth:`_check_by_pairs`), so
         after a Sigma edit only pairs whose provenance meets the edited
-        relation re-chase.
+        relation re-chase, and on the bitset kernel a single-branch view
+        over distinct relations is decided by its compiled implication
+        program (:meth:`BranchPairCache.implication_program`).
         """
         settings = (self.max_instantiations, self.assume_infinite)
         sharded = (
@@ -1011,19 +1025,33 @@ class PropagationEngine:
                 for phi_cfd in miss_phis
             ]
 
-        return [
-            find_counterexample(
-                scoped,
-                view,
-                phi_cfd,
-                max_instantiations=self.max_instantiations,
-                assume_infinite=self.assume_infinite,
-                cache=cache,
-                kernel=self.kernel,
-            )
-            is None
-            for phi_cfd in miss_phis
-        ]
+        program = None
+        if (
+            self._compiled_checks
+            and self.kernel == "bitset"
+            and self.max_instantiations is None
+        ):
+            program = cache.implication_program(scoped, sigma_key)
+        verdicts = []
+        for phi_cfd in miss_phis:
+            verdict = None
+            if program is not None:
+                verdict = program_verdict(cache, program, phi_cfd)
+            if verdict is None:
+                verdict = (
+                    find_counterexample(
+                        scoped,
+                        view,
+                        phi_cfd,
+                        max_instantiations=self.max_instantiations,
+                        assume_infinite=self.assume_infinite,
+                        cache=cache,
+                        kernel=self.kernel,
+                    )
+                    is None
+                )
+            verdicts.append(verdict)
+        return verdicts
 
     def _branch_provenance(
         self, view: SPCUView, view_key: tuple
@@ -1110,12 +1138,7 @@ class PropagationEngine:
         for normal in phi_cfd.normalize():
             if normal.is_trivial():
                 continue
-            missing = normal.attributes - projection
-            if missing:
-                raise KeyError(
-                    f"view dependency references attributes {sorted(missing)} "
-                    "that the view does not project"
-                )
+            _require_projected(normal, projection)
             if normal.is_equality:
                 units = [(i, i) for i in range(k)]
             else:

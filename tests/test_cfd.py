@@ -44,6 +44,19 @@ class TestConstruction:
         assert phi.lhs == (("A", WILDCARD),)
         assert dict(phi.rhs) == {"B": WILDCARD, "C": WILDCARD}
 
+    @pytest.mark.parametrize(
+        "fd",
+        [FD("R", ("C", "A", "A"), ("B",)), FD("R", (), ("B", "A")), FD("R", ("A",), "A")],
+    )
+    def test_from_fd_matches_the_general_constructor(self, fd):
+        fast = CFD.from_fd(fd)
+        slow = CFD(fd.relation, {a: "_" for a in fd.lhs}, {b: "_" for b in fd.rhs})
+        assert fast == slow and hash(fast) == hash(slow)
+        for name in ("lhs_attrs", "rhs_attrs", "attributes", "is_equality"):
+            assert getattr(fast, name) == getattr(slow, name)
+        assert fast.is_trivial() == slow.is_trivial()
+        assert fast.normalize() == slow.normalize()
+
     def test_equality_constructor(self):
         phi = CFD.equality("R", "A", "B")
         assert phi.is_equality

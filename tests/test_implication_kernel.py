@@ -333,6 +333,16 @@ def test_uninternable_constant_is_not_compiled():
     assert min_cover([nan], kernel="bitset") == min_cover([nan]) == [nan]
 
 
+def test_phi_only_literal_leaves_sigma_table_alone():
+    program = ImplicationProgram([CFD(R, {"A": "a"}, {"B": "b"})])
+    table = dict(program._literals)
+    fresh = CFD(R, {"A": "z"}, {"B": "y"})
+    assert not program.implies(fresh.lhs, fresh.rhs_attr, fresh.rhs_entry)
+    known = CFD(R, {"A": "a", "C": "_"}, {"B": "b"})
+    assert program.implies(known.lhs, known.rhs_attr, known.rhs_entry)
+    assert program._literals == table
+
+
 # ----------------------------------------------------------------------
 # min_cover byte identity.
 # ----------------------------------------------------------------------

@@ -79,12 +79,12 @@ def test_chased_skeleton_sharing_without_the_fast_path():
     """CFD workload (fast path off): chases bounded by unique LHS shapes.
 
     A constant-pattern CFD in Sigma disables the closure fast path, so
-    every verdict goes through the chase — but all queries with one LHS
-    shape share a single chased skeleton, so ``2^n x 2`` nontrivial
-    queries (x 3 repeats) cost at most ``2^n`` premise chases.  The
-    bit-packed kernel adds one baseline chase per unique non-propagated
-    query: it rebuilds the counterexample witness on the baseline
-    machinery, which cross-checks every negative verdict.
+    every verdict goes through the chase — but on the pair loop all
+    queries with one LHS shape share a single chased skeleton, so
+    ``2^n x 2`` nontrivial queries (x 3 repeats) cost at most ``2^n``
+    premise chases.  The bitset kernel decides this one-relation view on
+    its compiled implication program instead: one test per nontrivial
+    unique query, no skeleton, repeats free.
     """
     n = 5
     fds, view = _family_view(n)
@@ -98,15 +98,20 @@ def test_chased_skeleton_sharing_without_the_fast_path():
     queries = queries * REPEATS
     unique_lhs = 2 ** n
 
-    engine = PropagationEngine()
+    engine = PropagationEngine(kernel="baseline")
     verdicts = engine.check_many(sigma, view, queries)
-    rebuilds = 0
-    if engine.kernel == "bitset":
-        rebuilds = verdicts[:unique_queries].count(False)
-        assert rebuilds > 0
     assert engine.stats.closure_fast_path == 0
-    assert engine.stats.chase_invocations <= unique_lhs + rebuilds
+    assert engine.stats.chase_invocations <= unique_lhs
     assert engine.stats.chased_hits > 0
+
+    compiled = PropagationEngine(kernel="bitset")
+    assert compiled.check_many(sigma, view, queries) == verdicts
+    nontrivial = sum(
+        not CFD.from_fd(phi).is_trivial() for phi in queries[:unique_queries]
+    )
+    assert compiled.stats.closure_fast_path == 0
+    assert compiled.stats.chase_invocations == nontrivial
+    assert compiled.stats.coupled_misses == compiled.stats.chased_misses == 0
 
     # The uncached baseline pays one chase per nontrivial unique query
     # and re-pays it on every repeat — strictly more work.
