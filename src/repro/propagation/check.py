@@ -258,10 +258,7 @@ class BranchPairCache:
             ):
                 from ..kernel.implication import ImplicationProgram
 
-                try:
-                    program = ImplicationProgram.compile(_view_sigma(branch, sigma))
-                except TypeError:  # an unhashable selection constant
-                    pass
+                program = ImplicationProgram.compile(_view_sigma(branch, sigma))
             self._programs.put(sigma_key, program)
         return program
 
@@ -391,10 +388,13 @@ def program_verdict(cache: BranchPairCache, program, phi: CFD) -> bool | None:
     Follows :func:`find_counterexample`'s contract (trivial conjuncts
     skipped, unprojected attributes a ``KeyError``) and ticks one chase
     per conjunct tested.  ``None`` when phi carries a constant the
-    program cannot key: the caller then runs the pair loop.
+    program cannot key: the caller then runs the pair loop, and the
+    conjuncts tested before it are not counted.
     """
     branch = cache.branches[0]
     projection = set(branch.projection)
+    tested = 0
+    holds = True
     for normal in phi.normalize():
         if normal.is_trivial():
             continue
@@ -405,10 +405,11 @@ def program_verdict(cache: BranchPairCache, program, phi: CFD) -> bool | None:
             holds = program.implies(normal.lhs, normal.rhs_attr, normal.rhs_entry)
         except ValueError:
             return None
-        cache.chase_invocations += 1
+        tested += 1
         if not holds:
-            return False
-    return True
+            break
+    cache.chase_invocations += tested
+    return holds
 
 
 def _require_projected(phi: CFD, projection: set[str]) -> None:

@@ -257,9 +257,6 @@ def _check_chunk_worker(payload) -> tuple[list[bool], dict]:
         assume_infinite=assume_infinite,
         kernel=kernel,
     )
-    # Chunks are grouped by LHS shape for the pair loop's skeleton
-    # sharing, so workers stay on it rather than the compiled program.
-    engine._compiled_checks = False
     verdicts = engine.check_many(sigma, view, phis)
     return verdicts, _worker_stats(engine.stats)
 
@@ -362,10 +359,6 @@ class PropagationEngine:
         (finite domains, instantiation caps, unhashable constants,
         disabled caches) fall back to the baseline automatically.
     """
-
-    #: Whether sequential check misses may be decided on a compiled
-    #: implication program (see :meth:`_resolve_check_misses`).
-    _compiled_checks = True
 
     def __init__(
         self,
@@ -952,7 +945,9 @@ class PropagationEngine:
         after a Sigma edit only pairs whose provenance meets the edited
         relation re-chase, and on the bitset kernel a single-branch view
         over distinct relations is decided by its compiled implication
-        program (:meth:`BranchPairCache.implication_program`).
+        program (:meth:`BranchPairCache.implication_program`).  Chunk
+        workers resolve their chunk sequentially, so they take the
+        program too.
         """
         settings = (self.max_instantiations, self.assume_infinite)
         sharded = (
@@ -1026,11 +1021,7 @@ class PropagationEngine:
             ]
 
         program = None
-        if (
-            self._compiled_checks
-            and self.kernel == "bitset"
-            and self.max_instantiations is None
-        ):
+        if self.kernel == "bitset" and self.max_instantiations is None:
             program = cache.implication_program(scoped, sigma_key)
         verdicts = []
         for phi_cfd in miss_phis:

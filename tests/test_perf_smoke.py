@@ -26,14 +26,12 @@ pytestmark = pytest.mark.slow
 REPEATS = 3
 
 
-def _family_view(n: int):
+def _family_view(n: int, self_join: bool = False):
     schema, fds, projection = exponential_family(n)
-    view = SPCView(
-        "V",
-        DatabaseSchema([schema]),
-        [RelationAtom("R", {a: a for a in schema.attribute_names})],
-        projection=projection,
-    )
+    atoms = [RelationAtom("R", {a: a for a in schema.attribute_names})]
+    if self_join:  # R x R projected onto the first copy: the same view
+        atoms.append(RelationAtom("R", {a: f"y.{a}" for a in schema.attribute_names}))
+    view = SPCView("V", DatabaseSchema([schema]), atoms, projection=projection)
     return fds, view
 
 
@@ -84,7 +82,11 @@ def test_chased_skeleton_sharing_without_the_fast_path():
     ``2^n x 2`` nontrivial queries (x 3 repeats) cost at most ``2^n``
     premise chases.  The bitset kernel decides this one-relation view on
     its compiled implication program instead: one test per nontrivial
-    unique query, no skeleton, repeats free.
+    unique query, no skeleton, repeats free.  A self-join of R keeps the
+    bitset kernel on its bit-packed pair runner, which shares skeletons
+    the same way and adds one baseline chase per unique non-propagated
+    query: it rebuilds the counterexample witness on the baseline
+    machinery, which cross-checks every negative verdict.
     """
     n = 5
     fds, view = _family_view(n)
@@ -112,6 +114,15 @@ def test_chased_skeleton_sharing_without_the_fast_path():
     assert compiled.stats.closure_fast_path == 0
     assert compiled.stats.chase_invocations == nontrivial
     assert compiled.stats.coupled_misses == compiled.stats.chased_misses == 0
+
+    _, joined_view = _family_view(n, self_join=True)
+    packed = PropagationEngine(kernel="bitset")
+    assert packed.check_many(sigma, joined_view, queries) == verdicts
+    rebuilds = verdicts[:unique_queries].count(False)
+    assert rebuilds > 0
+    assert packed.stats.closure_fast_path == 0
+    assert packed.stats.chase_invocations <= unique_lhs + rebuilds
+    assert packed.stats.chased_hits > 0
 
     # The uncached baseline pays one chase per nontrivial unique query
     # and re-pays it on every repeat — strictly more work.

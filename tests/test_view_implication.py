@@ -16,9 +16,9 @@ against the pair loop on seeded streams, so failures reproduce:
   the same ``KeyError``, an unsatisfiable view propagates everything;
 - the routing: an uninternable constant, a self-join, a union, the
   ``baseline`` kernel (explicit or ``REPRO_KERNEL``), an uncached
-  engine, a finite-domain view, a capped ``max_instantiations``,
-  ``jobs > 1`` chunk workers and ``engine.find_counterexample`` all stay
-  on the pair loop.
+  engine, a finite-domain view, a capped ``max_instantiations`` and
+  ``engine.find_counterexample`` all stay on the pair loop, while
+  ``jobs > 1`` chunk workers take the program too.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from repro.algebra.spcu import SPCUView
 from repro.core.domains import BOOL
 from repro.core.fd import FD
 from repro.core.schema import Attribute, DatabaseSchema, RelationSchema
+from repro.propagation.check import BranchPairCache, find_counterexample
 from repro.propagation.engine import PropagationEngine
 
 SEEDS = list(range(8))
@@ -318,6 +319,19 @@ def test_nan_in_phi_falls_back_for_that_query():
     assert _pair_loop_ran(engine)
 
 
+def test_nan_after_a_tested_conjunct_counts_only_the_pair_loop():
+    # R.B is tested on the program before R.C's nan sends the whole phi
+    # to the pair loop; only the pair loop's chases may be counted.
+    phi = CFD("V", {"R.A": "_"}, {"R.B": "_", "R.C": float("nan")})
+    engine = PropagationEngine(kernel="bitset")
+    assert _decide(engine, SIGMA, _view("R"), [phi]) == [False]
+    assert _pair_loop_ran(engine)
+    view = _view("R")
+    cache = BranchPairCache(view)
+    assert find_counterexample(SIGMA, view, phi, cache=cache, kernel="bitset")
+    assert engine.stats.chase_invocations == cache.chase_invocations > 0
+
+
 def test_self_join_stays_on_the_pair_loop():
     view = SPCView(
         "V",
@@ -360,7 +374,6 @@ def test_union_stays_on_the_pair_loop():
         ({}, "baseline"),
         ({"use_cache": False}, None),
         ({"max_instantiations": 8}, None),
-        ({"jobs": 2}, None),
     ],
 )
 def test_settings_stay_on_the_pair_loop(options, env, monkeypatch):
@@ -371,6 +384,15 @@ def test_settings_stay_on_the_pair_loop(options, env, monkeypatch):
     with PropagationEngine(**options) as engine:
         assert _decide(engine, SIGMA, _view("R"), PHIS) == [True, True, False]
         assert _pair_loop_ran(engine)
+
+
+@pytest.mark.parametrize("pool", ["thread", "process"])
+def test_chunk_workers_take_the_program(pool):
+    with PropagationEngine(kernel="bitset", jobs=2, pool=pool) as engine:
+        assert _decide(engine, SIGMA, _view("R"), PHIS) == [True, True, False]
+        assert engine.stats.parallel_tasks > 0
+        assert engine.stats.chase_invocations == 3
+        assert not _pair_loop_ran(engine)
 
 
 def test_finite_domain_view_stays_on_the_pair_loop():
