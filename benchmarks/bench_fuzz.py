@@ -44,7 +44,7 @@ SMOKE_CASES = int(os.environ.get("REPRO_FUZZ_CASES", "64") or "64")
 
 #: Engine-settings-only matrix: no sockets, so the pytest leg measures
 #: pure matrix arithmetic rather than loopback latency.
-LOCAL_MATRIX = ["baseline", "cache", "jobs2", "shards4", "shard-recombine"]
+LOCAL_MATRIX = ["baseline", "cache", "shard-recombine"]
 
 #: Where ``--smoke`` accumulates its throughput records.
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_fuzz.json"

@@ -20,9 +20,10 @@ carries its own ``2^n``-query eta batch):
                             recomputes (no stale reuse).
 - ``delta_sigma (svc)``   — in-process service: warm, diff, re-ask — the
                             unaffected batch answers purely from memory.
-- ``sharded k^2``         — the union-view check with ``shards = 1`` vs
-                            the ``REPRO_SHARDS`` (default 4) plan:
-                            identical verdicts, shard tasks dispatched.
+- ``sharded k^2``         — the union-view check on one full engine vs
+                            one ``shard_index`` engine per shard of a
+                            4-way plan: the AND of the shard verdicts
+                            equals the full verdict.
 
 PR 10 adds the streaming-Sigma legs, recorded to ``BENCH_incremental.json``:
 
@@ -73,7 +74,8 @@ SIZES = [3, 4]
 RELATIONS = ("R1", "R2")
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
-SHARDS = int(os.environ.get("REPRO_SHARDS", "4") or "4")
+#: Plan size of the ``shard_index`` recombination leg.
+SHARDS = 4
 STREAM_EDITS = int(os.environ.get("REPRO_STREAM_EDITS", "1000") or "1000")
 
 #: Where the streaming legs accumulate their records.
@@ -359,40 +361,40 @@ def _union_workload(k: int):
 def _sharded_union(k: int, shards: int, record=None) -> None:
     sigma, view, phis = _union_workload(k)
 
-    flat = PropagationEngine(shards=1)
+    flat = PropagationEngine()
     flat_started = time.perf_counter()
     expected = flat.check_many(sigma, view, phis)
     flat_elapsed = time.perf_counter() - flat_started
 
-    sharded = PropagationEngine(shards=shards, jobs=min(shards, 4))
+    workers = [
+        PropagationEngine(shards=shards, shard_index=index)
+        for index in range(shards)
+    ]
     shard_started = time.perf_counter()
-    got = sharded.check_many(sigma, view, phis)
+    partial = [worker.check_many(sigma, view, phis) for worker in workers]
     shard_elapsed = time.perf_counter() - shard_started
-    assert got == expected, "verdicts must be shard-count invariant"
-    assert sharded.stats.shard_tasks > 0
-    sharded.close()
+    got = [all(column) for column in zip(*partial)]
+    assert got == expected, "the AND of the shard verdicts must equal the full verdict"
+    assert all(worker.stats.shard_tasks == 1 for worker in workers)
 
     if record is not None:
         record(
             "Sharded k^2 chase (union view)",
             k,
-            "shards=1",
+            "full engine",
             flat_elapsed,
             {"chases": flat.stats.chase_invocations},
         )
         record(
             "Sharded k^2 chase (union view)",
             k,
-            f"shards={shards}",
+            f"shard_index x{shards} (serial sum)",
             shard_elapsed,
-            {
-                "chases": sharded.stats.chase_invocations,
-                "shard_tasks": sharded.stats.shard_tasks,
-            },
+            {"chases": sum(w.stats.chase_invocations for w in workers)},
         )
 
 
-def test_sharded_union_checks_are_invariant():
+def test_shard_index_verdicts_recombine():
     from conftest import record_point
 
     for k in (4, 6):
@@ -638,7 +640,7 @@ def main(argv: list[str]) -> int:
     print(
         f"bench_incremental {'smoke ' if smoke else ''}OK: "
         f"delta kept unaffected relations warm (n={n}), "
-        f"sharded verdicts invariant (k={k}), "
+        f"shard_index verdicts recombine (k={k}), "
         f"streaming warm path {seeded['speedup']}x over cold per edit"
     )
     return 0

@@ -21,7 +21,6 @@ Two entry points:
 
 Env knobs (``docs/caching.md`` documents the shared ones):
 
-- ``REPRO_JOBS``      — forwarded as ``--jobs`` (miss fan-out width);
 - ``REPRO_CACHE_DIR`` — forwarded as ``--cache-dir`` (persistent tier);
 - ``REPRO_TRANSPORT`` — ``--smoke`` only: ``ndjson`` (TCP NDJSON,
   default) or ``http`` picks the server transport under test;
@@ -74,7 +73,6 @@ SIZES = [3, 4]
 WARM_BATCHES = 10
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
-JOBS = int(os.environ.get("REPRO_JOBS", "1") or "1")
 CACHE_DIR = os.environ.get("REPRO_CACHE_DIR") or None
 TRANSPORT = os.environ.get("REPRO_TRANSPORT", "ndjson")
 WORKERS = int(os.environ.get("REPRO_WORKERS", "1") or "1")
@@ -102,7 +100,6 @@ def _serve_args(n: int, workdir: Path) -> tuple[list[str], list[dict]]:
         "--schema", str(paths["schema"]),
         "--sigma", str(paths["sigma"]),
         "--view", str(paths["view"]),
-        "--jobs", str(JOBS),
     ]
     if CACHE_DIR:
         args += ["--cache-dir", CACHE_DIR]
@@ -154,7 +151,7 @@ def test_server_throughput(n, tmp_path):
         2**n,
         "cold batch",
         timings[0],
-        {"chases": cold["stats"]["chases"], "jobs": JOBS},
+        {"chases": cold["stats"]["chases"]},
     )
     record_point(
         "server throughput",
@@ -165,7 +162,6 @@ def test_server_throughput(n, tmp_path):
             "chases": 0,
             "req_per_s": round(1.0 / warm_mean, 1),
             "queries_per_s": round(len(phis) / warm_mean, 1),
-            "jobs": JOBS,
         },
     )
 
@@ -252,7 +248,6 @@ def _single_server_smoke(transport: str, workdir: Path, n: int = 3) -> None:
             "warm_mean_s": round(warm_mean, 4),
             "warm_req_per_s": round(1.0 / warm_mean, 1),
             "warm_queries_per_s": round(len(phis) / warm_mean, 1),
-            "jobs": JOBS,
         },
     )
     print(
@@ -336,7 +331,6 @@ def _shared_store_smoke(transport: str, workdir: Path, n: int = 3) -> None:
             "cold_s": round(cold_s, 4),
             "join_warm_s": round(join_s, 4),
             "join_chases": join_chases,
-            "jobs": JOBS,
         },
     )
     print(

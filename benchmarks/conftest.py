@@ -41,14 +41,12 @@ SEED = 20080824
 #: ``--no-cache`` flag.
 NO_CACHE = os.environ.get("REPRO_NO_CACHE", "") not in ("", "0")
 
-#: Engine knobs mirroring the CLI's --cache-dir / --cache-size / --jobs:
-#: point the fixture engines at a shared persistent store, bound their
-#: in-memory memo tiers, or fan cache misses out across workers.
-#: (``REPRO_NO_CACHE=1`` beats all three — the baseline must stay cold.)
+#: Engine knobs mirroring the CLI's --cache-dir / --cache-size: point
+#: the fixture engines at a shared persistent store or bound their
+#: in-memory memo tiers.  (``REPRO_NO_CACHE=1`` beats both — the
+#: baseline must stay cold.)
 CACHE_DIR = os.environ.get("REPRO_CACHE_DIR") or None
 CACHE_SIZE = int(os.environ.get("REPRO_CACHE_SIZE", "0") or "0") or None
-JOBS = int(os.environ.get("REPRO_JOBS", "1") or "1")
-SHARDS = int(os.environ.get("REPRO_SHARDS", "1") or "1")
 
 #: Paper defaults (Section 5): |Y| = 25, |F| = 10, |Ec| = 4, LHS in 3..9.
 PAPER_Y = 25
@@ -96,15 +94,12 @@ def propagation_engine():
     """A fresh batch engine per benchmark.
 
     Honors ``REPRO_NO_CACHE=1`` (uncached baseline) plus the cache-tier
-    knobs ``REPRO_CACHE_DIR``, ``REPRO_CACHE_SIZE``, ``REPRO_JOBS`` and
-    ``REPRO_SHARDS``.
+    knobs ``REPRO_CACHE_DIR`` and ``REPRO_CACHE_SIZE``.
     """
     engine = PropagationEngine(
         use_cache=not NO_CACHE,
         cache_dir=CACHE_DIR,
         cache_size=CACHE_SIZE,
-        jobs=JOBS,
-        shards=SHARDS,
     )
     yield engine
     engine.close()

@@ -73,7 +73,7 @@ def connect(url: str, *, handshake: bool = True, **options) -> "Client":
     """Open a typed client on an endpoint URL (any registered scheme).
 
     ``options`` go to the transport factory: service options such as
-    ``cache_dir`` / ``cache_size`` / ``jobs`` / ``pool`` / ``shards``
+    ``cache_dir`` / ``cache_size`` / ``store_url`` / ``kernel``
     (or an existing ``service=``) for ``local://``; ``timeout`` and
     ``retry`` for ``tcp://`` and ``http://``.  A
     ``retry=RetryPolicy(...)`` makes the transport absorb transient

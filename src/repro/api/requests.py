@@ -7,12 +7,12 @@ registered under in the service's :class:`~repro.api.Workspace`; ``None``
 for Sigma means the workspace's ``"default"`` registration.
 
 Per-request knobs (``use_cache``, ``max_instantiations``,
-``assume_infinite``, ``shards``) default to ``None`` = "inherit the
-service's settings"; a non-``None`` value routes the request to a warm
-engine dedicated to that settings combination, so differently-
-parameterized requests never share a cache line (the semantics-bearing
-settings are part of every cache key anyway; ``shards`` only changes
-*how* misses are evaluated — verdicts are shard-count invariant).
+``assume_infinite``) default to ``None`` = "inherit the service's
+settings"; a non-``None`` value routes the request to a warm engine
+dedicated to that settings combination, so differently-parameterized
+requests never share a cache line (the semantics-bearing settings are
+part of every cache key anyway).  ``shards`` is the plan size of
+``shard_index`` and means nothing without it.
 
 :class:`UpdateSigmaRequest` is the incremental-update path: it applies
 a diff to a *registered* Sigma and selectively invalidates, keeping
@@ -160,7 +160,6 @@ class RequestStats:
     memo_hits: int = 0
     persistent_hits: int = 0
     closure_fast_path: int = 0
-    parallel_tasks: int = 0
     shard_tasks: int = 0
     pair_chases: int = 0
     cover_seed_hits: int = 0

@@ -8,8 +8,8 @@ callers all talk to.  It owns
 - a pool of warm :class:`~repro.propagation.engine.PropagationEngine`
   instances, one per engine-settings combination (``use_cache``,
   ``max_instantiations``, ``assume_infinite``), all sharing the service's
-  cache configuration (``cache_dir`` / ``cache_size`` / ``store_url`` /
-  ``jobs`` / ``pool``), and
+  cache configuration (``cache_dir`` / ``cache_size`` / ``store_url``),
+  and
 - *capability routing*: each request is classified by the shape of its
   inputs and dispatched to the procedure family that decides it.
 
@@ -56,13 +56,12 @@ from ..propagation.emptiness import nonempty_witness
 from ..propagation.engine import (
     EngineStats,
     PropagationEngine,
-    _all_wildcard,
-    _FastPathContext,
-    _view_fingerprint,
     make_stale_predicate,
     scoped_sigma,
+    structural_view_key,
     touched_relations,
 )
+from ..propagation.engine.core import _all_wildcard, _FastPathContext
 from ..store import validate_store_url
 from .errors import ApiError, api_errors
 from .requests import (
@@ -97,6 +96,11 @@ class _Effective:
     kernel: str | None = None
 
 
+def _shard_key(shards, shard_index) -> tuple | None:
+    """The shard component of the engine-pool key (``None`` = full)."""
+    return None if shard_index is None else (shards, shard_index)
+
+
 def _snapshot(stats: EngineStats) -> tuple:
     return (
         stats.check_queries + stats.cover_queries,
@@ -104,7 +108,6 @@ def _snapshot(stats: EngineStats) -> tuple:
         stats.verdict_hits + stats.cover_hits,
         stats.persistent_hits,
         stats.closure_fast_path,
-        stats.parallel_tasks,
         stats.shard_tasks,
         stats.pair_chases,
         stats.cover_seed_hits,
@@ -125,9 +128,6 @@ class PropagationService:
         cache_dir: str | None = None,
         cache_size: int | None = None,
         store_url: str | None = None,
-        jobs: int = 1,
-        pool: str = "thread",
-        shards: int = 1,
         kernel: str | None = None,
     ) -> None:
         self.workspace = workspace if workspace is not None else Workspace()
@@ -147,15 +147,12 @@ class PropagationService:
             use_cache,
             max_instantiations,
             assume_infinite,
-            shards,
             kernel=resolve_kernel(kernel),
         )
         self._engine_opts = dict(
             cache_dir=cache_dir,
             cache_size=cache_size,
             store_url=store_url or None,
-            jobs=jobs,
-            pool=pool,
         )
         self._engines: dict[tuple, PropagationEngine] = {}
         # Engine-pool creation guard: the server's per-pool locks allow
@@ -178,7 +175,7 @@ class PropagationService:
 
     def _effective(self, request) -> _Effective:
         d = self._defaults
-        shards = d.shards if request.shards is None else request.shards
+        shards = 1 if request.shards is None else request.shards
         # Validated here — not only in PropagationEngine.__init__ — so a
         # bad value is rejected identically whether the settings combo
         # resolves to a warm pooled engine or constructs a fresh one.
@@ -217,28 +214,21 @@ class PropagationService:
         )
 
     def _engine(self, settings: _Effective) -> PropagationEngine:
-        # The pool is keyed on the *semantics-bearing* settings only:
-        # `shards` changes how misses are evaluated, never the answer,
-        # so requests with different shard plans must share one warm
-        # engine (and its memo tiers) rather than split them.  It is
-        # applied to the shared engine per dispatch instead — safe under
-        # the server, whose per-pool lock serializes dispatch+evaluation
-        # within one pool key; callers driving one service from multiple
-        # threads may see a concurrent request's shard plan (verdicts
-        # are shard-invariant, so only the evaluation strategy can
-        # differ).  `shard_index` *is* part of the key: a shard-
-        # restricted engine computes partial verdicts under shard-scoped
-        # memo keys and never persists, so it must not share an engine
-        # object with full requests.  `kernel` is part of the key too —
-        # not because answers differ (they are byte-identical; it is
-        # absent from every cache key), but because the engine object is
-        # pinned to one implementation, and a request asking for the
-        # baseline oracle must not silently get the packed kernel.
+        # `shard_index` and, with it, the plan size `shards` are part of
+        # the key: a shard-restricted engine computes partial verdicts
+        # under shard-scoped memo keys and never persists, so it must not
+        # share an engine object with full requests or with another
+        # plan.  Without `shard_index`, `shards` changes nothing and
+        # stays out of the key.  `kernel` is part of the key too — not
+        # because answers differ (they are byte-identical; it is absent
+        # from every cache key), but because the engine object is pinned
+        # to one implementation, and a request asking for the baseline
+        # oracle must not silently get the packed kernel.
         key = (
             settings.use_cache,
             settings.max_instantiations,
             settings.assume_infinite,
-            settings.shard_index,
+            _shard_key(settings.shards, settings.shard_index),
             settings.kernel,
         )
         with self._pool_guard:
@@ -254,8 +244,6 @@ class PropagationService:
                     **self._engine_opts,
                 )
                 self._engines[key] = engine
-            elif engine.shards != settings.shards:
-                engine.shards = settings.shards
         return engine
 
     def pool_key(self, doc) -> tuple:
@@ -276,6 +264,7 @@ class PropagationService:
         use_cache = get("use_cache")
         max_instantiations = get("max_instantiations")
         assume_infinite = get("assume_infinite")
+        shards = get("shards")
         kernel = get("kernel")
         key = (
             d.use_cache if use_cache is None else use_cache,
@@ -283,7 +272,7 @@ class PropagationService:
             if max_instantiations is None
             else max_instantiations,
             d.assume_infinite if assume_infinite is None else assume_infinite,
-            get("shard_index"),
+            _shard_key(1 if shards is None else shards, get("shard_index")),
             d.kernel if kernel is None else kernel,
         )
         hash(key)  # raises on unhashable garbage values
@@ -300,7 +289,7 @@ class PropagationService:
         return self.engine.stats
 
     def close(self) -> None:
-        """Close every pooled engine (stores, worker pools); idempotent."""
+        """Close every pooled engine (and its store); idempotent."""
         with self._pool_guard:
             engines, self._engines = list(self._engines.values()), {}
         for engine in engines:
@@ -343,7 +332,7 @@ class PropagationService:
         # Provenance-scoped like the engine's own keys: Sigma enters the
         # memo restricted to the view's touched relations, so route
         # classifications survive delta_sigma edits on other relations.
-        view_key = _view_fingerprint(view)
+        view_key = structural_view_key(view)
         scoped = scoped_sigma(_as_cfds(sigma), self._view_touched(view, view_key))
         memo_key = (frozenset(scoped), view_key)
         capabilities = self._route_memo.get(memo_key)
@@ -515,7 +504,7 @@ class PropagationService:
                 # Scoped like every other key: emptiness is a function of
                 # Sigma restricted to the view's relations, so warm lines
                 # survive delta_sigma edits elsewhere.
-                view_key = _view_fingerprint(view)
+                view_key = structural_view_key(view)
                 scoped = scoped_sigma(
                     _as_cfds(sigma), self._view_touched(view, view_key)
                 )
@@ -560,7 +549,6 @@ class PropagationService:
             memo,
             persistent,
             closure,
-            tasks,
             shard_tasks,
             pair_chases,
             seed_hits,
@@ -573,7 +561,6 @@ class PropagationService:
             memo_hits=memo,
             persistent_hits=persistent,
             closure_fast_path=closure,
-            parallel_tasks=tasks,
             shard_tasks=shard_tasks,
             pair_chases=pair_chases,
             cover_seed_hits=seed_hits,

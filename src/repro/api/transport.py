@@ -441,7 +441,7 @@ def open_url(url: str, **options) -> Transport:
     """Resolve an endpoint URL into a live transport.
 
     ``options`` are forwarded to the scheme factory: service options
-    (``cache_dir``, ``jobs``, ...) for ``local://``; ``timeout`` and
+    (``cache_dir``, ``cache_size``, ...) for ``local://``; ``timeout`` and
     ``retry`` (a :class:`RetryPolicy`) for the remote schemes.  An
     unknown scheme is a typed ``bad-request`` — never a traceback —
     listing what is registered.

@@ -55,11 +55,6 @@ Engine knobs (shared by check / propagate-batch / cover / empty / serve):
   ``redis://host:port[/db]``; takes precedence over ``--cache-dir``;
 - ``--cache-size N`` bounds each in-memory memo tier (and each tableau
   cache layer) to an N-entry LRU;
-- ``--jobs N`` fans cache-miss queries out across N workers
-  (``--pool thread|process`` picks the executor);
-- ``--shards N`` deals the k² branch-pair chase of union views into N
-  deterministic shards executed through the same pool (verdicts are
-  shard-count invariant);
 - ``--kernel bitset|baseline`` picks the chase/closure implementation
   (default bitset — the packed fast path; ``REPRO_KERNEL`` overrides
   the default; answers are byte-identical either way).
@@ -67,11 +62,11 @@ Engine knobs (shared by check / propagate-batch / cover / empty / serve):
 ``repro --profile <subcommand> ...`` runs any subcommand under cProfile
 and prints the top 20 functions by cumulative time to stderr.
 
-``--no-cache``, ``--shards`` and ``--kernel`` are per-request settings
-and apply on any endpoint; the infrastructure knobs (``--cache-dir`` / ``--cache-size``
-/ ``--store-url`` / ``--jobs`` / ``--pool``) configure the *service* and
-therefore apply to
-``local://`` endpoints and ``serve`` — a remote server keeps its own.
+``--no-cache`` and ``--kernel`` are per-request settings and apply on
+any endpoint; the infrastructure knobs (``--cache-dir`` /
+``--cache-size`` / ``--store-url``) configure the *service* and
+therefore apply to ``local://`` endpoints and ``serve`` — a remote
+server keeps its own.
 
 Exit codes follow the stable taxonomy of :mod:`repro.api.errors`:
 0 on a "positive" analysis result (propagated / nonempty / clean), 1 on
@@ -140,9 +135,6 @@ def _service_options(args) -> dict:
         cache_dir=getattr(args, "cache_dir", None),
         cache_size=getattr(args, "cache_size", None),
         store_url=_store_url(args),
-        jobs=getattr(args, "jobs", 1),
-        pool=getattr(args, "pool", "thread"),
-        shards=getattr(args, "shards", 1),
         kernel=getattr(args, "kernel", None),
     )
 
@@ -151,7 +143,6 @@ def _request_settings(args) -> dict:
     """The per-request settings, honored by local and remote endpoints."""
     return dict(
         use_cache=False if getattr(args, "no_cache", False) else None,
-        shards=args.shards if getattr(args, "shards", 1) != 1 else None,
         kernel=getattr(args, "kernel", None),
     )
 
@@ -551,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache",
             action="store_true",
             help="disable the engine caches (ablation baseline; also "
-            "disables --cache-dir and --jobs)",
+            "disables --cache-dir)",
         )
         p.add_argument(
             "--stats",
@@ -577,27 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
             "server shared by a worker fleet) or redis://host:port[/db]; "
             "takes precedence over --cache-dir; REPRO_STORE_URL sets "
             "the default (local:// endpoints and serve)",
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="fan cache-miss queries out across this many workers "
-            "(local:// endpoints and serve)",
-        )
-        p.add_argument(
-            "--pool",
-            choices=("thread", "process"),
-            default="thread",
-            help="executor kind for --jobs > 1 (default: thread)",
-        )
-        p.add_argument(
-            "--shards",
-            type=int,
-            default=1,
-            help="deal the k^2 branch-pair chase of union views into this "
-            "many deterministic shards (verdicts are shard-count "
-            "invariant; honored by any endpoint)",
         )
         p.add_argument(
             "--kernel",

@@ -63,8 +63,6 @@ DEFAULT_MATRIX = (
     "kernel",
     "store",
     "delta",
-    "jobs2",
-    "shards4",
     "shard-recombine",
     "tcp",
     "http",
@@ -429,10 +427,6 @@ class MatrixHarness:
             runners["store"] = _ServiceRunner(store_url=store_url)
         if "delta" in wanted:
             runners["delta"] = _DeltaRunner()
-        if "jobs2" in wanted:
-            runners["jobs2"] = _ServiceRunner(jobs=2)
-        if "shards4" in wanted:
-            runners["shards4"] = _ServiceRunner(shards=4)
         if "shard-recombine" in wanted:
             runners["shard-recombine"] = _ShardRecombineRunner(shards=4)
         tcp_url = http_url = None

@@ -40,7 +40,7 @@ Keys come in two flavors:
 The stability guarantee is exactly as strong as the wire format's:
 anything :func:`repro.io.dependency_to_json` / :func:`repro.io.view_to_json`
 round-trips canonically is a stable cache key.  Change the encoding and
-you must bump :data:`repro.propagation.store.SCHEMA_VERSION`.
+you must bump :data:`repro.store.sqlite.SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from ..algebra.spcu import SPCUView
 from ..core.cfd import CFD
 from ..core.lru import LRUCache
 from ..io import domain_to_json, dependency_to_json, spc_view_to_json
-from .store import SqliteStore
+from ..store import BlobStore
 
 __all__ = [
     "LRUCache",
@@ -90,7 +90,7 @@ class TieredCache:
         self,
         table: str,
         capacity: int | None = None,
-        store: SqliteStore | None = None,
+        store: BlobStore | None = None,
         encode: Callable[[Any], str] = str,
         decode: Callable[[str], Any] = str,
     ) -> None:

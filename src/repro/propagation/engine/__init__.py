@@ -8,31 +8,15 @@ mixing three concerns; this package splits them into explicit layers
   fingerprints, the touched-relation sets recorded from the view's
   chase instance, and the composite cache keys that make Sigma edits
   invalidate only the lines whose provenance they meet.
-- :mod:`.scheduler` — the **scheduler layer**: deterministic sharding of
-  the ``k^2`` branch-pair chase of union views across the engine's
-  worker pool, with per-shard stats merge-back and shard-count-invariant
-  verdict combination.
+- :mod:`.scheduler` — the deterministic **shard plan** of the ``k^2``
+  branch-pair chase of union views, which a ``shard_index`` engine
+  restricts itself to.
 - :mod:`.core` — the **engine core**: :class:`PropagationEngine` and
   :class:`EngineStats`, the batch hit/miss partitioning over the tiered
-  caches, the closure fast path, and the miss fan-out.
-
-This facade preserves the PR 1-3 public surface byte for byte: every
-``from repro.propagation.engine import ...`` that worked against the
-monolith (including the service layer's and the regression tests'
-imports of ``_view_fingerprint`` / ``_all_wildcard`` /
-``_FastPathContext``) keeps working, and the worker functions stay
-importable under stable module paths for process-pool pickling.
+  caches and the closure fast path.
 """
 
-from .core import (
-    EngineStats,
-    PropagationEngine,
-    _all_wildcard,
-    _check_chunk_worker,
-    _cover_chunk_worker,
-    _FastPathContext,
-    _view_fingerprint,
-)
+from .core import EngineStats, PropagationEngine
 from .keys import (
     cover_key,
     key_view,
@@ -45,12 +29,11 @@ from .keys import (
     touched_relations,
     verdict_key,
 )
-from .scheduler import combine_verdicts, plan_pairs
+from .scheduler import plan_pairs
 
 __all__ = [
     "EngineStats",
     "PropagationEngine",
-    "combine_verdicts",
     "cover_key",
     "key_view",
     "make_stale_predicate",
@@ -63,8 +46,3 @@ __all__ = [
     "touched_relations",
     "verdict_key",
 ]
-
-# Private names re-exported for the service layer and the regression
-# tests (part of the facade's compatibility contract).
-_ = (_all_wildcard, _check_chunk_worker, _cover_chunk_worker, _FastPathContext, _view_fingerprint)
-del _

@@ -1,4 +1,4 @@
-"""The batch propagation engine: memoized chase, tiered caches, fan-out.
+"""The batch propagation engine: memoized chase and tiered caches.
 
 Every decision procedure in this package re-derives its symbolic tableaux
 and re-runs its chases from scratch on each ``Sigma |=_V phi`` query.
@@ -11,8 +11,7 @@ attribute closures are shared structure.
 This module is the *engine core* of the layered
 :mod:`repro.propagation.engine` package; key construction lives in
 :mod:`~repro.propagation.engine.keys` (the provenance layer) and the
-branch-pair sharding in :mod:`~repro.propagation.engine.scheduler` (the
-scheduler layer).
+branch-pair shard plan in :mod:`~repro.propagation.engine.scheduler`.
 
 :class:`PropagationEngine` answers batches:
 
@@ -33,9 +32,9 @@ scheduler layer).
 Verdicts and covers are memoized in *tiered caches*
 (:mod:`repro.propagation.cache`): an LRU-bounded in-memory tier
 (``cache_size``; unbounded by default) optionally backed by a
-schema-versioned sqlite store (``cache_dir``;
-:mod:`repro.propagation.store`) — so warm lines survive restarts and are
-shared across worker processes pointing at one cache directory.
+schema-versioned sqlite store (``cache_dir``; :mod:`repro.store.sqlite`)
+— so warm lines survive restarts and are shared across worker processes
+pointing at one cache directory.
 
 Cache keys are **provenance-scoped** (:mod:`.keys`): Sigma enters every
 key restricted to the relations the view's chase can read, as the
@@ -49,19 +48,15 @@ survive in both tiers, which is what makes incremental Sigma updates
 hook the delta path calls.
 
 Each batch is partitioned into *hits* (answered inline from the memory
-tier, the persistent tier, or the closure fast path) and *misses*.  With
-``jobs > 1`` the misses fan out across a ``concurrent.futures`` pool
-(``pool="thread"`` or ``"process"``) and the results are written back
-through both tiers; with the default ``jobs=1`` misses resolve
-sequentially through the shared tableau caches exactly as in the
-single-process design.  On multi-branch union views with ``shards > 1``
-the ``k^2`` branch-pair space of the misses is additionally dealt into
-deterministic shards executed through the same pool (see
-:mod:`.scheduler`), so one wide SPCU query parallelizes instead of
-serializing its dominant loop.
+tier, the persistent tier, or the closure fast path) and *misses*, which
+resolve sequentially through the shared tableau caches and are written
+back through both tiers.  An engine built with ``shard_index`` evaluates
+only that shard of the ``shards``-way branch-pair plan of union views
+(see :mod:`.scheduler`) — the seam a fleet orchestrator uses to spread
+one wide SPCU query across processes or machines.
 
 ``PropagationEngine(use_cache=False)`` disables every layer (including
-the fast path, the persistent store, the fan-out and the sharding) and
+the fast path and the persistent store) and
 routes queries through the plain single-query procedures — the
 ``--no-cache`` ablation baseline.  Counters in :class:`EngineStats` stay
 live either way, which is what the perf-regression tests assert on.
@@ -69,7 +64,6 @@ live either way, which is what the perf-regression tests assert on.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -109,20 +103,9 @@ from .keys import (
     touched_relations,
     verdict_key,
 )
-from .scheduler import (
-    WORKER_RBR_FIELDS,
-    WORKER_STAT_FIELDS,
-    _shard_check_worker,
-    combine_verdicts,
-    plan_pairs,
-    shard_check_payloads,
-)
+from .scheduler import plan_pairs
 
 __all__ = ["EngineStats", "PropagationEngine"]
-
-#: The structural view key, under the name the rest of the code base (and
-#: the regression tests) have imported since PR 2.
-_view_fingerprint = structural_view_key
 
 
 @dataclass
@@ -130,11 +113,8 @@ class EngineStats:
     """Instrumentation counters for one :class:`PropagationEngine`.
 
     ``chase_invocations`` counts chase runs *launched by check queries*
-    (cache hits launch none), including chases run by fan-out and shard
-    workers; with ``jobs=1`` the perf-regression tests bound it by the
-    number of unique closures/LHS shapes in a batch (fan-out groups
-    misses by LHS shape before chunking, so chunk boundaries can add at
-    most ``jobs - 1`` duplicate chases per shape).  A miss decided on a
+    (cache hits launch none); the perf-regression tests bound it by the
+    number of unique closures/LHS shapes in a batch.  A miss decided on a
     compiled implication program ticks one per conjunct it tests, and no
     ``coupled``/``chased`` counter (it builds no skeleton).
     ``verdict_hits``/``cover_hits`` count memory-tier hits; the
@@ -145,9 +125,8 @@ class EngineStats:
     the process-wide attribute-closure memo
     (:func:`repro.core.fd.closure_cache_info`) — deltas since engine
     construction, so engines sharing the process also share traffic;
-    ``parallel_tasks`` counts pool tasks dispatched (miss chunks and
-    shard payloads alike) and ``shard_tasks`` the shard payloads of the
-    branch-pair scheduler specifically.
+    ``shard_tasks`` counts the miss batches a ``shard_index`` engine
+    decided on a non-empty shard plan.
     ``pair_chases`` counts pair-restricted chase launches — the misses
     of the per-pair verdict memo on multi-branch unions, so the
     delta-restricted share of ``chase_invocations`` is distinguishable;
@@ -174,7 +153,6 @@ class EngineStats:
     persistent_writes: int = 0
     evictions: int = 0
     tableau_evictions: int = 0
-    parallel_tasks: int = 0
     shard_tasks: int = 0
     single_flight_waits: int = 0
     store_errors: int = 0
@@ -198,7 +176,6 @@ class EngineStats:
             f"{self.persistent_writes}w, "
             f"evictions={self.evictions}, "
             f"tableau_evictions={self.tableau_evictions}, "
-            f"parallel_tasks={self.parallel_tasks}, "
             f"shard_tasks={self.shard_tasks}, "
             f"single_flight_waits={self.single_flight_waits}, "
             f"store_errors={self.store_errors}, "
@@ -221,59 +198,6 @@ def _decode_cover(payload: str) -> list[CFD]:
     return [dependency_from_json(doc) for doc in json.loads(payload)]
 
 
-def _chunks(items: list, n: int) -> list[list]:
-    """Split *items* into at most *n* contiguous, near-even chunks."""
-    n = max(1, min(n, len(items)))
-    size, extra = divmod(len(items), n)
-    out, start = [], 0
-    for i in range(n):
-        end = start + size + (1 if i < extra else 0)
-        if start < end:
-            out.append(items[start:end])
-        start = end
-    return out
-
-
-def _worker_stats(stats: "EngineStats") -> dict:
-    """One chunk worker's report, in the shared worker-stats protocol
-    (:data:`~repro.propagation.engine.scheduler.WORKER_STAT_FIELDS`)."""
-    out = {name: getattr(stats, name) for name in WORKER_STAT_FIELDS}
-    out["rbr"] = {name: getattr(stats.rbr, name) for name in WORKER_RBR_FIELDS}
-    return out
-
-
-def _check_chunk_worker(payload) -> tuple[list[bool], dict]:
-    """Decide one chunk of cache-miss queries in a fresh engine.
-
-    Module-level (and with plain-data payloads) so it pickles into a
-    process pool; a thread pool calls it directly.  The fresh engine
-    shares tableaux *within* the chunk and its counters are merged back
-    into the dispatching engine's stats.
-    """
-    sigma, view, phis, max_instantiations, assume_infinite, kernel = payload
-    engine = PropagationEngine(
-        use_cache=True,
-        max_instantiations=max_instantiations,
-        assume_infinite=assume_infinite,
-        kernel=kernel,
-    )
-    verdicts = engine.check_many(sigma, view, phis)
-    return verdicts, _worker_stats(engine.stats)
-
-
-def _cover_chunk_worker(payload) -> tuple[list[list[CFD]], dict]:
-    """Compute one chunk of cache-miss covers in a fresh engine."""
-    sigma, views, max_instantiations, assume_infinite, kernel = payload
-    engine = PropagationEngine(
-        use_cache=True,
-        max_instantiations=max_instantiations,
-        assume_infinite=assume_infinite,
-        kernel=kernel,
-    )
-    covers = engine.cover_many(sigma, views)
-    return covers, _worker_stats(engine.stats)
-
-
 class PropagationEngine:
     """Answers batches of propagation queries with cross-query caching.
 
@@ -282,8 +206,8 @@ class PropagationEngine:
     use_cache:
         ``False`` gives the uncached ablation baseline: every query runs
         the plain single-query procedure (no tableau reuse, no verdict
-        memo, no closure fast path, no persistent store, no fan-out, no
-        sharding).  Verdicts are guaranteed identical either way — the
+        memo, no closure fast path, no persistent store, no shard
+        restriction).  Verdicts are guaranteed identical either way — the
         differential tests enforce it.
     max_instantiations / assume_infinite:
         Defaults forwarded to the underlying decision procedure (the
@@ -317,25 +241,9 @@ class PropagationEngine:
         keeps them unbounded.  Evictions are counted in
         :attr:`EngineStats.evictions` (memo tiers) and
         :attr:`EngineStats.tableau_evictions` (tableau layers).
-    jobs:
-        With ``jobs > 1``, cache-miss queries in a batch fan out across
-        a ``concurrent.futures`` pool of at most this many workers.
-        ``jobs=1`` resolves misses sequentially through the shared
-        tableau caches.
-    pool:
-        ``"thread"`` (default; zero-copy, safe everywhere — but the
-        chase is pure CPU-bound Python, so under the GIL threads mostly
-        buy overlap with the sqlite/store I/O, not chase speedup) or
-        ``"process"`` (true CPU parallelism; inputs are pickled, and
-        the pool is spawned once per engine and reused, so its startup
-        cost amortizes across batches).
     shards:
-        With ``shards > 1``, cache-miss checks on multi-branch union
-        views deal their ``k^2`` branch-pair space into this many
-        deterministic shards (see :mod:`.scheduler`) executed through
-        the same ``jobs``/``pool`` executor with dynamic assignment.
-        Verdicts (and covers, whose SPCU candidate verification funnels
-        through the sharded checker) are invariant in the shard count.
+        The size of the branch-pair shard plan (see :mod:`.scheduler`);
+        it only matters together with ``shard_index``.
     shard_index:
         Restrict this engine to evaluating *one* shard of the plan —
         the scale-out seam for distributing one view's pair space
@@ -370,16 +278,10 @@ class PropagationEngine:
         cache_size: int | None = None,
         store_url: str | None = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        jobs: int = 1,
-        pool: str = "thread",
         shards: int = 1,
         shard_index: int | None = None,
         kernel: str | None = None,
     ) -> None:
-        if pool not in ("thread", "process"):
-            raise ValueError(f"pool must be 'thread' or 'process', got {pool!r}")
-        if jobs < 1:
-            raise ValueError(f"jobs must be positive, got {jobs}")
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
         if shard_index is not None and not 0 <= shard_index < shards:
@@ -395,14 +297,11 @@ class PropagationEngine:
         #: answer-identical (differential-tested), so cache lines warmed
         #: under one kernel stay valid under the other.
         self.kernel = resolve_kernel(kernel)
-        self.jobs = jobs
-        self.pool = pool
         self.shards = shards
         self.shard_index = shard_index
         self.cache_size = cache_size
         self.lease_ttl = lease_ttl
         self.stats = EngineStats()
-        self._executor: concurrent.futures.Executor | None = None
         self._store: BlobStore | None = None
         if use_cache:
             if store_url:
@@ -456,8 +355,7 @@ class PropagationEngine:
         self._prov_fps: dict[tuple[frozenset, frozenset], str] = {}
         self._view_fps: dict[tuple, str] = {}
         #: Counter totals of caches no longer tracked (retired by clear()
-        #: or by object turnover, the throwaway uncached-run caches, and
-        #: the merged counters of fan-out workers).
+        #: or by object turnover, and the throwaway uncached-run caches).
         self._retired = {
             "chase_invocations": 0,
             "coupled_hits": 0,
@@ -494,10 +392,7 @@ class PropagationEngine:
         self._pair_sigma_intern.clear()
 
     def close(self) -> None:
-        """Close the persistent store and worker pool (idempotent)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Close the persistent store (idempotent)."""
         if self._store is not None:
             self._store.close()
             self._store = None
@@ -766,36 +661,6 @@ class PropagationEngine:
                 leftovers.append(memo_key)
         return leftovers
 
-    def _merge_worker_stats(self, worker_stats: dict) -> None:
-        for name in WORKER_STAT_FIELDS:
-            self._retired[name] += worker_stats[name]
-        for name, value in worker_stats["rbr"].items():
-            setattr(self.stats.rbr, name, getattr(self.stats.rbr, name) + value)
-
-    def _fan_out(self, worker, payloads: list) -> list:
-        """Run *payloads* through the engine's pool, merging stats.
-
-        The executor is created lazily on the first fan-out and reused
-        for the engine's lifetime (a per-batch pool spawn — especially a
-        process pool's — would dwarf small batches), then shut down by
-        :meth:`close`.  Each payload is its own task, so free workers
-        pull the next unstarted one from the executor queue — dynamic
-        assignment, whether the payloads are miss chunks or shards.
-        """
-        if self._executor is None:
-            if self.pool == "process":
-                executor_cls = concurrent.futures.ProcessPoolExecutor
-            else:
-                executor_cls = concurrent.futures.ThreadPoolExecutor
-            self._executor = executor_cls(max_workers=self.jobs)
-        self.stats.parallel_tasks += len(payloads)
-        outcomes = list(self._executor.map(worker, payloads))
-        results = []
-        for result, worker_stats in outcomes:
-            self._merge_worker_stats(worker_stats)
-            results.append(result)
-        return results
-
     # ------------------------------------------------------------------
     # Batched checking.
     # ------------------------------------------------------------------
@@ -817,11 +682,8 @@ class PropagationEngine:
         Verdicts are positionally aligned with *phis* and identical to
         ``propagates(sigma, view, phi)`` on each query.  The batch is
         partitioned into hits (memory tier, persistent tier, closure
-        fast path — answered inline) and misses; with ``jobs > 1`` the
-        misses fan out across the worker pool and are written back
-        through both cache tiers, and on multi-branch unions with
-        ``shards > 1`` each miss's ``k^2`` pair space is itself sharded
-        across the pool.
+        fast path — answered inline) and misses, which are decided
+        sequentially and written back through both cache tiers.
         """
         sigma = list(sigma)
         if not self.use_cache:
@@ -844,7 +706,7 @@ class PropagationEngine:
             return verdicts
 
         sigma_cfds = _as_cfds(sigma)
-        view_key = _view_fingerprint(view)
+        view_key = structural_view_key(view)
         touched = self._touched_relations(view, view_key)
         scoped = scoped_sigma(sigma_cfds, touched)
         sigma_key = frozenset(scoped)
@@ -936,50 +798,22 @@ class PropagationEngine:
     ) -> list[bool]:
         """Decide the deduplicated cache misses of one check batch.
 
-        Three strategies, in order of preference: shard the branch-pair
-        space (multi-branch unions with ``shards > 1`` or a pinned
-        ``shard_index``), chunk the queries across the pool
-        (``jobs > 1``), or resolve sequentially through the shared
-        tableau caches — where multi-branch unions additionally go
-        through the per-pair verdict memo (:meth:`_check_by_pairs`), so
-        after a Sigma edit only pairs whose provenance meets the edited
-        relation re-chase, and on the bitset kernel a single-branch view
-        over distinct relations is decided by its compiled implication
-        program (:meth:`BranchPairCache.implication_program`).  Chunk
-        workers resolve their chunk sequentially, so they take the
-        program too.
+        A ``shard_index`` engine checks a multi-branch union only on its
+        one shard of the branch-pair plan.  Otherwise multi-branch
+        unions go through the per-pair verdict memo
+        (:meth:`_check_by_pairs`), so after a Sigma edit only pairs
+        whose provenance meets the edited relation re-chase, and on the
+        bitset kernel a single-branch view over distinct relations is
+        decided by its compiled implication program
+        (:meth:`BranchPairCache.implication_program`).
         """
-        settings = (self.max_instantiations, self.assume_infinite)
-        sharded = (
-            isinstance(view, SPCUView)
-            and len(view.branches) > 1
-            and (self.shards > 1 or self.shard_index is not None)
-        )
-        if sharded:
-            plans = plan_pairs(len(view.branches), self.shards)
+        if isinstance(view, SPCUView) and len(view.branches) > 1:
             if self.shard_index is not None:
-                plans = plans[self.shard_index : self.shard_index + 1]
-            live_plans = [plan for plan in plans if plan]
-            if not live_plans:  # a shard beyond the pair space: no violations
-                return [True] * len(miss_phis)
-            self.stats.shard_tasks += len(live_plans)
-            if self.jobs > 1 and len(live_plans) > 1:
-                # Pooled shards get private tableau caches (BranchPairCache
-                # is not thread-safe); the lost cross-shard sharing is the
-                # price of pair-space parallelism.
-                payloads = shard_check_payloads(
-                    scoped, view, miss_phis, *settings, live_plans, self.kernel
-                )
-                shard_violations = self._fan_out(_shard_check_worker, payloads)
-                return combine_verdicts(shard_violations)
-            # Inline shards run against the engine's own per-view cache,
-            # so skeletons and chased results keep accruing across
-            # batches exactly as in the unsharded path — and iterate
-            # plans per query, so a refuted phi stops at its first
-            # violating pair instead of evaluating the remaining shards
-            # (the early exit the unsharded loop has).
-            return [
-                all(
+                plan = plan_pairs(len(view.branches), self.shards)[self.shard_index]
+                if not plan:  # a shard beyond the pair space: no violations
+                    return [True] * len(miss_phis)
+                self.stats.shard_tasks += 1
+                return [
                     find_counterexample(
                         scoped,
                         view,
@@ -991,30 +825,8 @@ class PropagationEngine:
                         kernel=self.kernel,
                     )
                     is None
-                    for plan in live_plans
-                )
-                for phi_cfd in miss_phis
-            ]
-
-        if self.jobs > 1 and len(miss_phis) > 1:
-            # Group misses by LHS shape before chunking: queries sharing
-            # a coupled skeleton/chase land in one worker's chunk, so
-            # chunking costs (almost) no tableau sharing.
-            order = sorted(range(len(miss_phis)), key=lambda i: repr(miss_phis[i].lhs))
-            ordered = [miss_phis[i] for i in order]
-            chunks = _chunks(ordered, self.jobs)
-            payloads = [
-                (scoped, view, chunk, *settings, self.kernel) for chunk in chunks
-            ]
-            flat = [
-                v for vs in self._fan_out(_check_chunk_worker, payloads) for v in vs
-            ]
-            resolved: list = [None] * len(miss_phis)
-            for position, verdict in zip(order, flat):
-                resolved[position] = verdict
-            return resolved
-
-        if isinstance(view, SPCUView) and len(view.branches) > 1:
+                    for phi_cfd in miss_phis
+                ]
             return [
                 self._check_by_pairs(scoped, view, view_key, cache, phi_cfd)
                 for phi_cfd in miss_phis
@@ -1179,7 +991,7 @@ class PropagationEngine:
         """
         cache = None
         if self.use_cache:
-            cache = self._pair_cache(view, _view_fingerprint(view))
+            cache = self._pair_cache(view, structural_view_key(view))
         witness = find_counterexample(
             sigma,
             view,
@@ -1212,10 +1024,9 @@ class PropagationEngine:
         line 1) minimizing Sigma; across a batch of views that cost is
         paid once and memoized by Sigma fingerprint.  SPCU candidate
         verification is routed through :meth:`check`, so the k^2 pair
-        tableaux are shared across all candidates of a union view — and
-        sharded across the pool when ``shards > 1``.  Like
+        tableaux are shared across all candidates of a union view.  Like
         :meth:`check_many`, the batch partitions into tier hits and
-        misses, and misses fan out across the pool when ``jobs > 1``.
+        misses.
         """
         if self.shard_index is not None:
             # SPCU candidate verification would funnel through the
@@ -1242,7 +1053,7 @@ class PropagationEngine:
                     sigma, sigma_cfds, full_sigma_key, view
                 )
                 continue
-            view_key = _view_fingerprint(view)
+            view_key = structural_view_key(view)
             touched = self._touched_relations(view, view_key)
             scoped = scoped_sigma(sigma_cfds, touched)
             sigma_key = frozenset(scoped)
@@ -1267,24 +1078,11 @@ class PropagationEngine:
             resolved_map: dict[tuple, list[CFD]] = {}
 
             def compute(keys: list, *, release: bool) -> None:
-                miss_views = [pending[k][0] for k in keys]
-                if self.jobs > 1 and len(miss_views) > 1:
-                    chunks = _chunks(miss_views, self.jobs)
-                    payloads = [
-                        (sigma, chunk, *settings, self.kernel) for chunk in chunks
-                    ]
-                    resolved = [
-                        c
-                        for cs in self._fan_out(_cover_chunk_worker, payloads)
-                        for c in cs
-                    ]
-                else:
-                    resolved = [
-                        self._compute_cover(sigma, sigma_cfds, full_sigma_key, v)
-                        for v in miss_views
-                    ]
-                for memo_key, cover in zip(keys, resolved):
-                    pkey = pending[memo_key][1]
+                for memo_key in keys:
+                    view, pkey, _ = pending[memo_key]
+                    cover = self._compute_cover(
+                        sigma, sigma_cfds, full_sigma_key, view
+                    )
                     self._cover_tier.put(memo_key, cover, pkey)
                     if release:
                         self._release_lease(tier, pkey)
@@ -1301,7 +1099,7 @@ class PropagationEngine:
                 for idx in indices:
                     covers[idx] = list(cover)
 
-        self._sync_pair_stats()  # fold merged fan-out worker counters in
+        self._sync_pair_stats()
         self._sync_tier_stats()
         return covers
 
@@ -1329,9 +1127,7 @@ class PropagationEngine:
                 # in BOTH modes — cached and uncached covers are required
                 # to be identical, including under assume_infinite.  The
                 # batched verifier shares Sigma normalization and the k^2
-                # pair tableaux across all candidates, and fans cache
-                # misses out across the pool (sharding the pair space
-                # when shards > 1).
+                # pair tableaux across all candidates.
                 if not self.use_cache:
                     return prop_cfd_spcu(
                         sigma,
@@ -1349,14 +1145,14 @@ class PropagationEngine:
                 # prop_cfd_spc call (scoping is an invariant, see
                 # prop_cfd_spc_report), and the emitted cover is still
                 # MinCover of the full pool's survivors.
-                view_key = _view_fingerprint(view)
+                view_key = structural_view_key(view)
 
                 def branch_cover(sigma_arg, branch, partition_size):
                     b_touched = touched_relations(branch)
                     memo_key = (
                         frozenset(scoped_sigma(sigma_cfds, b_touched)),
                         b_touched,
-                        _view_fingerprint(branch),
+                        structural_view_key(branch),
                         partition_size,
                     )
                     cover = self._branch_covers.get(memo_key)

@@ -29,13 +29,12 @@ This module replaces it with **provenance-scoped composite keys**:
   and restarts.
 
 Key-schema change = store schema change: the composite keys are
-:data:`~repro.propagation.store.SCHEMA_VERSION` 2; stores written under
+:data:`~repro.store.sqlite.SCHEMA_VERSION` 2; stores written under
 the PR 2/3 whole-Sigma keys (version 1) are dropped on open — the
 migration-to-cold fallback, never a misread line.
 
-:func:`structural_view_key` (the process-local view key, formerly
-``engine._view_fingerprint``) also lives here so every key constructor
-is in one module.  See ``docs/incremental.md`` for the invalidation
+:func:`structural_view_key` (the process-local view key) also lives
+here so every key constructor is in one module.  See ``docs/incremental.md`` for the invalidation
 rules this keyspace implies.
 """
 

@@ -101,8 +101,7 @@ def prop_cfd_spcu(
     precedence over *check*: the batch engine injects
     :meth:`~repro.propagation.engine.PropagationEngine.check_many` here so
     all candidates of one union view are verified as a single batch —
-    sharing the k^2 pair tableaux, Sigma normalization and fingerprints,
-    and fanning cache misses out across the engine's worker pool.
+    sharing the k^2 pair tableaux, Sigma normalization and fingerprints.
 
     *branch_cover* substitutes the per-branch pool generator (signature
     ``(sigma, branch, partition_size) -> list[CFD]``; default is the

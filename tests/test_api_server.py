@@ -37,9 +37,6 @@ from repro.propagation.closure_baseline import (
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-#: The CI server matrix sets REPRO_JOBS=2 on one leg; default sequential.
-JOBS = int(os.environ.get("REPRO_JOBS", "1") or "1")
-
 SCHEMA_DOC = {"relations": [{"name": "R", "attributes": ["A", "B", "C", "D"]}]}
 SIGMA_DOC = [
     {"kind": "fd", "relation": "R", "lhs": ["A"], "rhs": ["B"]},
@@ -73,7 +70,7 @@ class _TcpClient:
 
 
 async def _with_tcp_server(scenario):
-    with PropagationService(Workspace(), jobs=JOBS) as service:
+    with PropagationService(Workspace()) as service:
         server = PropagationServer(service)
         tcp = await asyncio.start_server(server.handle_connection, "127.0.0.1", 0)
         port = tcp.sockets[0].getsockname()[1]
@@ -219,7 +216,6 @@ def _serve_files(tmp_path: Path, n: int) -> tuple[list[str], list[dict]]:
         "--schema", str(paths["schema"]),
         "--sigma", str(paths["sigma"]),
         "--view", str(paths["view"]),
-        "--jobs", str(JOBS),
     ]
     return args, repro_io.dependencies_to_json(queries)
 
@@ -263,7 +259,7 @@ def test_serve_answers_warm_example_41_batch_with_zero_chases(tmp_path):
     workspace = Workspace()
     workspace.add_view("V", view)
     workspace.add_sigma("default", sigma)
-    with PropagationService(workspace, jobs=JOBS) as service:
+    with PropagationService(workspace) as service:
         expected = service.check(CheckRequest(view="V", targets=queries))
     assert cold["result"]["propagated"] == expected.propagated
     assert warm["result"]["propagated"] == expected.propagated

@@ -12,8 +12,6 @@ shims.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro import CFD, FD
@@ -38,13 +36,10 @@ from repro.propagation.emptiness import view_is_empty
 from repro.propagation.general import propagates_general, propagates_ptime_chase
 from repro.propagation.spcu_cover import prop_cfd_spcu as raw_prop_cfd_spcu
 
-#: The CI server matrix sets REPRO_JOBS=2 on one leg; default sequential.
-JOBS = int(os.environ.get("REPRO_JOBS", "1") or "1")
-
 
 @pytest.fixture
 def service():
-    with PropagationService(jobs=JOBS) as svc:
+    with PropagationService() as svc:
         yield svc
 
 

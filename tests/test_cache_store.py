@@ -10,17 +10,11 @@ Four obligations:
    misinterpreted.
 3. *LRU eviction order* — the in-memory tier evicts least recently
    *used* (not least recently inserted), and counts what it does.
-4. *Differential* — cached + persistent + parallel answers match the
-   uncached engine on the Example 4.1 workload, for both pool kinds.
-
-The CI cache matrix runs this module with ``REPRO_JOBS=2`` on one leg,
-which routes every engine built by :func:`_engine` through the fan-out
-path.
+4. *Differential* — cached + persistent answers match the uncached
+   engine on the Example 4.1 workload.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -35,16 +29,8 @@ from repro.propagation.cache import (
 )
 from repro.propagation.check import _as_cfds
 from repro.propagation.closure_baseline import exponential_family
-from repro.propagation.engine import PropagationEngine
-from repro.propagation.store import SCHEMA_VERSION, SqliteStore
-
-#: The CI cache matrix sets REPRO_JOBS=2 on one leg; default sequential.
-JOBS = int(os.environ.get("REPRO_JOBS", "1") or "1")
-
-
-def _engine(**kwargs) -> PropagationEngine:
-    kwargs.setdefault("jobs", JOBS)
-    return PropagationEngine(**kwargs)
+from repro.propagation.engine import PropagationEngine, structural_view_key
+from repro.store.sqlite import SCHEMA_VERSION, SqliteStore
 
 
 def _family(n: int):
@@ -75,14 +61,14 @@ def test_verdicts_survive_restart_with_zero_chases(tmp_path):
     fds, view, queries = _family(3)
     sigma = fds + [CFD("R", {"A1": "1"}, {"D": "9"})]  # defeat the fast path
 
-    with _engine(cache_dir=str(tmp_path)) as warm:
+    with PropagationEngine(cache_dir=str(tmp_path)) as warm:
         expected = warm.check_many(sigma, view, queries)
         assert warm.stats.chase_invocations > 0
         assert warm.stats.persistent_writes == len(set(queries))
 
     # A fresh engine — in production a different worker process — answers
     # the whole batch from the persistent tier without a single chase.
-    with _engine(cache_dir=str(tmp_path)) as cold:
+    with PropagationEngine(cache_dir=str(tmp_path)) as cold:
         assert cold.check_many(sigma, view, queries) == expected
         assert cold.stats.chase_invocations == 0
         assert cold.stats.closure_fast_path == 0
@@ -91,10 +77,10 @@ def test_verdicts_survive_restart_with_zero_chases(tmp_path):
 
 def test_cover_round_trip_through_store(tmp_path):
     fds, view, _ = _family(3)
-    with _engine(cache_dir=str(tmp_path)) as warm:
+    with PropagationEngine(cache_dir=str(tmp_path)) as warm:
         expected = warm.cover(fds, view)
         assert expected
-    with _engine(cache_dir=str(tmp_path)) as cold:
+    with PropagationEngine(cache_dir=str(tmp_path)) as cold:
         assert cold.cover(fds, view) == expected
         assert cold.stats.persistent_hits == 1
         assert cold.stats.rbr.drops == 0  # nothing recomputed
@@ -102,7 +88,7 @@ def test_cover_round_trip_through_store(tmp_path):
 
 def test_engine_clear_refills_from_persistent_tier(tmp_path):
     fds, view, queries = _family(2)
-    with _engine(cache_dir=str(tmp_path)) as engine:
+    with PropagationEngine(cache_dir=str(tmp_path)) as engine:
         expected = engine.check_many(fds, view, queries)
         engine.clear()
         assert engine.check_many(fds, view, queries) == expected
@@ -113,14 +99,14 @@ def test_engine_clear_refills_from_persistent_tier(tmp_path):
 def test_store_is_keyed_on_sigma_and_settings(tmp_path):
     """Logically different queries never share a persistent line."""
     fds, view, queries = _family(2)
-    with _engine(cache_dir=str(tmp_path)) as engine:
+    with PropagationEngine(cache_dir=str(tmp_path)) as engine:
         engine.check_many(fds, view, queries)
     # Same store, mutated Sigma: every query recomputes.
-    with _engine(cache_dir=str(tmp_path)) as engine:
+    with PropagationEngine(cache_dir=str(tmp_path)) as engine:
         engine.check_many(fds[:-1], view, queries)
         assert engine.stats.persistent_hits == 0
     # Same store, different settings: fresh lines again.
-    with _engine(cache_dir=str(tmp_path), assume_infinite=True) as engine:
+    with PropagationEngine(cache_dir=str(tmp_path), assume_infinite=True) as engine:
         engine.check_many(fds, view, queries)
         assert engine.stats.persistent_hits == 0
 
@@ -136,7 +122,6 @@ def test_view_fingerprints_include_attribute_domains():
     """
     from repro.core.domains import Domain, STRING
     from repro.core.schema import Attribute
-    from repro.propagation.engine import _view_fingerprint
 
     def make_view(b_domain):
         schema = DatabaseSchema(
@@ -150,13 +135,13 @@ def test_view_fingerprints_include_attribute_domains():
     infinite = make_view(STRING)
     phi = FD("V", ("A",), ("B",))
     assert view_fingerprint(finite) != view_fingerprint(infinite)
-    assert _view_fingerprint(finite) != _view_fingerprint(infinite)
+    assert structural_view_key(finite) != structural_view_key(infinite)
 
     # One engine, both views, both query orders: no cross-talk.
-    engine = _engine()
+    engine = PropagationEngine()
     assert engine.check([], infinite, phi) is False
     assert engine.check([], finite, phi) is True
-    reversed_order = _engine()
+    reversed_order = PropagationEngine()
     assert reversed_order.check([], finite, phi) is True
     assert reversed_order.check([], infinite, phi) is False
 
@@ -169,7 +154,6 @@ def test_spcu_covers_are_keyed_on_the_union_name():
     regression test for a fingerprint that omitted the union name.
     """
     from repro.algebra.spcu import SPCUView
-    from repro.propagation.engine import _view_fingerprint
 
     schema = DatabaseSchema([RelationSchema("R", ["A", "B", "C"])])
 
@@ -185,11 +169,11 @@ def test_spcu_covers_are_keyed_on_the_union_name():
     branches = [branch("V", "1"), branch("V", "2")]
     v = SPCUView("V", branches)
     w = SPCUView("W", branches)
-    assert _view_fingerprint(v) != _view_fingerprint(w)
+    assert structural_view_key(v) != structural_view_key(w)
     assert view_fingerprint(v) != view_fingerprint(w)
 
     sigma = [FD("R", ("A",), ("B",))]
-    engine = _engine()
+    engine = PropagationEngine()
     cover_v, cover_w = engine.cover_many(sigma, [v, w])
     assert all(phi.relation == "V" for phi in cover_v) and cover_v
     assert all(phi.relation == "W" for phi in cover_w) and cover_w
@@ -250,13 +234,13 @@ def test_schema_version_mismatch_discards_the_store(tmp_path):
 
 def test_version_mismatched_store_behaves_like_cold_engine(tmp_path, monkeypatch):
     fds, view, queries = _family(2)
-    with _engine(cache_dir=str(tmp_path)) as engine:
+    with PropagationEngine(cache_dir=str(tmp_path)) as engine:
         expected = engine.check_many(fds, view, queries)
 
-    import repro.propagation.store as store_mod
+    import repro.store.sqlite as store_mod
 
     monkeypatch.setattr(store_mod, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
-    with _engine(cache_dir=str(tmp_path)) as engine:
+    with PropagationEngine(cache_dir=str(tmp_path)) as engine:
         assert engine._store.reset_on_open
         assert engine.check_many(fds, view, queries) == expected
         assert engine.stats.persistent_hits == 0  # recomputed, not reused
@@ -312,16 +296,12 @@ def test_lru_unbounded_and_validation():
     assert len(lru) == 1000 and lru.evictions == 0
     with pytest.raises(ValueError):
         LRUCache(capacity=0)
-    with pytest.raises(ValueError):
-        PropagationEngine(jobs=0)
-    with pytest.raises(ValueError):
-        PropagationEngine(pool="greenlet")
 
 
 def test_bounded_engine_counts_evictions_and_stays_correct():
     fds, view, queries = _family(3)
-    bounded = _engine(cache_size=4)
-    unbounded = _engine()
+    bounded = PropagationEngine(cache_size=4)
+    unbounded = PropagationEngine()
     assert bounded.check_many(fds, view, queries) == unbounded.check_many(
         fds, view, queries
     )
@@ -334,95 +314,31 @@ def test_bounded_engine_counts_evictions_and_stays_correct():
 
 
 # ----------------------------------------------------------------------
-# 4. Differential: cached + persistent + parallel == uncached.
+# 4. Differential: cached + persistent == uncached.
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("pool", ["thread", "process"])
-def test_parallel_persistent_engine_matches_uncached(tmp_path, pool):
+def test_persistent_engine_matches_uncached(tmp_path):
     fds, view, queries = _family(3)
     sigma = fds + [CFD("R", {"A1": "1"}, {"D": "9"})]  # force real chases
     baseline = PropagationEngine(use_cache=False)
     expected = baseline.check_many(sigma, view, queries)
 
-    engine = PropagationEngine(
-        cache_dir=str(tmp_path / pool), cache_size=32, jobs=2, pool=pool
-    )
-    with engine:
+    with PropagationEngine(cache_dir=str(tmp_path), cache_size=32) as engine:
         assert engine.check_many(sigma, view, queries) == expected
-        assert engine.stats.parallel_tasks > 0
-        # Worker chase counters are merged back into the batch stats.
         assert engine.stats.chase_invocations > 0
 
-    # And the parallel run's write-backs warm the store for a restart.
-    with PropagationEngine(cache_dir=str(tmp_path / pool)) as cold:
+    # And the run's write-backs warm the store for a restart.
+    with PropagationEngine(cache_dir=str(tmp_path)) as cold:
         assert cold.check_many(sigma, view, queries) == expected
         assert cold.stats.chase_invocations == 0
 
 
-def test_parallel_cover_many_matches_sequential():
-    schema, fds, projection = exponential_family(3)
-    views = [
-        SPCView(
-            "V",
-            DatabaseSchema([schema]),
-            [RelationAtom("R", {a: a for a in schema.attribute_names})],
-            projection=projection[:k] + ["D"],
-        )
-        for k in (2, 3, 4, 5)
-    ]
-    sequential = PropagationEngine()
-    parallel = PropagationEngine(jobs=2)
-    assert parallel.cover_many(fds, views) == sequential.cover_many(fds, views)
-    assert parallel.stats.parallel_tasks > 0
-    # Worker tableau counters are folded into the stats, not stranded.
-    assert parallel.stats.rbr.drops >= sequential.stats.rbr.drops > 0
-    # Second ask: all memory hits, no new pool work.
-    tasks = parallel.stats.parallel_tasks
-    parallel.cover_many(fds, views)
-    assert parallel.stats.parallel_tasks == tasks
-    assert parallel.stats.cover_hits >= len(views)
-
-
-def test_parallel_cover_stats_include_worker_chases():
-    """Fan-out worker tableau counters surface in engine.stats.
-
-    SPCU candidate verification chases inside the workers; after a
-    parallel cover_many those chases must appear in
-    ``stats.chase_invocations`` (regression: they were merged into the
-    retired totals but never synced into the stats object).
-    """
-    from repro.algebra.spcu import SPCUView
-
-    schema = DatabaseSchema([RelationSchema("R", ["A", "B", "C"])])
-
-    def union(name):
-        branches = [
-            SPCView(
-                name,
-                schema,
-                [RelationAtom("R", {a: a for a in "ABC"})],
-                projection=["A", "B", "CC"],
-                constants={"CC": tag},
-            )
-            for tag in ("1", "2")
-        ]
-        return SPCUView(name, branches)
-
-    sigma = [FD("R", ("A",), ("B",))]
-    views = [union("V"), union("W")]
-    engine = PropagationEngine(jobs=2)
-    covers = engine.cover_many(sigma, views)
-    assert all(covers)
-    assert engine.stats.parallel_tasks > 0
-    assert engine.stats.chase_invocations > 0
-
-
-def test_duplicate_misses_fan_out_once():
+def test_duplicate_misses_resolve_once():
     fds, view, _ = _family(2)
     sigma = fds + [CFD("R", {"A1": "1"}, {"D": "9"})]
     phi = FD("V", ("A1", "B2"), ("D",))
-    engine = _engine(jobs=2)
+    engine = PropagationEngine()
     verdicts = engine.check_many(sigma, view, [phi] * 6)
     assert verdicts == [verdicts[0]] * 6
     assert engine.stats.verdict_hits == 5  # duplicates answered from memo

@@ -29,7 +29,7 @@ from repro.fuzz.cases import PROFILES, is_fd_projection_case
 from repro.fuzz.runner import harvest_corpus, replay_corpus
 from repro.fuzz.shrink import _candidates
 
-LOCAL_MATRIX = ["baseline", "cache", "jobs2", "shards4", "shard-recombine"]
+LOCAL_MATRIX = ["baseline", "cache", "shard-recombine"]
 
 
 # ----------------------------------------------------------------------

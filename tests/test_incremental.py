@@ -11,17 +11,13 @@ The PR 4 obligations (see ``docs/incremental.md``):
    in-memory LRU tiers (same engine) and across real processes through
    the sqlite store (persistent hits > 0, chases = 0), while queries on
    the edited relation recompute (no stale reuse).
-3. *Shard-count invariance* — ``shards > 1`` (and ``shard_index``
-   scale-out) produce verdicts and covers identical to ``shards = 1``,
-   with the per-shard tableau counters merged back into engine stats.
-
-The CI ``shards`` matrix runs this module with ``REPRO_SHARDS=1`` and
-``=4``, which parameterizes the engines built by :func:`_engine`.
+3. *Shard recombination* — one ``shard_index`` engine per shard of an
+   ``S``-way plan: the AND of their partial verdicts equals the
+   unsharded verdict, for every plan size (including ``S > k²``, where
+   the shards past the pair space are empty and answer ``True``).
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -39,7 +35,6 @@ from repro.api import (
 from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.propagation.engine import (
     PropagationEngine,
-    combine_verdicts,
     plan_pairs,
     provenance_fingerprint,
     relation_fingerprints,
@@ -47,15 +42,7 @@ from repro.propagation.engine import (
     touched_relations,
 )
 
-#: The CI shards matrix sets REPRO_SHARDS=4 on one leg; default 1.
-SHARDS = int(os.environ.get("REPRO_SHARDS", "1") or "1")
-
 ATTRS = ["A", "B", "C", "D"]
-
-
-def _engine(**kwargs) -> PropagationEngine:
-    kwargs.setdefault("shards", SHARDS)
-    return PropagationEngine(**kwargs)
 
 
 def _schema(relations=("R1", "R2", "R3")) -> DatabaseSchema:
@@ -166,11 +153,6 @@ def test_plan_pairs_is_deterministic_and_exhaustive():
         plan_pairs(2, 0)
 
 
-def test_combine_verdicts_is_a_nor_over_shards():
-    assert combine_verdicts([[False, True], [False, False]]) == [True, False]
-    assert combine_verdicts([]) == []
-
-
 # ----------------------------------------------------------------------
 # 1. Delta-vs-cold equivalence.
 # ----------------------------------------------------------------------
@@ -208,7 +190,7 @@ def _answers(service: PropagationService) -> dict:
 def test_delta_sigma_matches_cold_service():
     schema = _schema()
     sigma = _sigma(schema)
-    warm = PropagationService(_workspace(schema, sigma), shards=SHARDS)
+    warm = PropagationService(_workspace(schema, sigma))
     warm_before = _answers(warm)
 
     diff = UpdateSigmaRequest(
@@ -362,7 +344,7 @@ def test_untouched_relation_lines_stay_warm_in_memory():
     phis1 = [FD("VR1", ("A",), ("C",)), FD("VR1", ("C",), ("A",))]
     phis2 = [FD("VR2", ("A",), ("C",)), FD("VR2", ("C",), ("A",))]
 
-    engine = _engine()
+    engine = PropagationEngine()
     engine.check_many(sigma, v1, phis1)
     expected2 = engine.check_many(sigma, v2, phis2)
     chases = engine.stats.chase_invocations
@@ -394,7 +376,7 @@ def test_untouched_relation_lines_stay_warm_across_processes(tmp_path):
     phis1 = [FD("VR1", ("A",), ("C",)), FD("VR1", ("C",), ("A",))]
     phis2 = [FD("VR2", ("A",), ("C",)), FD("VR2", ("C",), ("A",))]
 
-    with _engine(cache_dir=str(tmp_path)) as warm:
+    with PropagationEngine(cache_dir=str(tmp_path)) as warm:
         warm.check_many(sigma, v1, phis1)
         expected2 = warm.check_many(sigma, v2, phis2)
         cover2 = warm.cover(sigma, v2)
@@ -404,7 +386,7 @@ def test_untouched_relation_lines_stay_warm_across_processes(tmp_path):
         FD("R1", ("A",), ("D",)),
         CFD("R1", {"B": "2"}, {"D": "9"}),
     ]
-    with _engine(cache_dir=str(tmp_path)) as fresh:
+    with PropagationEngine(cache_dir=str(tmp_path)) as fresh:
         assert fresh.check_many(edited, v2, phis2) == expected2
         assert fresh.stats.chase_invocations == 0
         assert fresh.stats.persistent_hits == len(phis2)
@@ -424,7 +406,7 @@ def test_untouched_relation_lines_stay_warm_across_processes(tmp_path):
 def test_invalidate_relations_reports_precision():
     schema = _schema()
     sigma = _sigma(schema)
-    engine = _engine()
+    engine = PropagationEngine()
     for rel in ("R1", "R2", "R3"):
         engine.check_many(
             sigma,
@@ -500,40 +482,62 @@ def _union_workload(schema):
     return sigma, view, phis
 
 
+def _recombined(sigma, view, phis, shards):
+    """One ``shard_index`` engine per shard; returns the AND of their
+    verdicts, each engine's partial verdicts, and the engines."""
+    workers = [
+        PropagationEngine(shards=shards, shard_index=index)
+        for index in range(shards)
+    ]
+    partial = [worker.check_many(sigma, view, phis) for worker in workers]
+    return [all(column) for column in zip(*partial)], partial, workers
+
+
 @pytest.mark.parametrize("shards", [2, 4, 9, 16])
 def test_sharded_verdicts_match_unsharded(shards):
     schema = _schema()
     sigma, view, phis = _union_workload(schema)
-    reference = PropagationEngine(shards=1)
-    expected = reference.check_many(sigma, view, phis)
+    expected = PropagationEngine().check_many(sigma, view, phis)
     assert PropagationEngine(use_cache=False).check_many(sigma, view, phis) == expected
 
-    engine = PropagationEngine(shards=shards)
-    assert engine.check_many(sigma, view, phis) == expected
-    # Per-shard tableau counters merged back: the sharded run did real
-    # chase work and the dispatcher can see it.
-    assert engine.stats.shard_tasks > 0
-    assert engine.stats.chase_invocations > 0
-    assert engine.stats.check_queries == reference.stats.check_queries
-    # Second ask: pure memory hits, no new shard dispatch.
-    tasks = engine.stats.shard_tasks
-    assert engine.check_many(sigma, view, phis) == expected
-    assert engine.stats.shard_tasks == tasks
-    assert engine.stats.verdict_hits >= len(phis)
-    engine.close()
+    combined, partial, workers = _recombined(sigma, view, phis, shards)
+    assert combined == expected
+    pairs = len(view.branches) ** 2
+    for index, worker in enumerate(workers):
+        if index < pairs:
+            # The worker chased its own shard of the plan.
+            assert worker.stats.shard_tasks == 1
+            assert worker.stats.chase_invocations > 0
+        else:
+            # A shard past the k² pair space is empty: no violation.
+            assert partial[index] == [True] * len(phis)
+            assert worker.stats.shard_tasks == 0
+            assert worker.stats.chase_invocations == 0
+        # Second ask: pure memory hits, no new shard work.
+        tasks = worker.stats.shard_tasks
+        assert worker.check_many(sigma, view, phis) == partial[index]
+        assert worker.stats.shard_tasks == tasks
+        assert worker.stats.verdict_hits >= len(phis)
+        worker.close()
 
 
 def test_sharded_covers_match_unsharded():
+    """Covers are not shard-combinable, but their members are: every CFD
+    of the full engine's cover recombines to ``True`` across the
+    ``shard_index`` engines, alongside the workload's refuted targets."""
     schema = _schema()
-    sigma, view, _ = _union_workload(schema)
-    expected = PropagationEngine(shards=1).cover(sigma, view)
-    for shards, jobs in ((3, 1), (4, 2)):
-        engine = PropagationEngine(shards=shards, jobs=jobs)
-        assert engine.cover(sigma, view) == expected
-        assert engine.stats.shard_tasks > 0
-        if jobs > 1:
-            assert engine.stats.parallel_tasks > 0
-        engine.close()
+    sigma, view, phis = _union_workload(schema)
+    full = PropagationEngine()
+    cover = full.cover(sigma, view)
+    assert cover and cover == PropagationEngine(use_cache=False).cover(sigma, view)
+    targets = cover + phis
+    expected = full.check_many(sigma, view, targets)
+    assert all(expected[: len(cover)]) and not all(expected)
+    for shards in (3, 4):
+        combined, _, workers = _recombined(sigma, view, targets, shards)
+        assert combined == expected
+        for worker in workers:
+            worker.close()
 
 
 def test_shard_index_scale_out_combines_to_the_full_verdict():
@@ -592,8 +596,8 @@ def test_shard_index_engine_refuses_covers():
 
 
 def test_per_request_shards_share_one_warm_engine():
-    """`shards` changes evaluation strategy, not semantics, so requests
-    with different shard plans must hit one engine's warm memo tiers."""
+    """Without `shard_index`, `shards` changes nothing, so requests with
+    different plan sizes hit one engine's warm memo tiers."""
     schema = _schema()
     sigma, view, phis = _union_workload(schema)
     workspace = Workspace()
@@ -603,11 +607,55 @@ def test_per_request_shards_share_one_warm_engine():
     service = PropagationService(workspace)
 
     cold = service.check(CheckRequest(view="U", targets=phis, shards=4))
-    assert cold.stats.chases > 0 and cold.stats.shard_tasks > 0
+    assert cold.stats.chases > 0 and cold.stats.shard_tasks == 0
     warm = service.check(CheckRequest(view="U", targets=phis, shards=1))
     assert warm.propagated == cold.propagated
     assert warm.stats.chases == 0
     assert warm.stats.memo_hits == len(set(phis))
+
+
+def test_shard_plans_get_distinct_engines():
+    """Two plan sizes at one `shard_index` dispatch to distinct pooled
+    engines whose plan never changes, and each plan's partial verdicts
+    AND back to the full verdict — interleaving them on one service must
+    not re-plan a shared engine."""
+    schema = _schema()
+    sigma, view, phis = _union_workload(schema)
+    workspace = Workspace()
+    workspace.add_schema("default", schema)
+    workspace.add_sigma("default", sigma)
+    workspace.add_view("U", view)
+    service = PropagationService(workspace)
+    expected = service.check(CheckRequest(view="U", targets=phis)).propagated
+
+    requests = {
+        (shards, index): CheckRequest(
+            view="U", targets=phis, shards=shards, shard_index=index
+        )
+        for shards in (2, 3)
+        for index in range(shards)
+    }
+    engines = {
+        plan: service._engine(service._effective(request))
+        for plan, request in requests.items()
+    }
+    assert engines[2, 0] is not engines[3, 0]
+    assert len({id(engine) for engine in engines.values()}) == len(requests)
+    assert service.pool_key({"shards": 2, "shard_index": 0}) != service.pool_key(
+        {"shards": 3, "shard_index": 0}
+    )
+    assert service.pool_key({"shards": 2}) == service.pool_key({"shards": 3})
+
+    partial: dict[int, list[list[bool]]] = {2: [], 3: []}
+    for index in range(3):  # interleave the two plans on one service
+        for shards in (2, 3):
+            if index < shards:
+                result = service.check(requests[shards, index])
+                partial[shards].append(list(result.propagated))
+            for (plan, _), engine in engines.items():
+                assert engine.shards == plan
+    for shards, verdicts in partial.items():
+        assert [all(column) for column in zip(*verdicts)] == list(expected)
 
 
 def test_provenance_and_legacy_keys_share_one_derivation():

@@ -251,7 +251,7 @@ class TestSqliteLeases:
     def test_version_reset_drops_leases(self, tmp_path, monkeypatch):
         with SqliteStore.open_dir(tmp_path) as store:
             assert store.acquire_lease("verdicts", "k", 3600.0) is True
-        import repro.propagation.store as store_mod
+        import repro.store.sqlite as store_mod
 
         monkeypatch.setattr(store_mod, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
         with SqliteStore.open_dir(tmp_path) as store:

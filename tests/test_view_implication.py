@@ -17,8 +17,7 @@ against the pair loop on seeded streams, so failures reproduce:
 - the routing: an uninternable constant, a self-join, a union, the
   ``baseline`` kernel (explicit or ``REPRO_KERNEL``), an uncached
   engine, a finite-domain view, a capped ``max_instantiations`` and
-  ``engine.find_counterexample`` all stay on the pair loop, while
-  ``jobs > 1`` chunk workers take the program too.
+  ``engine.find_counterexample`` all stay on the pair loop.
 """
 
 from __future__ import annotations
@@ -300,6 +299,7 @@ PHIS = [FD("V", ["R.A"], ["R.B"]), CFD("V", {"R.A": "a"}, {"R.C": "c"}), FD("V",
 def test_eligible_view_takes_the_program():
     engine = PropagationEngine(kernel="bitset")
     assert _decide(engine, SIGMA, _view("R"), PHIS) == [True, True, False]
+    assert engine.stats.chase_invocations == 3
     assert not _pair_loop_ran(engine)
 
 
@@ -384,15 +384,6 @@ def test_settings_stay_on_the_pair_loop(options, env, monkeypatch):
     with PropagationEngine(**options) as engine:
         assert _decide(engine, SIGMA, _view("R"), PHIS) == [True, True, False]
         assert _pair_loop_ran(engine)
-
-
-@pytest.mark.parametrize("pool", ["thread", "process"])
-def test_chunk_workers_take_the_program(pool):
-    with PropagationEngine(kernel="bitset", jobs=2, pool=pool) as engine:
-        assert _decide(engine, SIGMA, _view("R"), PHIS) == [True, True, False]
-        assert engine.stats.parallel_tasks > 0
-        assert engine.stats.chase_invocations == 3
-        assert not _pair_loop_ran(engine)
 
 
 def test_finite_domain_view_stays_on_the_pair_loop():
