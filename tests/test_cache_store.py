@@ -318,18 +318,37 @@ def test_bounded_engine_counts_evictions_and_stays_correct():
 # ----------------------------------------------------------------------
 
 
-def test_persistent_engine_matches_uncached(tmp_path):
+def _warm_store(cache_dir: str):
+    """Answer the differential workload with a persistent engine.
+
+    Module-level so a process pool can pickle it by reference.
+    """
     fds, view, queries = _family(3)
     sigma = fds + [CFD("R", {"A1": "1"}, {"D": "9"})]  # force real chases
+    with PropagationEngine(cache_dir=cache_dir, cache_size=32) as engine:
+        verdicts = engine.check_many(sigma, view, queries)
+        return verdicts, engine.stats.chase_invocations
+
+
+@pytest.mark.parametrize("pool", ["thread", "process"])
+def test_parallel_persistent_engine_matches_uncached(tmp_path, pool):
+    """A store written from another thread or process warms a restart."""
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+    fds, view, queries = _family(3)
+    sigma = fds + [CFD("R", {"A1": "1"}, {"D": "9"})]
     baseline = PropagationEngine(use_cache=False)
     expected = baseline.check_many(sigma, view, queries)
 
-    with PropagationEngine(cache_dir=str(tmp_path), cache_size=32) as engine:
-        assert engine.check_many(sigma, view, queries) == expected
-        assert engine.stats.chase_invocations > 0
+    cache_dir = str(tmp_path / pool)
+    executor = ThreadPoolExecutor if pool == "thread" else ProcessPoolExecutor
+    with executor(max_workers=1) as ex:
+        verdicts, chases = ex.submit(_warm_store, cache_dir).result(timeout=120)
+    assert verdicts == expected
+    assert chases > 0
 
-    # And the run's write-backs warm the store for a restart.
-    with PropagationEngine(cache_dir=str(tmp_path)) as cold:
+    # The worker's write-backs warm the store for a restart here.
+    with PropagationEngine(cache_dir=cache_dir) as cold:
         assert cold.check_many(sigma, view, queries) == expected
         assert cold.stats.chase_invocations == 0
 
