@@ -83,7 +83,6 @@ def prop_cfd_spc(
     partition_size: int | None = 40,
     final_min_cover: bool = True,
     minimize_input: bool = True,
-    sigma_scope: frozenset[str] | None = None,
     kernel: str | None = None,
 ) -> list[CFD]:
     """Compute a minimal propagation cover of *sigma* via *view*.
@@ -99,7 +98,6 @@ def prop_cfd_spc(
         partition_size=partition_size,
         final_min_cover=final_min_cover,
         minimize_input=minimize_input,
-        sigma_scope=sigma_scope,
         kernel=kernel,
     ).cover
 
@@ -112,7 +110,6 @@ def prop_cfd_spc_report(
     minimize_input: bool = True,
     rbr_stats: RBRStats | None = None,
     kernel: str | None = None,
-    sigma_scope: frozenset[str] | None = None,
 ) -> CoverReport:
     """As :func:`prop_cfd_spc`, returning intermediate-size diagnostics.
 
@@ -123,14 +120,11 @@ def prop_cfd_spc_report(
     implication tests (``"bitset"`` → the packed int-array variants;
     answers are identical either way).
 
-    *sigma_scope* restricts Sigma to CFDs on the named relations before
-    anything runs.  The cover is invariant under scoping to (a superset
-    of) the view's atom sources: ``MinCover`` minimizes per relation and
+    The cover is invariant under scoping Sigma to (a superset of) the
+    view's atom sources: ``MinCover`` minimizes per relation and
     ``rename_source_cfds`` renames per atom, so CFDs on relations the
-    view never reads contribute nothing — which is exactly the
-    per-branch provenance the engine's delta path keys its branch-cover
-    memo on.  Passing the scope makes the computation itself honor it,
-    instead of leaving the invariant implicit.
+    view never reads contribute nothing.  The engine relies on this: it
+    passes only the touched relations' memoized input MinCover.
     """
     timer = time.perf_counter
 
@@ -139,8 +133,6 @@ def prop_cfd_spc_report(
         if isinstance(dep, FD):
             dep = CFD.from_fd(dep)
         sigma_cfds.extend(dep.normalize())
-    if sigma_scope is not None:
-        sigma_cfds = [phi for phi in sigma_cfds if phi.relation in sigma_scope]
 
     start = timer()
     if minimize_input:

@@ -21,9 +21,10 @@ branch-pair shard plan in :mod:`~repro.propagation.engine.scheduler`.
   pairs per view, coupled skeletons per LHS shape, and chased results per
   ``(Sigma, pair, LHS shape)`` in the single-chase setting.
 - ``cover(sigma, view)`` / ``cover_many(sigma, views)`` — propagation
-  covers with the input ``MinCover(Sigma)`` computed once per Sigma and
-  shared across views, and SPCU candidate verification routed through the
-  cached checker.
+  covers with the input ``MinCover(Sigma)`` computed per relation, only
+  for the relations a view reads, and shared across views and SPCU
+  branches; SPCU candidate verification is routed through the cached
+  checker.
 - A *closure fast path*: for all-FD dependencies over selection-free,
   constant-free, infinite-domain views, ``Sigma |=_V (X -> B)`` reduces
   to per-atom FD implication, decided by the memoized
@@ -323,7 +324,9 @@ class PropagationEngine:
             decode=_decode_cover,
         )
         self._pair_caches: dict[tuple, BranchPairCache] = {}
-        self._min_sigma: dict[frozenset, list[CFD]] = {}
+        # Input MinCover per relation: one relation's CFD frozenset ->
+        # its minimal cover (see _minimized_sigma).
+        self._min_covers = LRUCache(capacity=cache_size)
         self._fast_contexts: dict[tuple, "_FastPathContext | None"] = {}
         # The delta-path memo layers (streaming Sigma).  Every key leads
         # with ``(scoped sigma frozenset, touched relations)`` so the
@@ -384,7 +387,7 @@ class PropagationEngine:
         self._pair_caches.clear()
         self._verdict_tier.clear_memory()
         self._cover_tier.clear_memory()
-        self._min_sigma.clear()
+        self._min_covers.clear()
         self._fast_contexts.clear()
         self._pair_verdicts.clear()
         self._branch_covers.clear()
@@ -471,12 +474,11 @@ class PropagationEngine:
         for key in list(self._fast_contexts):
             if stale(key[0], self._touched.get(key_view(key))):
                 del self._fast_contexts[key]
-        for key in list(self._min_sigma):
-            if old_cfds is not None:
-                if key == frozenset(old_cfds):
-                    del self._min_sigma[key]
-            elif any(phi.relation in affected for phi in key):
-                del self._min_sigma[key]
+        # Each MinCover line is one relation's CFD group, so its
+        # provenance is that single relation.
+        for key in self._min_covers.keys():
+            if stale(key, frozenset((next(iter(key)).relation,))):
+                self._min_covers.discard(key)
         if old_cfds is None:
             # Pair-cache skeleton layers are Sigma-independent and the
             # chased layer is Sigma-keyed (stale entries unreachable),
@@ -620,6 +622,12 @@ class PropagationEngine:
                 continue
             try:
                 acquired = store.acquire_lease(tier.table, pkey, self.lease_ttl)
+                # A flight that landed between the caller's miss and this
+                # acquire leaves a free lease beside its payload: wait on
+                # that payload instead of computing it again.
+                if acquired and store.get(tier.table, pkey) is not None:
+                    store.release_lease(tier.table, pkey)
+                    acquired = False
             except Exception as exc:
                 if getattr(exc, "kind", None) != "unavailable":
                     raise
@@ -1021,8 +1029,11 @@ class PropagationEngine:
         """Covers for many views over one Sigma, sharing the input MinCover.
 
         ``PropCFD_SPC`` spends its view-independent prefix (Figure 2
-        line 1) minimizing Sigma; across a batch of views that cost is
-        paid once and memoized by Sigma fingerprint.  SPCU candidate
+        line 1) minimizing Sigma.  MinCover works per relation, so the
+        engine minimizes only the relations a view (or SPCU branch)
+        reads and memoizes each relation's cover by its CFD group: views
+        and branches reading one relation share its cover, and a Sigma
+        edit re-minimizes only the edited relations.  SPCU candidate
         verification is routed through :meth:`check`, so the k^2 pair
         tableaux are shared across all candidates of a union view.  Like
         :meth:`check_many`, the batch partitions into tier hits and
@@ -1040,7 +1051,6 @@ class PropagationEngine:
             )
         sigma = list(sigma)
         sigma_cfds = _as_cfds(sigma)
-        full_sigma_key = frozenset(sigma_cfds)
         settings = (self.max_instantiations, self.assume_infinite)
         memo_settings = self._memo_settings()
         covers: list[list[CFD] | None] = [None] * len(views)
@@ -1049,9 +1059,7 @@ class PropagationEngine:
         for idx, view in enumerate(views):
             self.stats.cover_queries += 1
             if not self.use_cache:
-                covers[idx] = self._compute_cover(
-                    sigma, sigma_cfds, full_sigma_key, view
-                )
+                covers[idx] = self._compute_cover(sigma, sigma_cfds, view)
                 continue
             view_key = structural_view_key(view)
             touched = self._touched_relations(view, view_key)
@@ -1080,9 +1088,7 @@ class PropagationEngine:
             def compute(keys: list, *, release: bool) -> None:
                 for memo_key in keys:
                     view, pkey, _ = pending[memo_key]
-                    cover = self._compute_cover(
-                        sigma, sigma_cfds, full_sigma_key, view
-                    )
+                    cover = self._compute_cover(sigma, sigma_cfds, view)
                     self._cover_tier.put(memo_key, cover, pkey)
                     if release:
                         self._release_lease(tier, pkey)
@@ -1103,21 +1109,36 @@ class PropagationEngine:
         self._sync_tier_stats()
         return covers
 
-    def _minimized_sigma(self, sigma_cfds: list[CFD], sigma_key: frozenset) -> list[CFD]:
+    def _minimized_sigma(
+        self, sigma_cfds: list[CFD], touched: frozenset[str]
+    ) -> list[CFD]:
+        """``MinCover`` of *sigma_cfds* scoped to the *touched* relations.
+
+        ``min_cover`` minimizes each relation alone and emits relations
+        in sorted order, so concatenating the memoized per-relation
+        covers in that order is exactly ``min_cover`` of the scoped
+        Sigma.  The uncached engine — the fuzz matrix's baseline oracle —
+        minimizes the whole Sigma, so the differential matrix checks the
+        scoping.
+        """
         if not self.use_cache:
             return min_cover(sigma_cfds)
-        minimized = self._min_sigma.get(sigma_key)
-        if minimized is None:
-            minimized = min_cover(sigma_cfds, kernel=self.kernel)
-            self._min_sigma[sigma_key] = minimized
+        groups: dict[str, list[CFD]] = {}
+        for phi in sigma_cfds:
+            if phi.relation in touched:
+                groups.setdefault(phi.relation, []).append(phi)
+        minimized: list[CFD] = []
+        for relation in sorted(groups):
+            key = frozenset(groups[relation])
+            cover = self._min_covers.get(key)
+            if cover is None:
+                cover = min_cover(groups[relation], kernel=self.kernel)
+                self._min_covers.put(key, cover)
+            minimized.extend(cover)
         return minimized
 
     def _compute_cover(
-        self,
-        sigma: list[DependencyLike],
-        sigma_cfds: list[CFD],
-        sigma_key: frozenset,
-        view: ViewLike,
+        self, sigma: list[DependencyLike], sigma_cfds: list[CFD], view: ViewLike
     ) -> list[CFD]:
         if isinstance(view, SPCUView):
             if len(view.branches) == 1:
@@ -1141,13 +1162,14 @@ class PropagationEngine:
                 # the edited relation recompute), and the view's
                 # previous cover — captured by invalidate_relations —
                 # as the verify-first seed.  Neither changes the
-                # answer: the pool generator is the verbatim
-                # prop_cfd_spc call (scoping is an invariant, see
-                # prop_cfd_spc_report), and the emitted cover is still
-                # MinCover of the full pool's survivors.
+                # answer: the pool generator is prop_cfd_spc on the
+                # branch's memoized input MinCover (the cover is
+                # invariant under scoping Sigma to the branch's
+                # relations), and the emitted cover is still MinCover
+                # of the full pool's survivors.
                 view_key = structural_view_key(view)
 
-                def branch_cover(sigma_arg, branch, partition_size):
+                def branch_cover(_sigma, branch, partition_size):
                     b_touched = touched_relations(branch)
                     memo_key = (
                         frozenset(scoped_sigma(sigma_cfds, b_touched)),
@@ -1158,10 +1180,10 @@ class PropagationEngine:
                     cover = self._branch_covers.get(memo_key)
                     if cover is None:
                         cover = prop_cfd_spc(
-                            sigma_arg,
+                            self._minimized_sigma(sigma_cfds, b_touched),
                             branch,
                             partition_size=partition_size,
-                            sigma_scope=b_touched,
+                            minimize_input=False,
                             kernel=self.kernel,
                         )
                         self._branch_covers.put(memo_key, cover)
@@ -1187,7 +1209,7 @@ class PropagationEngine:
                     seed_report=seed_report if seed else None,
                     kernel=self.kernel,
                 )
-        minimized = self._minimized_sigma(sigma_cfds, sigma_key)
+        minimized = self._minimized_sigma(sigma_cfds, touched_relations(view))
         report = prop_cfd_spc_report(
             minimized,
             view,

@@ -448,6 +448,40 @@ class TestFleetSharing:
             assert total_chases == baseline_chases
             assert total_waits + total_hits >= workers - 1
 
+    @pytest.mark.parametrize("op", ["check", "cover"])
+    def test_flight_landing_before_the_lease_is_waited_on(self, op):
+        """Another worker finishes the whole flight between our miss and
+        our ``acquire_lease``: the lease comes back free, but the payload
+        is already in the store, so we must read it, not compute again."""
+        _, view, sigma, phi = small_problem()
+
+        def run(engine):
+            if op == "check":
+                return engine.check_many(sigma, view, [phi])
+            return engine.cover_many(sigma, [view])
+
+        with background_store_server(MemoryStore()) as url:
+            with PropagationEngine(store_url=url) as late, PropagationEngine(
+                store_url=url
+            ) as first:
+                store = late._store
+                original = store.acquire_lease
+
+                def let_first_finish(table, key, ttl_s):
+                    store.acquire_lease = original
+                    run(first)  # acquire, compute, put, release
+                    return original(table, key, ttl_s)
+
+                store.acquire_lease = let_first_finish
+                with PropagationEngine() as reference:
+                    expected = run(reference)
+                assert run(late) == expected
+                assert store.acquire_lease is original  # the race was staged
+                assert first.stats.persistent_writes == 1
+                assert late.stats.persistent_writes == 0
+                assert late.stats.chase_invocations == 0
+                assert late.stats.single_flight_waits == 1
+
     def test_lease_waiter_computes_locally_when_owner_dies(self):
         # Another worker holds the lease but never writes (it crashed);
         # our worker must wait out the short TTL and compute locally.
