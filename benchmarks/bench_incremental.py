@@ -33,8 +33,8 @@ PR 10 adds the streaming-Sigma legs, recorded to ``BENCH_incremental.json``:
 - ``retained-warmth``      — warmth fraction per edit over a
                              ``REPRO_STREAM_EDITS`` (default 1000) edit
                              trace.
-- ``seeded-vs-cold``       — the warm delta service (pair memo, branch
-                             covers, cover seeds) against a fresh cold
+- ``seeded-vs-cold``       — the warm delta service (pair memo and
+                             branch covers) against a fresh cold
                              service per edit on a ``k``-branch union;
                              asserts the warm path is >= 2x faster
                              (best-of-reps on both sides).
@@ -450,10 +450,6 @@ def _retained_warmth(edits: int, record=None) -> dict:
         "steady_state_ms": round(report.steady_state_ms, 4),
         "total_s": round(elapsed, 3),
         "pair_chases": sum(r.pair_chases for r in report.records),
-        "cover_seed_hits": sum(r.cover_seed_hits for r in report.records),
-        "cover_seed_misses": sum(
-            r.cover_seed_misses for r in report.records
-        ),
     }
     if record is not None:
         record(
@@ -461,10 +457,7 @@ def _retained_warmth(edits: int, record=None) -> dict:
             edits,
             "session",
             elapsed,
-            {
-                "mean_warmth": entry["mean_warmth"],
-                "seed_hits": entry["cover_seed_hits"],
-            },
+            {"mean_warmth": entry["mean_warmth"]},
         )
     return entry
 
@@ -480,8 +473,8 @@ def _stream_union_workload(k: int):
     Every branch tags ``CC`` with the same constant and Sigma carries an
     FD chain plus a constant CFD per relation, so the check visits all
     ``k^2`` branch pairs and the union cover is non-empty — the warm
-    path exercises the pair memo, the branch-cover memo *and* the
-    verify-first cover seeds on every edit.
+    path exercises the pair memo and the branch-cover memo on every
+    edit.
     """
     attrs = ["A", "B", "C", "D", "E", "F"]
     rels = [f"S{i}" for i in range(1, k + 1)]

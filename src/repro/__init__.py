@@ -19,7 +19,8 @@ Public API highlights:
 - :mod:`repro.generators` — the Section 5 workload generators.
 
 The free functions :func:`repro.propagates`, :func:`repro.prop_cfd_spc`
-and :func:`repro.prop_cfd_spcu` are deprecation shims over the service.
+and :func:`repro.prop_cfd_spcu` are the plain, uncached procedures; the
+service is the cached and routed surface over the same procedures.
 """
 
 from .algebra import (

@@ -60,7 +60,7 @@ from .server import (
     serve_stdio,
     serve_tcp,
 )
-from .service import PropagationService, default_service
+from .service import PropagationService
 from .transport import (
     HttpTransport,
     IDEMPOTENT_OPS,
@@ -117,7 +117,6 @@ __all__ = [
     "Workspace",
     "background_server",
     "connect",
-    "default_service",
     "handle_request",
     "is_idempotent",
     "open_url",

@@ -162,8 +162,6 @@ class RequestStats:
     closure_fast_path: int = 0
     shard_tasks: int = 0
     pair_chases: int = 0
-    cover_seed_hits: int = 0
-    cover_seed_misses: int = 0
 
     def to_json(self) -> dict:
         return asdict(self)

@@ -81,7 +81,7 @@ from .requests import (
 )
 from .workspace import DEFAULT_NAME, Workspace
 
-__all__ = ["PropagationService", "default_service"]
+__all__ = ["PropagationService"]
 
 
 @dataclass(frozen=True)
@@ -103,15 +103,12 @@ def _shard_key(shards, shard_index) -> tuple | None:
 
 def _snapshot(stats: EngineStats) -> tuple:
     return (
-        stats.check_queries + stats.cover_queries,
         stats.chase_invocations,
         stats.verdict_hits + stats.cover_hits,
         stats.persistent_hits,
         stats.closure_fast_path,
         stats.shard_tasks,
         stats.pair_chases,
-        stats.cover_seed_hits,
-        stats.cover_seed_misses,
     )
 
 
@@ -477,7 +474,7 @@ class PropagationService:
                     else engine.find_counterexample(sigma, view, phi).database
                     for phi, verdict in zip(targets, verdicts)
                 ]
-            stats = self._delta(engine, before, started)
+            stats = self._delta(engine, before, started, len(targets))
             return Verdict(verdicts, route, stats, witnesses)
 
     def cover(self, request: CoverRequest) -> CoverResult:
@@ -489,7 +486,7 @@ class PropagationService:
             engine = self._engine(settings)
             before, started = _snapshot(engine.stats), time.perf_counter()
             cover = engine.cover(sigma, view)
-            return CoverResult(cover, route, self._delta(engine, before, started))
+            return CoverResult(cover, route, self._delta(engine, before, started, 1))
 
     def emptiness(self, request: EmptinessRequest) -> EmptinessResult:
         with api_errors():
@@ -540,19 +537,22 @@ class PropagationService:
 
     @staticmethod
     def _delta(
-        engine: PropagationEngine, before: tuple, started: float
+        engine: PropagationEngine, before: tuple, started: float, queries: int
     ) -> RequestStats:
+        """Engine-counter deltas since *before*.
+
+        *queries* comes from the request (its targets, or its one view):
+        the engine's own query counters also tick for an SPCU cover's
+        internal candidate checks.
+        """
         after = _snapshot(engine.stats)
         (
-            queries,
             chases,
             memo,
             persistent,
             closure,
             shard_tasks,
             pair_chases,
-            seed_hits,
-            seed_misses,
         ) = (now - then for now, then in zip(after, before))
         return RequestStats(
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
@@ -563,23 +563,5 @@ class PropagationService:
             closure_fast_path=closure,
             shard_tasks=shard_tasks,
             pair_chases=pair_chases,
-            cover_seed_hits=seed_hits,
-            cover_seed_misses=seed_misses,
         )
 
-
-_DEFAULT_SERVICE: PropagationService | None = None
-
-
-def default_service() -> PropagationService:
-    """The process-wide service behind the deprecated free functions.
-
-    Lazily created with default settings (in-memory caches only); the
-    deprecation shims in :mod:`repro.propagation` send *uncached*
-    requests through it, preserving the plain procedures' behavior
-    exactly while funneling every entry point through one API.
-    """
-    global _DEFAULT_SERVICE
-    if _DEFAULT_SERVICE is None:
-        _DEFAULT_SERVICE = PropagationService()
-    return _DEFAULT_SERVICE

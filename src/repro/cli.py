@@ -49,10 +49,10 @@ Engine knobs (shared by check / propagate-batch / cover / empty / serve):
 - ``--cache-dir DIR`` persists verdicts/covers in a schema-versioned
   sqlite store under ``DIR``, shared across processes (warm restarts);
 - ``--store-url URL`` (or ``REPRO_STORE_URL``) generalizes it to any
-  registered blob-store backend — ``sqlite://DIR``, ``store://host:port``
-  (a ``repro store-serve`` server shared by a worker *fleet*, with
-  cross-process single-flight stampede control) or
-  ``redis://host:port[/db]``; takes precedence over ``--cache-dir``;
+  registered blob-store backend — ``sqlite://DIR``, ``memory://`` or
+  ``store://host:port`` (a ``repro store-serve`` server shared by a
+  worker *fleet*, with cross-process single-flight stampede control);
+  takes precedence over ``--cache-dir``;
 - ``--cache-size N`` bounds each in-memory memo tier (and each tableau
   cache layer) to an N-entry LRU;
 - ``--kernel bitset|baseline`` picks the chase/closure implementation
@@ -564,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--store-url",
             help="persistent-tier store URL: sqlite://DIR (same as "
-            "--cache-dir), store://host:port (a `repro store-serve` "
-            "server shared by a worker fleet) or redis://host:port[/db]; "
+            "--cache-dir), memory:// or store://host:port (a `repro "
+            "store-serve` server shared by a worker fleet); "
             "takes precedence over --cache-dir; REPRO_STORE_URL sets "
             "the default (local:// endpoints and serve)",
         )

@@ -1,32 +1,24 @@
 """Dependency propagation: decision procedures and cover computation.
 
-The free functions :func:`propagates`, :func:`prop_cfd_spc` and
-:func:`prop_cfd_spcu` are kept as **deprecation shims** over the unified
-service API (:mod:`repro.api`): they build the equivalent typed request,
-send it through the process-wide default :class:`repro.api.PropagationService`
-with caching disabled (preserving the plain single-query behavior, byte
-for byte), and unwrap service errors back to the original exception
-types.  New code should construct a service and submit
-:class:`repro.api.CheckRequest` / :class:`repro.api.CoverRequest`
-objects instead — see ``docs/api.md``.
+:func:`propagates`, :func:`prop_cfd_spc` and :func:`prop_cfd_spcu` are
+the plain single-query procedures, uncached.  Batched, cached and
+remote queries go through the service API (:mod:`repro.api`) instead —
+see ``docs/api.md``.
 """
-
-import warnings
 
 from .check import (
     BranchPairCache,
     Counterexample,
     UnsupportedViewError,
     find_counterexample,
+    propagates,
 )
-from .check import propagates as _raw_propagates
 from .closure_baseline import (
     closure_projection_cover,
     exponential_family,
     exponential_family_schema,
 )
-from .cover import CoverReport, prop_cfd_spc_report
-from .cover import prop_cfd_spc as _raw_prop_cfd_spc
+from .cover import CoverReport, prop_cfd_spc, prop_cfd_spc_report
 from .emptiness import nonempty_witness, view_is_empty
 from .eqclasses import BottomEQ, EquivalenceClasses, compute_eq, eq2cfd
 from .general import (
@@ -35,8 +27,7 @@ from .general import (
     propagates_ptime_chase,
 )
 from .general_cover import prop_cfd_spc_general
-from .spcu_cover import branch_guards
-from .spcu_cover import prop_cfd_spcu as _raw_prop_cfd_spcu
+from .spcu_cover import branch_guards, prop_cfd_spcu
 from .rbr import RBRStats, a_resolvent, drop, rbr, resolvents
 from .reductions import PropagationEncoding, ThreeSat, encode
 from .engine import EngineStats, PropagationEngine
@@ -77,143 +68,3 @@ __all__ = [
     "view_is_empty",
 ]
 
-
-def _deprecated(name: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.propagation.{name} is deprecated; submit a {replacement} "
-        "through repro.api.PropagationService instead (docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _through_service(submit):
-    """Run *submit* against the default service, unwrapping ApiError.
-
-    The shims promise the legacy exception surface (KeyError for
-    unprojected attributes, UnsupportedViewError for unsupported view
-    languages, ...), so the service's normalized errors are unwrapped
-    back to their original cause.
-    """
-    from ..api.errors import ApiError
-    from ..api.service import default_service
-
-    try:
-        return submit(default_service())
-    except ApiError as exc:
-        if exc.__cause__ is not None:
-            raise exc.__cause__ from None
-        raise
-
-
-def propagates(
-    sigma,
-    view,
-    phi,
-    max_instantiations=None,
-    assume_infinite=False,
-    cache=None,
-):
-    """Deprecated shim: decide ``Sigma |=_V phi`` through the service.
-
-    Equivalent to submitting a single-target
-    :class:`repro.api.CheckRequest` with ``use_cache=False``.  An
-    explicit *cache* (the tableau-sharing escape hatch) bypasses the
-    service and calls the raw procedure.
-    """
-    _deprecated("propagates", "CheckRequest")
-    if cache is not None:
-        return _raw_propagates(
-            sigma,
-            view,
-            phi,
-            max_instantiations=max_instantiations,
-            assume_infinite=assume_infinite,
-            cache=cache,
-        )
-    from ..api.requests import CheckRequest
-
-    return _through_service(
-        lambda service: service.check(
-            CheckRequest(
-                view=view,
-                targets=[phi],
-                sigma=list(sigma),
-                use_cache=False,
-                max_instantiations=max_instantiations,
-                assume_infinite=assume_infinite,
-            )
-        ).propagated[0]
-    )
-
-
-def prop_cfd_spc(
-    sigma,
-    view,
-    partition_size=40,
-    final_min_cover=True,
-    minimize_input=True,
-):
-    """Deprecated shim: ``PropCFD_SPC`` through the service.
-
-    Equivalent to submitting a :class:`repro.api.CoverRequest` with
-    ``use_cache=False``.  Non-default ablation knobs bypass the service
-    and call the raw procedure (the service always runs the paper
-    defaults).
-    """
-    _deprecated("prop_cfd_spc", "CoverRequest")
-    if partition_size != 40 or not final_min_cover or not minimize_input:
-        return _raw_prop_cfd_spc(
-            sigma,
-            view,
-            partition_size=partition_size,
-            final_min_cover=final_min_cover,
-            minimize_input=minimize_input,
-        )
-    from ..api.requests import CoverRequest
-
-    return _through_service(
-        lambda service: service.cover(
-            CoverRequest(view=view, sigma=list(sigma), use_cache=False)
-        ).cover
-    )
-
-
-def prop_cfd_spcu(
-    sigma,
-    view,
-    partition_size=40,
-    max_instantiations=None,
-    check=None,
-    check_many=None,
-):
-    """Deprecated shim: the SPCU cover through the service.
-
-    Equivalent to submitting a :class:`repro.api.CoverRequest` with
-    ``use_cache=False``.  An injected verification predicate (*check* /
-    *check_many*) or a non-default *partition_size* (including ``None``,
-    which disables RBR partitioning) bypasses the service and calls the
-    raw procedure with those arguments intact.
-    """
-    _deprecated("prop_cfd_spcu", "CoverRequest")
-    if check is not None or check_many is not None or partition_size != 40:
-        return _raw_prop_cfd_spcu(
-            sigma,
-            view,
-            partition_size=partition_size,
-            max_instantiations=max_instantiations,
-            check=check,
-            check_many=check_many,
-        )
-    from ..api.requests import CoverRequest
-
-    return _through_service(
-        lambda service: service.cover(
-            CoverRequest(
-                view=view,
-                sigma=list(sigma),
-                use_cache=False,
-                max_instantiations=max_instantiations,
-            )
-        ).cover
-    )

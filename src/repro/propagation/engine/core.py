@@ -108,6 +108,10 @@ from .scheduler import plan_pairs
 
 __all__ = ["EngineStats", "PropagationEngine"]
 
+#: ``_fast_contexts`` caches ``None`` for views off the fast path, so a
+#: lookup needs its own miss marker.
+_NO_CONTEXT = object()
+
 
 @dataclass
 class EngineStats:
@@ -130,11 +134,7 @@ class EngineStats:
     decided on a non-empty shard plan.
     ``pair_chases`` counts pair-restricted chase launches — the misses
     of the per-pair verdict memo on multi-branch unions, so the
-    delta-restricted share of ``chase_invocations`` is distinguishable;
-    ``cover_seed_hits``/``cover_seed_misses`` count SPCU cover
-    recomputations whose previous cover (captured when ``delta_sigma``
-    invalidated the line) survived verify-first re-checking intact,
-    versus seeds with a retired or no-longer-propagating member.
+    delta-restricted share of ``chase_invocations`` is distinguishable.
     """
 
     check_queries: int = 0
@@ -158,8 +158,6 @@ class EngineStats:
     single_flight_waits: int = 0
     store_errors: int = 0
     pair_chases: int = 0
-    cover_seed_hits: int = 0
-    cover_seed_misses: int = 0
     rbr: RBRStats = field(default_factory=RBRStats)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -180,8 +178,7 @@ class EngineStats:
             f"shard_tasks={self.shard_tasks}, "
             f"single_flight_waits={self.single_flight_waits}, "
             f"store_errors={self.store_errors}, "
-            f"pair_chases={self.pair_chases}, "
-            f"cover_seed={self.cover_seed_hits}h/{self.cover_seed_misses}m)"
+            f"pair_chases={self.pair_chases})"
         )
 
 
@@ -220,7 +217,7 @@ class PropagationEngine:
         sqlite store under this directory, shared across processes.
     store_url:
         The persistent tier as a URL (``sqlite://DIR``,
-        ``store://host:port``, ``redis://host:port`` — see
+        ``store://host:port``, ``memory://`` — see
         :mod:`repro.store`); takes precedence over ``cache_dir``.  A
         network store that dies mid-run degrades to cache misses
         (counted in :attr:`EngineStats.store_errors`), never request
@@ -327,7 +324,7 @@ class PropagationEngine:
         # Input MinCover per relation: one relation's CFD frozenset ->
         # its minimal cover (see _minimized_sigma).
         self._min_covers = LRUCache(capacity=cache_size)
-        self._fast_contexts: dict[tuple, "_FastPathContext | None"] = {}
+        self._fast_contexts = LRUCache(capacity=cache_size)
         # The delta-path memo layers (streaming Sigma).  Every key leads
         # with ``(scoped sigma frozenset, touched relations)`` so the
         # shared stale predicate sweeps them like every other tier:
@@ -337,12 +334,8 @@ class PropagationEngine:
         #   relation re-chase.
         # - ``_branch_covers``: per-branch ``PropCFD_SPC`` covers (the
         #   SPCU candidate pool), Sigma-scoped to the branch's atoms.
-        # - ``_cover_seeds``: the previous cover of a view whose cover
-        #   line ``invalidate_relations`` just dropped, keyed by view —
-        #   the verify-first seed of the next recomputation.
         self._pair_verdicts = LRUCache(capacity=cache_size)
         self._branch_covers = LRUCache(capacity=cache_size)
-        self._cover_seeds = LRUCache(capacity=cache_size)
         # Interned pair-scoped Sigma frozensets (see _pair_scoped_sigma):
         # derived values, swept alongside the layers they feed.
         self._pair_sigma_intern: dict[tuple, frozenset] = {}
@@ -355,7 +348,7 @@ class PropagationEngine:
         # a k^2-unit check performs k^2 lookups per target, and hashing
         # the full nested view tuple on each one dwarfs the lookup.
         self._view_tokens: dict[tuple, int] = {}
-        self._prov_fps: dict[tuple[frozenset, frozenset], str] = {}
+        self._prov_fps = LRUCache(capacity=cache_size)
         self._view_fps: dict[tuple, str] = {}
         #: Counter totals of caches no longer tracked (retired by clear()
         #: or by object turnover, and the throwaway uncached-run caches).
@@ -391,8 +384,8 @@ class PropagationEngine:
         self._fast_contexts.clear()
         self._pair_verdicts.clear()
         self._branch_covers.clear()
-        self._cover_seeds.clear()
         self._pair_sigma_intern.clear()
+        self._prov_fps.clear()
 
     def close(self) -> None:
         """Close the persistent store (idempotent)."""
@@ -441,13 +434,6 @@ class PropagationEngine:
         for tier in (self._verdict_tier, self._cover_tier):
             for key in tier.memory.keys():
                 if stale(key[0], self._touched.get(key_view(key))):
-                    if tier is self._cover_tier:
-                        # The line is about to die, but its value is the
-                        # verify-first seed of the recomputation the edit
-                        # just scheduled: stash it per view.
-                        previous = tier.memory.get(key)
-                        if previous:
-                            self._cover_seeds.put(key_view(key), list(previous))
                     tier.memory.discard(key)
                     invalidated += 1
                 else:
@@ -471,9 +457,9 @@ class PropagationEngine:
                 phi.relation in affected for phi in key[0]
             ):
                 del self._pair_sigma_intern[key]
-        for key in list(self._fast_contexts):
+        for key in self._fast_contexts.keys():
             if stale(key[0], self._touched.get(key_view(key))):
-                del self._fast_contexts[key]
+                self._fast_contexts.discard(key)
         # Each MinCover line is one relation's CFD group, so its
         # provenance is that single relation.
         for key in self._min_covers.keys():
@@ -489,9 +475,9 @@ class PropagationEngine:
                 if touched is None or touched & affected:
                     self._retire(cache)
                     del self._pair_caches[view_key]
-        for key in list(self._prov_fps):
+        for key in self._prov_fps.keys():
             if stale(key[0], key[1]):
-                del self._prov_fps[key]
+                self._prov_fps.discard(key)
         return {"invalidated": invalidated, "retained": retained}
 
     def _touched_relations(self, view: ViewLike, view_key: tuple) -> frozenset[str]:
@@ -516,7 +502,7 @@ class PropagationEngine:
         prov_fp = self._prov_fps.get((sigma_key, touched))
         if prov_fp is None:
             prov_fp = provenance_fingerprint(scoped_cfds, touched)
-            self._prov_fps[(sigma_key, touched)] = prov_fp
+            self._prov_fps.put((sigma_key, touched), prov_fp)
         view_fp = self._view_fps.get(view_key)
         if view_fp is None:
             view_fp = view_fingerprint(view)
@@ -547,9 +533,11 @@ class PropagationEngine:
         # context.  Scoping Sigma first also widens applicability: CFDs
         # on relations the view never reads cannot disqualify the path.
         key = (sigma_key, view_key)
-        if key not in self._fast_contexts:
-            self._fast_contexts[key] = _FastPathContext.of(view, scoped_cfds)
-        return self._fast_contexts[key]
+        context = self._fast_contexts.get(key, _NO_CONTEXT)
+        if context is _NO_CONTEXT:
+            context = _FastPathContext.of(view, scoped_cfds)
+            self._fast_contexts.put(key, context)
+        return context
 
     def _retire(self, cache: BranchPairCache) -> None:
         self._retired["chase_invocations"] += cache.chase_invocations
@@ -1156,18 +1144,13 @@ class PropagationEngine:
                         max_instantiations=self.max_instantiations,
                         check_many=self.check_many,
                     )
-                # The cached path additionally threads the delta-aware
-                # seams: a provenance-keyed memo under the per-branch
-                # candidate pools (after an edit only branches reading
-                # the edited relation recompute), and the view's
-                # previous cover — captured by invalidate_relations —
-                # as the verify-first seed.  Neither changes the
-                # answer: the pool generator is prop_cfd_spc on the
-                # branch's memoized input MinCover (the cover is
-                # invariant under scoping Sigma to the branch's
-                # relations), and the emitted cover is still MinCover
-                # of the full pool's survivors.
-                view_key = structural_view_key(view)
+                # The cached path additionally threads a
+                # provenance-keyed memo under the per-branch candidate
+                # pools: after an edit only branches reading the edited
+                # relation recompute.  It does not change the answer:
+                # the pool generator is prop_cfd_spc on the branch's
+                # memoized input MinCover (the cover is invariant under
+                # scoping Sigma to the branch's relations).
 
                 def branch_cover(_sigma, branch, partition_size):
                     b_touched = touched_relations(branch)
@@ -1189,24 +1172,12 @@ class PropagationEngine:
                         self._branch_covers.put(memo_key, cover)
                     return list(cover)
 
-                seed = self._cover_seeds.get(view_key)
-                if seed is not None:
-                    self._cover_seeds.discard(view_key)
-
-                def seed_report(hit: bool) -> None:
-                    if hit:
-                        self.stats.cover_seed_hits += 1
-                    else:
-                        self.stats.cover_seed_misses += 1
-
                 return prop_cfd_spcu(
                     sigma,
                     view,
                     max_instantiations=self.max_instantiations,
                     check_many=self.check_many,
                     branch_cover=branch_cover,
-                    seed=seed,
-                    seed_report=seed_report if seed else None,
                     kernel=self.kernel,
                 )
         minimized = self._minimized_sigma(sigma_cfds, touched_relations(view))

@@ -85,8 +85,6 @@ def prop_cfd_spcu(
     check=None,
     check_many=None,
     branch_cover=None,
-    seed: list[CFD] | None = None,
-    seed_report=None,
     kernel: str | None = None,
 ) -> list[CFD]:
     """A propagation cover of *sigma* via the SPCU view *view*.
@@ -110,15 +108,6 @@ def prop_cfd_spcu(
     Sigma edit only the branches reading the edited relation recompute
     their covers.  The substitute must return exactly what the default
     would; the candidate pool is part of the answer.
-
-    *seed* is the view's previous cover (captured when an edit
-    invalidated its memo line), verified **first**: if every member is
-    still in the candidate pool and still propagates, the recomputation
-    is a *seed hit* — and the verification has already warmed the
-    verdict memo the full pool sweep is about to consult.  The emitted
-    cover is ``MinCover`` of the full pool's survivors either way
-    (byte-identical to a cold run by construction); *seed_report* (a
-    ``bool -> None`` callback) receives the hit/miss outcome.
 
     *kernel* selects the MinCover implication tests of the default
     per-branch covers and of the final cover.
@@ -156,26 +145,12 @@ def prop_cfd_spcu(
                     add(_guarded(phi, guard, view.name))
                 add(_guarded(phi, guards[i], view.name))
 
-    def verify(phis: list[CFD]) -> list[bool]:
-        if check_many is not None:
-            return check_many(sigma, view, phis)
-        return [
+    if check_many is not None:
+        verdicts = check_many(sigma, view, candidates)
+    else:
+        verdicts = [
             check(sigma, view, phi, max_instantiations=max_instantiations)
-            for phi in phis
+            for phi in candidates
         ]
-
-    if seed:
-        # Verify-first: re-check the previous cover before anything
-        # else.  A hit means the edit left the cover's members intact;
-        # either way the checks land in the caller's verdict memo, so
-        # the full sweep below re-serves them instead of re-chasing.
-        pool = set(candidates)
-        live = [phi for phi in seed if phi in pool]
-        hit = len(live) == len(seed) and all(verify(live))
-        if seed_report is not None:
-            seed_report(hit)
-
-    survivors = [
-        phi for phi, verdict in zip(candidates, verify(candidates)) if verdict
-    ]
+    survivors = [phi for phi, verdict in zip(candidates, verdicts) if verdict]
     return min_cover(survivors, kernel=kernel)

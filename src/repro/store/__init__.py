@@ -10,8 +10,6 @@ store instead of a common filesystem:
 - ``store://host:port`` — a ``repro store-serve`` blob-store server
   (:mod:`repro.store.server`), spoken to by
   :class:`~repro.store.remote.RemoteStore`;
-- ``redis://host:port[/db]`` — a stdlib-only RESP client for an external
-  Redis-compatible server, :mod:`repro.store.redis_backend`;
 - ``memory://`` — an in-process quota-enforcing store
   (:mod:`repro.store.memory`; also the server's default backing).
 
@@ -22,8 +20,8 @@ fingerprint compute one chase (``docs/caching.md``).
 
 Import discipline: this package sits *below* :mod:`repro.api` (the
 engine imports it at module load), so only the lazily-loaded network
-modules (:mod:`~repro.store.remote`, :mod:`~repro.store.server`,
-:mod:`~repro.store.redis_backend`) may import api types at module level.
+modules (:mod:`~repro.store.remote`, :mod:`~repro.store.server`) may
+import api types at module level.
 """
 
 from .base import (

@@ -14,9 +14,6 @@ URL scheme                      backend
                                 — NDJSON client of ``repro store-serve``
                                 (:mod:`repro.store.server`), the
                                 fleet-shared network tier.
-``redis://host:port[/db]``      :class:`~repro.store.redis_backend.RedisStore`
-                                — a stdlib-only RESP client for an
-                                external Redis (or compatible) server.
 ``memory://``                   :class:`~repro.store.memory.MemoryStore`
                                 — in-process, quota-enforcing (tests,
                                 and the default backing of the server).
@@ -189,13 +186,11 @@ def _sqlite_factory(parts, **options) -> BlobStore:
     return SqliteStore.open_dir(cache_dir, **options)
 
 
-def _store_host_port(parts, *, default_port: int | None = None) -> tuple[str, int]:
+def _store_host_port(parts) -> tuple[str, int]:
     try:
         port = parts.port
     except ValueError as exc:
         raise _format_error(f"bad store URL port: {exc}") from None
-    if port is None:
-        port = default_port
     if not parts.hostname or port is None:
         raise _format_error(
             f"store URL {parts.geturl()!r} needs the host:port form"
@@ -210,21 +205,6 @@ def _remote_factory(parts, **options) -> BlobStore:
     return RemoteStore(host, port, **options)
 
 
-def _redis_factory(parts, **options) -> BlobStore:
-    from .redis_backend import RedisStore
-
-    host, port = _store_host_port(parts, default_port=6379)
-    db = parts.path.strip("/")
-    if db:
-        if not db.isdigit():
-            raise _format_error(
-                f"redis store URL {parts.geturl()!r} has a non-numeric "
-                f"database index {db!r}"
-            )
-        options.setdefault("db", int(db))
-    return RedisStore(host, port, **options)
-
-
 def _memory_factory(parts, **options) -> BlobStore:
     from .memory import MemoryStore
 
@@ -233,7 +213,6 @@ def _memory_factory(parts, **options) -> BlobStore:
 
 register_store_scheme("sqlite", _sqlite_factory)
 register_store_scheme("store", _remote_factory)
-register_store_scheme("redis", _redis_factory)
 register_store_scheme("memory", _memory_factory)
 
 

@@ -1,16 +1,16 @@
 """Delta-vs-cold differential helpers for the streaming workload.
 
-The delta-aware recomputation (the per-pair verdict memo, the
-provenance-keyed branch-cover memo and the verify-first cover seeds —
-see :mod:`repro.propagation.engine.core`) is required to be
+The delta-aware recomputation (the per-pair verdict memo and the
+provenance-keyed branch-cover memo — see
+:mod:`repro.propagation.engine.core`) is required to be
 **byte-identical** to a cold recompute.  This module holds the oracle
 side of that contract:
 
 - :class:`ColdReference` mirrors a trace's Sigma state edit by edit
   (applying exactly the diff semantics of
   :meth:`~repro.api.service.PropagationService.delta_sigma`) and answers
-  every check/cover op with a *fresh* service — no warm state, no seeds,
-  no memos carried across ops.  The differential suite, the streaming
+  every check/cover op with a *fresh* service — no warm state, no memos
+  carried across ops.  The differential suite, the streaming
   session's ``verify`` mode and the fuzz matrix's ``delta`` entry all
   compare the warm delta path against it.
 - :func:`canonical_verdicts` / :func:`canonical_cover` — the canonical

@@ -53,8 +53,6 @@ class EditRecord:
     ops: int
     chases: int
     pair_chases: int
-    cover_seed_hits: int
-    cover_seed_misses: int
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -174,8 +172,6 @@ class StreamingSession:
                     ops=0,
                     chases=0,
                     pair_chases=0,
-                    cover_seed_hits=0,
-                    cover_seed_misses=0,
                 )
                 report.records.append(record)
                 report.edits += 1
@@ -199,6 +195,4 @@ class StreamingSession:
                 stats = response.stats
                 record.chases += stats.chases
                 record.pair_chases += stats.pair_chases
-                record.cover_seed_hits += stats.cover_seed_hits
-                record.cover_seed_misses += stats.cover_seed_misses
         return report

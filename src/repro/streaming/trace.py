@@ -121,7 +121,7 @@ def generate_trace(
     # Single-atom branches keep per-branch provenance to one relation
     # each (an edit elsewhere leaves that branch's pool and pairs warm),
     # and this projection/selection shape yields non-empty union covers
-    # often enough that the verify-first cover seeds actually fire.
+    # often enough that the cover ops exercise the branch-cover memo.
     view = random_spcu_view(
         rng,
         schema,

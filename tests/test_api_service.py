@@ -30,7 +30,10 @@ from repro.api import (
 from repro.core.domains import BOOL
 from repro.core.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.propagation.check import propagates as raw_propagates
-from repro.propagation.closure_baseline import example_41_workload
+from repro.propagation.closure_baseline import (
+    example_41_workload,
+    union_shard_workload,
+)
 from repro.propagation.cover import prop_cfd_spc as raw_prop_cfd_spc
 from repro.propagation.emptiness import view_is_empty
 from repro.propagation.general import propagates_general, propagates_ptime_chase
@@ -203,6 +206,16 @@ class TestCoverRouting:
         assert second.cover == first.cover
         assert second.stats.memo_hits == 1
         assert second.stats.chases == 0
+
+    def test_union_cover_counts_one_query_cold_and_warm(self, service):
+        """``queries`` counts the request's view, not the cover's internal
+        candidate checks."""
+        _, sigma, view, _ = union_shard_workload()
+        cold = service.cover(CoverRequest(view=view, sigma=sigma))
+        warm = service.cover(CoverRequest(view=view, sigma=sigma))
+        assert cold.route == "spcu" and cold.stats.chases > 0
+        assert warm.stats.chases == 0
+        assert cold.stats.queries == warm.stats.queries == 1
 
 
 class TestEmptinessRouting:
@@ -411,48 +424,22 @@ class TestUncachedParity:
 
 
 # ----------------------------------------------------------------------
-# The deprecation shims.
+# The public free functions.
 # ----------------------------------------------------------------------
 
 
 class TestDeprecationShims:
-    def test_propagates_shim_matches_raw_and_warns(
-        self, customer_sigma, customer_view
-    ):
-        from repro.propagation import propagates as shim
-
-        phi = CFD("R", {"CC": "44", "zip": "_"}, {"street": "_"})
-        with pytest.warns(DeprecationWarning, match="CheckRequest"):
-            assert shim(customer_sigma, customer_view, phi) is raw_propagates(
-                customer_sigma, customer_view, phi
-            )
-
-    def test_prop_cfd_spc_shim_matches_raw(self, customer_sigma, customer_view):
-        from repro.propagation import prop_cfd_spc as shim
-
-        branch = customer_view.branches[0]
-        with pytest.warns(DeprecationWarning, match="CoverRequest"):
-            assert shim(customer_sigma, branch) == raw_prop_cfd_spc(
-                customer_sigma, branch
-            )
-
-    def test_prop_cfd_spcu_shim_matches_raw(self, customer_sigma, customer_view):
-        from repro.propagation import prop_cfd_spcu as shim
-
-        with pytest.warns(DeprecationWarning, match="CoverRequest"):
-            assert shim(customer_sigma, customer_view) == raw_prop_cfd_spcu(
-                customer_sigma, customer_view
-            )
+    """The public free functions raise the procedures' own exceptions,
+    not the service's ApiError."""
 
     def test_shims_preserve_the_legacy_exception_surface(self):
-        from repro.propagation import UnsupportedViewError
-        from repro.propagation import propagates as shim
+        from repro.propagation import UnsupportedViewError, propagates
 
         db = DatabaseSchema([RelationSchema("R", ["A", "B"])])
         view = SPCView(
             "V", db, [RelationAtom("R", {"A": "A", "B": "B"})], projection=["A"]
         )
         with pytest.raises(KeyError):
-            shim([], view, CFD("V", {"A": "_"}, {"Z": "_"}))
+            propagates([], view, CFD("V", {"A": "_"}, {"Z": "_"}))
         with pytest.raises(UnsupportedViewError, match="undecidable"):
-            shim([], object(), CFD("V", {"A": "_"}, {"B": "_"}))
+            propagates([], object(), CFD("V", {"A": "_"}, {"B": "_"}))

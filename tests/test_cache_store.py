@@ -313,6 +313,25 @@ def test_bounded_engine_counts_evictions_and_stays_correct():
     )
 
 
+def test_cache_size_bounds_the_fast_path_and_fingerprint_memos(tmp_path):
+    """Each distinct Sigma adds a fast-path context and a provenance
+    fingerprint; ``cache_size`` bounds both like the verdict tier."""
+    fds, view, queries = _family(4)
+    with PropagationEngine(cache_size=16, cache_dir=str(tmp_path)) as engine:
+        for i in range(300):
+            sigma = fds + [CFD("R", {"A1": str(i)}, {"D": "9"})]
+            engine.check(sigma, view, queries[0])
+        assert len(engine._verdict_tier.memory) == 16
+        assert len(engine._fast_contexts) <= 16
+        assert len(engine._prov_fps) <= 16
+        # Both memos are swept by an edit to R and by clear().
+        engine.invalidate_relations(["R"])
+        assert len(engine._fast_contexts) == len(engine._prov_fps) == 0
+        engine.check(fds, view, queries[0])
+        engine.clear()
+        assert len(engine._fast_contexts) == len(engine._prov_fps) == 0
+
+
 # ----------------------------------------------------------------------
 # 4. Differential: cached + persistent == uncached.
 # ----------------------------------------------------------------------

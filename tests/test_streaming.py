@@ -4,8 +4,8 @@ The PR 10 obligations (see ``docs/incremental.md``, "Streaming Sigma"):
 
 1. *Delta-aware recompute is byte-identical to cold* — after any
    ``delta_sigma`` edit, verdicts and covers from the warm service (pair
-   memo, branch-cover memo, verify-first cover seeds) equal those of a
-   fresh service built on the edited Sigma: over generated edit traces,
+   memo, branch-cover memo) equal those of a fresh service built on the
+   edited Sigma: over generated edit traces,
    over every committed fuzz-corpus case, and over Example 4.1 through a
    50-edit trace.
 2. *Edits are idempotent and precise* — a repeated or no-op edit
@@ -334,13 +334,11 @@ def test_pair_chases_stay_under_k_squared_after_single_relation_edit():
         assert verdict.stats.pair_chases == 5
 
 
-def test_cover_seeds_hit_when_the_old_cover_survives():
-    """Editing one relation re-derives the union cover by verifying the
-    previous cover first; the engine reports the seed as a hit and the
-    emitted cover still equals the cold recompute."""
+def test_union_cover_after_an_edit_equals_the_cold_recompute():
+    """A warm union cover re-derived after an edit to one relation equals
+    the cold recompute under the edited Sigma."""
     schema = _schema()
-    # The shared CC constant keeps the union cover non-empty (an empty
-    # previous cover is never stashed as a seed).
+    # The shared CC constant keeps the union cover non-empty.
     branches = [
         SPCView(
             "U",
@@ -354,15 +352,11 @@ def test_cover_seeds_hit_when_the_old_cover_survives():
     views = {"U": SPCUView("U", branches)}
     sigma = _sigma(schema)
     with _service(schema, sigma, views) as service:
-        before = service.cover(CoverRequest(view="U"))
-        assert before.stats.cover_seed_hits == 0
+        service.cover(CoverRequest(view="U"))
         service.delta_sigma(
             UpdateSigmaRequest(add=[CFD("R1", {"B": "3"}, {"D": "8"})])
         )
         after = service.cover(CoverRequest(view="U"))
-        assert (
-            after.stats.cover_seed_hits + after.stats.cover_seed_misses == 1
-        )
         live = list(service.workspace.sigma("default"))
         _, cold_cover = _cold_answers(
             schema, live, views["U"], []
@@ -394,8 +388,6 @@ def test_streaming_report_shape_and_counters():
         "warmth",
         "chases",
         "pair_chases",
-        "cover_seed_hits",
-        "cover_seed_misses",
     ):
         assert key in record
     # The per-record counters reconcile with the engine totals.
@@ -407,13 +399,14 @@ def test_streaming_report_shape_and_counters():
 
 def test_request_stats_total_sums_streaming_counters():
     parts = [
-        RequestStats(pair_chases=2, cover_seed_hits=1, cover_seed_misses=3),
-        RequestStats(pair_chases=5, cover_seed_hits=0, cover_seed_misses=1),
+        RequestStats(queries=1, chases=3, pair_chases=2),
+        RequestStats(queries=2, chases=0, pair_chases=5),
     ]
     total = RequestStats.total(parts, elapsed_ms=1.0)
     assert total.pair_chases == 7
-    assert total.cover_seed_hits == 1
-    assert total.cover_seed_misses == 4
+    assert total.queries == 3
+    assert total.chases == 3
+    assert total.elapsed_ms == 1.0
 
 
 def test_cli_stream_runs_verified(tmp_path, capsys):
