@@ -32,7 +32,7 @@ The labels classify which family *answers a miss*; hits short-circuit in
 the engine's memo tiers regardless of route, and the per-request
 :class:`~repro.api.requests.RequestStats` delta records what actually
 ran.  Emptiness verdicts are memoized service-side (they bypass the
-engine), keyed structurally like the engine's own memo keys.
+engine), keyed by view token like the engine's own memo keys.
 
 Errors are normalized at this boundary: anything a procedure raises
 reaches the caller as an :class:`~repro.api.ApiError` from the stable
@@ -58,10 +58,9 @@ from ..propagation.engine import (
     PropagationEngine,
     make_stale_predicate,
     scoped_sigma,
-    structural_view_key,
-    touched_relations,
 )
 from ..propagation.engine.core import _all_wildcard, _FastPathContext
+from ..propagation.engine.keys import ViewTokens, sweep_stale
 from ..store import validate_store_url
 from .errors import ApiError, api_errors
 from .requests import (
@@ -99,6 +98,11 @@ class _Effective:
 def _shard_key(shards, shard_index) -> tuple | None:
     """The shard component of the engine-pool key (``None`` = full)."""
     return None if shard_index is None else (shards, shard_index)
+
+
+def _normalized(dep: DependencyLike) -> list[CFD]:
+    """One dependency's normal-form CFDs (``_as_cfds`` of ``[dep]``)."""
+    return (CFD.from_fd(dep) if isinstance(dep, FD) else dep).normalize()
 
 
 def _snapshot(stats: EngineStats) -> tuple:
@@ -159,12 +163,13 @@ class PropagationService:
         # Service-side memos, LRU-bounded by the same knob as the engine
         # tiers: emptiness verdicts (they bypass the engine) and the
         # route-classification capabilities per (Sigma, view).  Keys are
-        # provenance-scoped like the engine's; `_touched` records each
-        # view key's touched-relation set so the delta sweep can apply
-        # the same staleness rule the engine does.
+        # provenance-scoped like the engine's and lead with
+        # ``(scoped sigma, view token)``; `_views` maps each token to its
+        # touched-relation set so the delta sweep can apply the same
+        # staleness rule the engine does.
         self._empty_memo = LRUCache(capacity=cache_size)
         self._route_memo = LRUCache(capacity=cache_size)
-        self._touched: dict[tuple, frozenset] = {}
+        self._views = ViewTokens()
 
     # ------------------------------------------------------------------
     # Engine pool.
@@ -302,13 +307,6 @@ class PropagationService:
     # Capability routing.
     # ------------------------------------------------------------------
 
-    def _view_touched(self, view: ViewLike, view_key: tuple) -> frozenset:
-        touched = self._touched.get(view_key)
-        if touched is None:
-            touched = touched_relations(view)
-            self._touched[view_key] = touched
-        return touched
-
     def route_check(
         self,
         sigma: Iterable[DependencyLike],
@@ -329,9 +327,9 @@ class PropagationService:
         # Provenance-scoped like the engine's own keys: Sigma enters the
         # memo restricted to the view's touched relations, so route
         # classifications survive delta_sigma edits on other relations.
-        view_key = structural_view_key(view)
-        scoped = scoped_sigma(_as_cfds(sigma), self._view_touched(view, view_key))
-        memo_key = (frozenset(scoped), view_key)
+        token = self._views.intern(view)
+        scoped = scoped_sigma(_as_cfds(sigma), self._views.touched(token))
+        memo_key = (frozenset(scoped), token)
         capabilities = self._route_memo.get(memo_key)
         if capabilities is None:
             capabilities = (
@@ -400,31 +398,37 @@ class PropagationService:
             started = time.perf_counter()
             name = request.name if request.name is not None else DEFAULT_NAME
             current = list(self.workspace.sigma(name))
+            # Each registered dependency is normalized exactly once per
+            # edit; `old_cfds` is `_as_cfds(current)`, concatenated.
+            normals = [_normalized(dep) for dep in current]
+            old_cfds = [phi for normal in normals for phi in normal]
             remove_cfds = set(_as_cfds(request.remove))
             removed: list[DependencyLike] = []
             kept: list[DependencyLike] = []
-            for dep in current:
-                normalized = set(_as_cfds([dep]))
-                if normalized and remove_cfds and normalized <= remove_cfds:
-                    removed.append(dep)
-                else:
-                    kept.append(dep)
+            affected: set[str] = set()
             # Dedupe adds against what survives, so re-applying the same
             # diff (a wire retry after a dropped response) is a no-op:
             # nothing grows, `affected` comes out empty, and no warm
             # line is needlessly re-invalidated.
-            present = {frozenset(_as_cfds([dep])) for dep in kept}
+            present: set[frozenset] = set()
+            for dep, normal in zip(current, normals):
+                normalized = frozenset(normal)
+                if normalized and remove_cfds and normalized <= remove_cfds:
+                    removed.append(dep)
+                    affected.update(phi.relation for phi in normal)
+                else:
+                    kept.append(dep)
+                    present.add(normalized)
             added: list[DependencyLike] = []
             for dep in request.add:
-                normalized = frozenset(_as_cfds([dep]))
+                normal = _normalized(dep)
+                normalized = frozenset(normal)
                 if normalized in present:
                     continue
                 present.add(normalized)
                 added.append(dep)
+                affected.update(phi.relation for phi in normal)
             updated = kept + added
-            affected = sorted(
-                {phi.relation for phi in _as_cfds(added + removed)}
-            )
             self.workspace.add_sigma(name, updated)
             invalidated = retained = 0
             with self._pool_guard:
@@ -439,18 +443,16 @@ class PropagationService:
             # Same staleness rule as the engine sweep (one shared
             # predicate — the two can never diverge): drop only lines
             # derived from the edited registration's old value.
-            stale = make_stale_predicate(frozenset(affected), _as_cfds(current))
+            stale = make_stale_predicate(frozenset(affected), old_cfds)
             for memo in (self._route_memo, self._empty_memo):
-                for key in memo.keys():
-                    if stale(key[0], self._touched.get(key[1])):
-                        memo.discard(key)
+                sweep_stale(memo, stale, self._views.touched)
             stats = RequestStats(
                 elapsed_ms=(time.perf_counter() - started) * 1000.0
             )
             return SigmaUpdate(
                 name=name,
                 size=len(updated),
-                affected_relations=affected,
+                affected_relations=sorted(affected),
                 invalidated=invalidated,
                 retained=retained,
                 stats=stats,
@@ -501,15 +503,9 @@ class PropagationService:
                 # Scoped like every other key: emptiness is a function of
                 # Sigma restricted to the view's relations, so warm lines
                 # survive delta_sigma edits elsewhere.
-                view_key = structural_view_key(view)
-                scoped = scoped_sigma(
-                    _as_cfds(sigma), self._view_touched(view, view_key)
-                )
-                memo_key = (
-                    frozenset(scoped),
-                    view_key,
-                    settings.max_instantiations,
-                )
+                token = self._views.intern(view)
+                scoped = scoped_sigma(_as_cfds(sigma), self._views.touched(token))
+                memo_key = (frozenset(scoped), token, settings.max_instantiations)
                 line = self._empty_memo.get(memo_key)
             if line is None:
                 witness = nonempty_witness(

@@ -94,13 +94,13 @@ from ..rbr import RBRStats
 from ..spcu_cover import prop_cfd_spcu
 from ...store import DEFAULT_LEASE_TTL, BlobStore, SqliteStore, open_store
 from .keys import (
+    ViewTokens,
     branch_touched_relations,
     cover_key,
-    key_view,
     make_stale_predicate,
     provenance_fingerprint,
     scoped_sigma,
-    structural_view_key,
+    sweep_stale,
     touched_relations,
     verdict_key,
 )
@@ -320,10 +320,15 @@ class PropagationEngine:
             encode=_encode_cover,
             decode=_decode_cover,
         )
-        self._pair_caches: dict[tuple, BranchPairCache] = {}
+        # Each call interns its view's structural key once; every line
+        # below is keyed by that int token, never by the nested tuple.
+        self._views = ViewTokens()
+        self._pair_caches: dict[int, BranchPairCache] = {}
         # Input MinCover per relation: one relation's CFD frozenset ->
         # its minimal cover (see _minimized_sigma).
         self._min_covers = LRUCache(capacity=cache_size)
+        # Keyed ``(scoped sigma frozenset, view token)``, like the
+        # verdict and cover tiers (whose keys add phi and settings).
         self._fast_contexts = LRUCache(capacity=cache_size)
         # The delta-path memo layers (streaming Sigma).  Every key leads
         # with ``(scoped sigma frozenset, touched relations)`` so the
@@ -339,17 +344,13 @@ class PropagationEngine:
         # Interned pair-scoped Sigma frozensets (see _pair_scoped_sigma):
         # derived values, swept alongside the layers they feed.
         self._pair_sigma_intern: dict[tuple, frozenset] = {}
-        # Pure functions of their keys, memoized: the touched-relation
-        # set per view (whole and per branch) and the stable fingerprints
-        # of the persistent tier.
-        self._touched: dict[tuple, frozenset[str]] = {}
-        self._branch_touched: dict[tuple, tuple[frozenset[str], ...]] = {}
-        # Structural view keys interned to small ints for the pair memo:
-        # a k^2-unit check performs k^2 lookups per target, and hashing
-        # the full nested view tuple on each one dwarfs the lookup.
-        self._view_tokens: dict[tuple, int] = {}
+        # Pure functions of their keys, memoized: the per-branch
+        # touched-relation sets per view token (the whole-view set lives
+        # in ``_views``) and the stable fingerprints of the persistent
+        # tier.
+        self._branch_touched: dict[int, tuple] = {}
         self._prov_fps = LRUCache(capacity=cache_size)
-        self._view_fps: dict[tuple, str] = {}
+        self._view_fps: dict[int, str] = {}
         #: Counter totals of caches no longer tracked (retired by clear()
         #: or by object turnover, and the throwaway uncached-run caches).
         self._retired = {
@@ -429,70 +430,60 @@ class PropagationEngine:
         affected = frozenset(relations)
         old_cfds = None if sigma is None else _as_cfds(list(sigma))
         stale = make_stale_predicate(affected, old_cfds)
+        touched_of = self._views.touched
 
         invalidated = retained = 0
         for tier in (self._verdict_tier, self._cover_tier):
-            for key in tier.memory.keys():
-                if stale(key[0], self._touched.get(key_view(key))):
-                    tier.memory.discard(key)
-                    invalidated += 1
-                else:
-                    retained += 1
+            dropped, kept = sweep_stale(tier.memory, stale, touched_of)
+            invalidated += dropped
+            retained += kept
+        sweep_stale(self._fast_contexts, stale, touched_of)
         # The delta-path layers carry their own provenance in the key
         # (``(scoped sigma, touched, ...)``), so the shared predicate
         # applies directly.  They are internal work-sharing state, not
         # servable lines, so they join neither count above — the
         # invalidated/retained report keeps meaning "memo-tier lines".
-        for memo in (self._pair_verdicts, self._branch_covers):
-            for key in memo.keys():
-                if stale(key[0], key[1]):
-                    memo.discard(key)
+        for memo in (self._pair_verdicts, self._branch_covers, self._prov_fps):
+            sweep_stale(memo, stale)
         # The interned pair-scoped sigma sets are pure functions of
         # their keys — never wrong, only unreachable once the view-
         # scoped Sigma they were derived under moves.  Drop entries
         # whose pair or whose sigma component mentions an affected
         # relation; the rest stay reachable byte-for-byte.
         for key in list(self._pair_sigma_intern):
-            if key[1] & affected or any(
+            if not key[1].isdisjoint(affected) or any(
                 phi.relation in affected for phi in key[0]
             ):
                 del self._pair_sigma_intern[key]
-        for key in self._fast_contexts.keys():
-            if stale(key[0], self._touched.get(key_view(key))):
-                self._fast_contexts.discard(key)
         # Each MinCover line is one relation's CFD group, so its
-        # provenance is that single relation.
+        # provenance is that single relation; one singleton set per
+        # relation keeps the predicate's scoped-Sigma memo warm.
+        singletons: dict[str, frozenset[str]] = {}
         for key in self._min_covers.keys():
-            if stale(key, frozenset((next(iter(key)).relation,))):
+            relation = next(iter(key)).relation
+            touched = singletons.get(relation)
+            if touched is None:
+                touched = singletons[relation] = frozenset((relation,))
+            if stale(key, touched):
                 self._min_covers.discard(key)
         if old_cfds is None:
             # Pair-cache skeleton layers are Sigma-independent and the
             # chased layer is Sigma-keyed (stale entries unreachable),
             # so the precise sweep leaves them; only the conservative
             # sweep drops whole caches for affected views.
-            for view_key, cache in list(self._pair_caches.items()):
-                touched = self._touched.get(view_key)
-                if touched is None or touched & affected:
+            for token, cache in list(self._pair_caches.items()):
+                touched = touched_of(token)
+                if touched is None or not touched.isdisjoint(affected):
                     self._retire(cache)
-                    del self._pair_caches[view_key]
-        for key in self._prov_fps.keys():
-            if stale(key[0], key[1]):
-                self._prov_fps.discard(key)
+                    del self._pair_caches[token]
         return {"invalidated": invalidated, "retained": retained}
-
-    def _touched_relations(self, view: ViewLike, view_key: tuple) -> frozenset[str]:
-        touched = self._touched.get(view_key)
-        if touched is None:
-            touched = touched_relations(view)
-            self._touched[view_key] = touched
-        return touched
 
     def _persist_fps(
         self,
         sigma_key: frozenset,
         scoped_cfds: list[CFD],
         touched: frozenset[str],
-        view_key: tuple,
+        token: int,
         view: ViewLike,
     ) -> tuple[str, str] | None:
         """Stable (provenance, view) fingerprints, or ``None`` when the
@@ -503,10 +494,10 @@ class PropagationEngine:
         if prov_fp is None:
             prov_fp = provenance_fingerprint(scoped_cfds, touched)
             self._prov_fps.put((sigma_key, touched), prov_fp)
-        view_fp = self._view_fps.get(view_key)
+        view_fp = self._view_fps.get(token)
         if view_fp is None:
             view_fp = view_fingerprint(view)
-            self._view_fps[view_key] = view_fp
+            self._view_fps[token] = view_fp
         return prov_fp, view_fp
 
     def _memo_settings(self) -> tuple:
@@ -524,7 +515,7 @@ class PropagationEngine:
     def _fast_context(
         self,
         view: ViewLike,
-        view_key: tuple,
+        token: int,
         scoped_cfds: list[CFD],
         sigma_key: frozenset,
     ) -> "_FastPathContext | None":
@@ -532,7 +523,7 @@ class PropagationEngine:
         # every candidate through check(), which must not rebuild the
         # context.  Scoping Sigma first also widens applicability: CFDs
         # on relations the view never reads cannot disqualify the path.
-        key = (sigma_key, view_key)
+        key = (sigma_key, token)
         context = self._fast_contexts.get(key, _NO_CONTEXT)
         if context is _NO_CONTEXT:
             context = _FastPathContext.of(view, scoped_cfds)
@@ -547,8 +538,8 @@ class PropagationEngine:
         self._retired["chased_misses"] += cache.chased_misses
         self._retired["tableau_evictions"] += cache.evictions
 
-    def _pair_cache(self, view: ViewLike, view_key: tuple) -> BranchPairCache:
-        cache = self._pair_caches.get(view_key)
+    def _pair_cache(self, view: ViewLike, token: int) -> BranchPairCache:
+        cache = self._pair_caches.get(token)
         if cache is None or cache.view is not view:
             # One tableau cache per view *object*: skeleton instances hold
             # SymVars handed out by the view's materialization, so a
@@ -557,7 +548,7 @@ class PropagationEngine:
             if cache is not None:
                 self._retire(cache)
             cache = BranchPairCache(view, enabled=True, capacity=self.cache_size)
-            self._pair_caches[view_key] = cache
+            self._pair_caches[token] = cache
         return cache
 
     def _sync_pair_stats(self) -> None:
@@ -702,13 +693,13 @@ class PropagationEngine:
             return verdicts
 
         sigma_cfds = _as_cfds(sigma)
-        view_key = structural_view_key(view)
-        touched = self._touched_relations(view, view_key)
+        token = self._views.intern(view)
+        touched = self._views.touched(token)
         scoped = scoped_sigma(sigma_cfds, touched)
         sigma_key = frozenset(scoped)
-        fast = self._fast_context(view, view_key, scoped, sigma_key)
-        cache = self._pair_cache(view, view_key)
-        fps = self._persist_fps(sigma_key, scoped, touched, view_key, view)
+        fast = self._fast_context(view, token, scoped, sigma_key)
+        cache = self._pair_cache(view, token)
+        fps = self._persist_fps(sigma_key, scoped, touched, token, view)
         settings = (self.max_instantiations, self.assume_infinite)
         memo_settings = self._memo_settings()
 
@@ -723,7 +714,7 @@ class PropagationEngine:
         for idx, phi in enumerate(phis):
             self.stats.check_queries += 1
             phi_cfd = CFD.from_fd(phi) if isinstance(phi, FD) else phi
-            memo_key = (sigma_key, view_key, phi_cfd, *memo_settings)
+            memo_key = (sigma_key, token, phi_cfd, *memo_settings)
             if memo_key in pending:
                 # Duplicate of an in-flight miss: answered from the memo
                 # once the first occurrence resolves.
@@ -756,7 +747,7 @@ class PropagationEngine:
                 for memo_key, verdict in zip(
                     keys,
                     self._resolve_check_misses(
-                        scoped, sigma_key, view, view_key, cache, miss_phis
+                        scoped, sigma_key, view, token, cache, miss_phis
                     ),
                 ):
                     pkey = pending[memo_key][1]
@@ -788,7 +779,7 @@ class PropagationEngine:
         scoped: list[CFD],
         sigma_key: frozenset,
         view: ViewLike,
-        view_key: tuple,
+        token: int,
         cache: BranchPairCache,
         miss_phis: list[CFD],
     ) -> list[bool]:
@@ -824,7 +815,7 @@ class PropagationEngine:
                     for phi_cfd in miss_phis
                 ]
             return [
-                self._check_by_pairs(scoped, view, view_key, cache, phi_cfd)
+                self._check_by_pairs(scoped, sigma_key, view, token, cache, phi_cfd)
                 for phi_cfd in miss_phis
             ]
 
@@ -853,7 +844,7 @@ class PropagationEngine:
         return verdicts
 
     def _branch_provenance(
-        self, view: SPCUView, view_key: tuple
+        self, view: SPCUView, token: int
     ) -> tuple[tuple[frozenset[str], ...], dict]:
         """Per-branch provenance plus the interned pair-union table.
 
@@ -862,7 +853,7 @@ class PropagationEngine:
         memo lookups cheap — rebuilding the union per unit would re-hash
         every member on every lookup.
         """
-        entry = self._branch_touched.get(view_key)
+        entry = self._branch_touched.get(token)
         if entry is None:
             per_branch = branch_touched_relations(view)
             k = len(per_branch)
@@ -872,15 +863,8 @@ class PropagationEngine:
                 for j in range(k)
             }
             entry = (per_branch, pair_unions)
-            self._branch_touched[view_key] = entry
+            self._branch_touched[token] = entry
         return entry
-
-    def _view_token(self, view_key: tuple) -> int:
-        token = self._view_tokens.get(view_key)
-        if token is None:
-            token = len(self._view_tokens)
-            self._view_tokens[view_key] = token
-        return token
 
     def _pair_scoped_sigma(
         self, sigma_key: frozenset, scoped: list[CFD], pair_touched: frozenset
@@ -905,8 +889,9 @@ class PropagationEngine:
     def _check_by_pairs(
         self,
         scoped: list[CFD],
+        sigma_key: frozenset,
         view: SPCUView,
-        view_key: tuple,
+        token: int,
         cache: BranchPairCache,
         phi_cfd: CFD,
     ) -> bool:
@@ -930,9 +915,7 @@ class PropagationEngine:
         branches = list(view.branches)
         k = len(branches)
         projection = set(branches[0].projection)
-        per_branch, pair_unions = self._branch_provenance(view, view_key)
-        sigma_key = frozenset(scoped)
-        view_token = self._view_token(view_key)
+        per_branch, pair_unions = self._branch_provenance(view, token)
         settings = self._memo_settings()
         for normal in phi_cfd.normalize():
             if normal.is_trivial():
@@ -950,7 +933,7 @@ class PropagationEngine:
                 memo_key = (
                     pair_sigma,
                     pair_touched,
-                    view_token,
+                    token,
                     i,
                     j,
                     normal,
@@ -987,7 +970,7 @@ class PropagationEngine:
         """
         cache = None
         if self.use_cache:
-            cache = self._pair_cache(view, structural_view_key(view))
+            cache = self._pair_cache(view, self._views.intern(view))
         witness = find_counterexample(
             sigma,
             view,
@@ -1049,16 +1032,16 @@ class PropagationEngine:
             if not self.use_cache:
                 covers[idx] = self._compute_cover(sigma, sigma_cfds, view)
                 continue
-            view_key = structural_view_key(view)
-            touched = self._touched_relations(view, view_key)
+            token = self._views.intern(view)
+            touched = self._views.touched(token)
             scoped = scoped_sigma(sigma_cfds, touched)
             sigma_key = frozenset(scoped)
-            memo_key = (sigma_key, view_key, *memo_settings)
+            memo_key = (sigma_key, token, *memo_settings)
             if memo_key in pending:
                 self.stats.cover_hits += 1
                 pending[memo_key][2].append(idx)
                 continue
-            fps = self._persist_fps(sigma_key, scoped, touched, view_key, view)
+            fps = self._persist_fps(sigma_key, scoped, touched, token, view)
             pkey = None if fps is None else cover_key(fps[0], fps[1], *settings)
             value, layer = self._cover_tier.get(memo_key, pkey)
             if layer is not None:
@@ -1153,11 +1136,12 @@ class PropagationEngine:
                 # scoping Sigma to the branch's relations).
 
                 def branch_cover(_sigma, branch, partition_size):
-                    b_touched = touched_relations(branch)
+                    b_token = self._views.intern(branch)
+                    b_touched = self._views.touched(b_token)
                     memo_key = (
                         frozenset(scoped_sigma(sigma_cfds, b_touched)),
                         b_touched,
-                        structural_view_key(branch),
+                        b_token,
                         partition_size,
                     )
                     cover = self._branch_covers.get(memo_key)

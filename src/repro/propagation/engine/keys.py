@@ -33,13 +33,16 @@ Key-schema change = store schema change: the composite keys are
 the PR 2/3 whole-Sigma keys (version 1) are dropped on open — the
 migration-to-cold fallback, never a misread line.
 
-:func:`structural_view_key` (the process-local view key) also lives
-here so every key constructor is in one module.  See ``docs/incremental.md`` for the invalidation
-rules this keyspace implies.
+:func:`structural_view_key` (the process-local view key) and
+:class:`ViewTokens`, which interns it to the int every memory line is
+keyed by, also live here so every key constructor is in one module.
+See ``docs/incremental.md`` for the invalidation rules this keyspace
+implies.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Iterable
 
 from ...algebra.spcu import SPCUView
@@ -49,6 +52,7 @@ from ..cache import _canonical, query_persist_key, stable_digest
 from ..check import ViewLike, _branches
 
 __all__ = [
+    "ViewTokens",
     "branch_touched_relations",
     "cover_key",
     "key_view",
@@ -58,6 +62,7 @@ __all__ = [
     "relation_fingerprints",
     "scoped_sigma",
     "structural_view_key",
+    "sweep_stale",
     "touched_relations",
     "verdict_key",
 ]
@@ -238,6 +243,46 @@ def structural_view_key(view: ViewLike) -> tuple:
     )
 
 
+class ViewTokens:
+    """Structural view keys interned to small int tokens.
+
+    Every memory line of an engine (and of the service's route and
+    emptiness memos) is keyed by its view's token instead of the nested
+    :func:`structural_view_key` tuple: the tuple's hash is not cached,
+    so each lookup and each delta-sweep line would re-hash the whole
+    view, where an int hashes for free.  :meth:`intern` pays that hash
+    once per call.
+
+    A token is allocated from a monotonic counter and never reused, so
+    two structurally different views can never share a line; equal
+    views (distinct objects included) get the same token.  Tokens are
+    process-local and owned by one interner: they never enter a
+    persistent key (those use :func:`~repro.propagation.cache.
+    view_fingerprint`).
+    """
+
+    def __init__(self) -> None:
+        self._tokens: dict[tuple, int] = {}
+        self._touched: dict[int, frozenset[str]] = {}
+        self._counter = itertools.count()
+
+    def intern(self, view: ViewLike) -> int:
+        """The token of *view*'s structural key (allocated on first sight)."""
+        key = structural_view_key(view)
+        token = self._tokens.get(key)
+        if token is None:
+            # Publish the touched set before the token: a concurrent
+            # caller that loses setdefault keeps a dead, harmless entry.
+            token = next(self._counter)
+            self._touched[token] = touched_relations(view)
+            token = self._tokens.setdefault(key, token)
+        return token
+
+    def touched(self, token: int) -> frozenset[str] | None:
+        """The touched-relation set of the view behind *token*."""
+        return self._touched.get(token)
+
+
 def make_stale_predicate(affected: frozenset, old_cfds: list[CFD] | None):
     """The one invalidation rule every delta sweep applies.
 
@@ -250,14 +295,16 @@ def make_stale_predicate(affected: frozenset, old_cfds: list[CFD] | None):
     from some *other* Sigma (its key never moved, so it stays reachable
     and correct).  The engine's :meth:`~repro.propagation.engine.core.
     PropagationEngine.invalidate_relations` and the service's
-    route/emptiness-memo sweep both call this, so the two can never
-    diverge.  Scoped old-Sigma sets are memoized per touched set — the
-    sweep stays linear in the number of lines.
+    route/emptiness-memo sweep both apply it through
+    :func:`sweep_stale`, so the two can never diverge.  The verdict is a
+    function of its two arguments, so a sweep tests each provenance
+    group once, not each line; scoped old-Sigma sets are memoized per
+    touched set.
     """
     old_scoped: dict[frozenset, frozenset] = {}
 
     def stale(sigma_component, touched: frozenset | None) -> bool:
-        if touched is not None and not (touched & affected):
+        if touched is not None and touched.isdisjoint(affected):
             return False
         if old_cfds is None or touched is None:
             return True
@@ -272,12 +319,38 @@ def make_stale_predicate(affected: frozenset, old_cfds: list[CFD] | None):
     return stale
 
 
+def sweep_stale(memo, stale, touched_of=None) -> tuple[int, int]:
+    """Discard the lines of the LRU *memo* that *stale* condemns.
+
+    Every swept key leads with ``(sigma component, provenance)``: the
+    provenance is a touched-relation frozenset, or a view token that
+    *touched_of* maps to one (:meth:`ViewTokens.touched`).  Lines that
+    share both — every target of one view under one Sigma — form one
+    provenance group, and *stale* runs once per group.  Returns
+    ``(invalidated, retained)`` line counts.
+    """
+    decided: dict[tuple, bool] = {}
+    invalidated = retained = 0
+    for key in memo.keys():
+        group = key[0], key[1]
+        verdict = decided.get(group)
+        if verdict is None:
+            touched = key[1] if touched_of is None else touched_of(key[1])
+            verdict = decided[group] = stale(key[0], touched)
+        if verdict:
+            memo.discard(key)
+            invalidated += 1
+        else:
+            retained += 1
+    return invalidated, retained
+
+
 def key_view(memo_key: tuple) -> Any:
-    """The view component of an engine memo key.
+    """The view component of an engine memo key: its view token.
 
     Every memory-tier key the engine builds — verdict memo, cover memo,
-    fast-path context — leads with ``(scoped sigma, view key, ...)``;
-    the invalidation scans in ``engine/core.py`` go through this helper
-    so the layout is stated in exactly one place.
+    fast-path context — leads with ``(scoped sigma, view token, ...)``,
+    the token from the engine's :class:`ViewTokens`; :func:`sweep_stale`
+    relies on that layout.
     """
     return memo_key[1]
