@@ -193,9 +193,6 @@ def _run_cli_process(paths: dict[str, Path], cache_dir: Path) -> dict:
         key: int(value)
         for key, value in re.findall(r"(\w+)=(\d+)[,)]", stats_line)
     }
-    persistent = re.search(r"persistent=(\d+)h/(\d+)m/(\d+)w", stats_line)
-    counters["persistent_hits"] = int(persistent.group(1))
-    counters["persistent_writes"] = int(persistent.group(3))
     counters["elapsed"] = elapsed
     return counters
 

@@ -35,6 +35,7 @@ from ..core.cfd import CFD
 from ..propagation.check import DependencyLike, ViewLike
 
 __all__ = [
+    "ENGINE_SUMS",
     "BatchRequest",
     "BatchResult",
     "CheckRequest",
@@ -150,21 +151,46 @@ Request = Union[
 ]
 
 
+def _sums(*engine_fields: str):
+    """A counter summing this request's deltas of *engine_fields*."""
+    return field(default=0, metadata={"sums": engine_fields})
+
+
 @dataclass
 class RequestStats:
-    """What one request cost: wall time plus engine-counter deltas."""
+    """What one request cost: wall time plus engine-counter deltas.
+
+    Each engine-derived counter declares, once, which
+    :class:`~repro.propagation.cache.EngineStats` fields it sums
+    (collected in :data:`ENGINE_SUMS`); ``queries`` comes from the
+    request itself.
+    """
 
     elapsed_ms: float = 0.0
     queries: int = 0
-    chases: int = 0
-    memo_hits: int = 0
-    persistent_hits: int = 0
-    closure_fast_path: int = 0
-    shard_tasks: int = 0
-    pair_chases: int = 0
+    chases: int = _sums("chase_invocations")
+    memo_hits: int = _sums("verdict_hits", "cover_hits")
+    persistent_hits: int = _sums("persistent_hits")
+    closure_fast_path: int = _sums("closure_fast_path")
+    shard_tasks: int = _sums("shard_tasks")
+    pair_chases: int = _sums("pair_chases")
 
     def to_json(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def engine_delta(
+        cls, before: dict, after: dict, *, elapsed_ms: float, queries: int
+    ) -> "RequestStats":
+        """The counters moved between two ``vars(EngineStats)`` reads."""
+        return cls(
+            elapsed_ms=elapsed_ms,
+            queries=queries,
+            **{
+                name: sum(after[f] - before[f] for f in engine_fields)
+                for name, engine_fields in ENGINE_SUMS.items()
+            },
+        )
 
     @classmethod
     def total(
@@ -183,6 +209,13 @@ class RequestStats:
                 if f.name != "elapsed_ms"
             },
         )
+
+
+#: Each engine-derived :class:`RequestStats` counter -> the
+#: ``EngineStats`` fields it sums.
+ENGINE_SUMS: dict[str, tuple[str, ...]] = {
+    f.name: f.metadata["sums"] for f in fields(RequestStats) if "sums" in f.metadata
+}
 
 
 @dataclass

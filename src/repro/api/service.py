@@ -105,17 +105,6 @@ def _normalized(dep: DependencyLike) -> list[CFD]:
     return (CFD.from_fd(dep) if isinstance(dep, FD) else dep).normalize()
 
 
-def _snapshot(stats: EngineStats) -> tuple:
-    return (
-        stats.chase_invocations,
-        stats.verdict_hits + stats.cover_hits,
-        stats.persistent_hits,
-        stats.closure_fast_path,
-        stats.shard_tasks,
-        stats.pair_chases,
-    )
-
-
 class PropagationService:
     """Routes typed propagation requests over warm, cached engines."""
 
@@ -466,7 +455,7 @@ class PropagationService:
             settings = self._effective(request)
             route = self.route_check(sigma, view, targets, settings)
             engine = self._engine(settings)
-            before, started = _snapshot(engine.stats), time.perf_counter()
+            before, started = vars(engine.stats).copy(), time.perf_counter()
             verdicts = engine.check_many(sigma, view, targets)
             witnesses = None
             if request.witness:
@@ -486,7 +475,7 @@ class PropagationService:
             settings = self._effective(request)
             route = self.route_cover(view)
             engine = self._engine(settings)
-            before, started = _snapshot(engine.stats), time.perf_counter()
+            before, started = vars(engine.stats).copy(), time.perf_counter()
             cover = engine.cover(sigma, view)
             return CoverResult(cover, route, self._delta(engine, before, started, 1))
 
@@ -533,31 +522,19 @@ class PropagationService:
 
     @staticmethod
     def _delta(
-        engine: PropagationEngine, before: tuple, started: float, queries: int
+        engine: PropagationEngine, before: dict, started: float, queries: int
     ) -> RequestStats:
-        """Engine-counter deltas since *before*.
+        """Engine-counter deltas since *before* (a ``vars`` copy of the
+        engine's stats; ``asdict`` would deep-copy on every request).
 
         *queries* comes from the request (its targets, or its one view):
         the engine's own query counters also tick for an SPCU cover's
         internal candidate checks.
         """
-        after = _snapshot(engine.stats)
-        (
-            chases,
-            memo,
-            persistent,
-            closure,
-            shard_tasks,
-            pair_chases,
-        ) = (now - then for now, then in zip(after, before))
-        return RequestStats(
+        return RequestStats.engine_delta(
+            before,
+            vars(engine.stats),
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
             queries=queries,
-            chases=chases,
-            memo_hits=memo,
-            persistent_hits=persistent,
-            closure_fast_path=closure,
-            shard_tasks=shard_tasks,
-            pair_chases=pair_chases,
         )
 

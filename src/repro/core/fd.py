@@ -103,7 +103,8 @@ _MISSING = object()
 
 #: The bounded attribute-closure memo.  65536 lines matches the bound the
 #: old ``functools.lru_cache`` carried; the LRUCache exposes the hit/miss
-#: telemetry the engine folds into ``EngineStats``.
+#: telemetry each engine reads as its ``closure_hits``/``closure_misses``
+#: window.
 _closure_memo: LRUCache = LRUCache(65536)
 
 CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])

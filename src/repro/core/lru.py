@@ -4,14 +4,16 @@ Lives in :mod:`repro.core` (dependency-free) so that core modules —
 the attribute-closure memo in :mod:`repro.core.fd`, the kernel's
 compiled-program caches — can bound their memos without importing the
 propagation layer.  :mod:`repro.propagation.cache` re-exports it as the
-engine's in-memory cache tier; see that module for how the counters fold
-into :class:`~repro.propagation.engine.EngineStats`.
+engine's in-memory cache tier.  The engine's caches hand each LRU an
+``on_evict`` hook that ticks their
+:class:`~repro.propagation.cache.EngineStats` in place, so an eviction
+stays counted after the LRU itself is dropped.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any
+from typing import Any, Callable
 
 __all__ = ["LRUCache"]
 
@@ -24,16 +26,22 @@ class LRUCache:
     ``capacity=None`` means unbounded (no eviction ever).  ``get`` bumps
     recency and counts a hit or miss; ``put`` inserts or refreshes and
     evicts the least recently used entry once the capacity is exceeded,
-    counting each eviction.  ``__contains__`` and ``clear`` touch neither
+    counting each eviction (and calling *on_evict*, when given, once per
+    eviction).  ``__contains__`` and ``clear`` touch neither
     recency nor counters — counters describe *lookup traffic*, and they
     survive ``clear`` the same way engine stats survive
     :meth:`~repro.propagation.engine.PropagationEngine.clear`.
     """
 
-    def __init__(self, capacity: int | None = None) -> None:
+    def __init__(
+        self,
+        capacity: int | None = None,
+        on_evict: Callable[[], None] | None = None,
+    ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"LRU capacity must be positive, got {capacity}")
         self.capacity = capacity
+        self._on_evict = on_evict
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -58,6 +66,8 @@ class LRUCache:
         if self.capacity is not None and len(self._data) > self.capacity:
             self._data.popitem(last=False)
             self.evictions += 1
+            if self._on_evict is not None:
+                self._on_evict()
 
     def keys(self):
         """Keys from least to most recently used (eviction order)."""

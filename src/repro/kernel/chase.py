@@ -37,6 +37,7 @@ to the baseline (see ``docs/kernel.md``).
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from typing import Any, Iterable
 
 from ..core.chase import SymVar
@@ -141,22 +142,17 @@ class PackedPairRunner:
 
     def __init__(self, sigma: list, cache, capacity: int | None = None) -> None:
         self._sigma = sigma
-        # BranchPairCache (base pairs + counters).  The cache owns this
-        # runner; a strong back-reference would make the pair a cycle that
-        # keeps every tableau alive until a full garbage collection.
+        # BranchPairCache (base pairs).  The cache owns this runner; a
+        # strong back-reference would make the pair a cycle that keeps
+        # every tableau alive until a full garbage collection.
         self._cache = weakref.ref(cache)
+        # The cache's EngineStats, ticked in place (it holds no cache).
+        self._stats = cache.stats
+        self._evicted = partial(cache.stats.tick, "tableau_evictions")
         self._capacity = capacity
         self._templates: dict[tuple, _Template] = {}
         self._packs: dict[tuple[int, int], _Template | None] = {}
         self.usable = True
-
-    @property
-    def evictions(self) -> int:
-        return sum(
-            template.outcomes.evictions
-            for template in self._templates.values()
-            if template.outcomes is not None
-        )
 
     # ------------------------------------------------------------------
     # Packing: pair -> template (+ structural dedup).
@@ -270,7 +266,7 @@ class PackedPairRunner:
         template.node_count = node_count
         template.cells1 = c1
         template.cells2 = c2
-        template.outcomes = LRUCache(self._capacity)
+        template.outcomes = LRUCache(self._capacity, on_evict=self._evicted)
 
         for cfd in self._sigma:
             rows = packed_rows.get(cfd.relation, [])
@@ -479,18 +475,18 @@ class PackedPairRunner:
         """Chase outcome for one packed premise signature (cached).
 
         Mirrors the baseline's coupled/chased tier bookkeeping on the
-        shared :class:`BranchPairCache` counters so the engine stats and
+        shared :class:`BranchPairCache` stats so the engine stats and
         perf-smoke assertions read the same signals either way.
         """
-        cache = self._cache()
+        stats = self._stats
         state = template.outcomes.get(lhs, _MISSING)
         if state is not _MISSING:
-            cache.coupled_hits += 1
-            cache.chased_hits += 1
+            stats.coupled_hits += 1
+            stats.chased_hits += 1
             return state
-        cache.coupled_misses += 1
-        cache.chased_misses += 1
-        cache.chase_invocations += 1
+        stats.coupled_misses += 1
+        stats.chased_misses += 1
+        stats.chase_invocations += 1
         base = self._base_state(template)
         if base is UNDEFINED:
             # Unsatisfiable before coupling; the baseline would discover

@@ -6,10 +6,9 @@ restart.  This module is the cache made a first-class subsystem, in two
 tiers:
 
 1. :class:`LRUCache` — the in-memory tier.  A capacity-bounded
-   least-recently-used map with hit/miss/eviction counters; the engine
-   folds those counters into
-   :class:`~repro.propagation.engine.EngineStats`.  ``capacity=None``
-   keeps PR 1's unbounded behavior.
+   least-recently-used map with hit/miss/eviction counters; each
+   eviction also ticks the owner's :class:`EngineStats` in place.
+   ``capacity=None`` keeps PR 1's unbounded behavior.
 2. :class:`TieredCache` — the in-memory tier backed by an optional
    persistent :class:`~repro.store.base.BlobStore` (the local sqlite
    store of ``--cache-dir``, or any ``--store-url`` backend — see
@@ -24,6 +23,13 @@ tiers:
    :class:`~repro.api.ApiError` kind counts a ``store_errors`` and is
    served as a plain cache miss (reads) or skipped (writes) — the
    request still answers from the engine.
+
+:class:`EngineStats` is the one declaration of the engine's counters.
+Every producer — the tiered caches here, the per-view
+:class:`~repro.propagation.check.BranchPairCache` and its packed
+runners, the LRU eviction hooks under them — is handed the engine's
+instance and ticks it in place, so nothing is summed after a call and a
+dropped cache takes no history with it.
 
 Keys come in two flavors:
 
@@ -47,6 +53,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from ..algebra.spcu import SPCUView
@@ -54,8 +62,10 @@ from ..core.cfd import CFD
 from ..core.lru import LRUCache
 from ..io import domain_to_json, dependency_to_json, spc_view_to_json
 from ..store import BlobStore
+from .rbr import RBRStats
 
 __all__ = [
+    "EngineStats",
     "LRUCache",
     "TieredCache",
     "stable_digest",
@@ -75,6 +85,67 @@ _MISSING = object()
 # it without importing the propagation layer; re-exported here unchanged.
 
 
+@dataclass
+class EngineStats:
+    """Instrumentation counters for one
+    :class:`~repro.propagation.engine.PropagationEngine`.
+
+    The single declaration of every engine counter: the engine hands
+    this object to each producer (its tiered caches, each view's
+    :class:`~repro.propagation.check.BranchPairCache` and packed runners,
+    the LRU eviction hooks under them), which tick it in place.  A cache
+    built standalone gets a private instance.  ``repr`` is the generated
+    dataclass repr; the wire ``stats`` op and the CLI's ``--stats`` print
+    it.
+
+    ``chase_invocations`` counts chase runs *launched by check queries*
+    (cache hits launch none); the perf-regression tests bound it by the
+    number of unique closures/LHS shapes in a batch.  A miss decided on a
+    compiled implication program ticks one per conjunct it tests, and no
+    ``coupled``/``chased`` counter (it builds no skeleton).
+    ``verdict_hits``/``cover_hits`` count memory-tier hits; the
+    ``persistent_*`` counters and ``evictions`` count the tiered memo
+    caches and ``tableau_evictions`` the LRU-bounded
+    :class:`~repro.propagation.check.BranchPairCache` layers;
+    ``closure_hits``/``closure_misses`` are this engine's window onto
+    the process-wide attribute-closure memo
+    (:func:`repro.core.fd.closure_cache_info`) — deltas since engine
+    construction, read at the end of each call, so engines sharing the
+    process also share traffic; ``shard_tasks`` counts the miss batches
+    a ``shard_index`` engine decided on a non-empty shard plan.
+    ``pair_chases`` counts pair-restricted chase launches — the misses
+    of the per-pair verdict memo on multi-branch unions, so the
+    delta-restricted share of ``chase_invocations`` is distinguishable.
+    """
+
+    check_queries: int = 0
+    verdict_hits: int = 0
+    closure_fast_path: int = 0
+    closure_hits: int = 0
+    closure_misses: int = 0
+    chase_invocations: int = 0
+    coupled_hits: int = 0
+    coupled_misses: int = 0
+    chased_hits: int = 0
+    chased_misses: int = 0
+    cover_queries: int = 0
+    cover_hits: int = 0
+    persistent_hits: int = 0
+    persistent_misses: int = 0
+    persistent_writes: int = 0
+    evictions: int = 0
+    tableau_evictions: int = 0
+    shard_tasks: int = 0
+    single_flight_waits: int = 0
+    store_errors: int = 0
+    pair_chases: int = 0
+    rbr: RBRStats = field(default_factory=RBRStats)
+
+    def tick(self, name: str) -> None:
+        """Add one to counter *name* (the LRU ``on_evict`` hook)."""
+        setattr(self, name, getattr(self, name) + 1)
+
+
 class TieredCache:
     """An :class:`LRUCache` backed by an optional persistent store table.
 
@@ -84,6 +155,8 @@ class TieredCache:
     ``layer`` one of ``"memory"``, ``"persistent"`` or ``None`` (miss);
     a persistent hit is promoted into the memory tier.  Payloads cross
     the store boundary through the injected ``encode``/``decode`` pair.
+    Store traffic and memory-tier evictions tick *stats* (the engine's
+    :class:`EngineStats`; a private one when omitted).
     """
 
     def __init__(
@@ -93,16 +166,14 @@ class TieredCache:
         store: BlobStore | None = None,
         encode: Callable[[Any], str] = str,
         decode: Callable[[str], Any] = str,
+        stats: EngineStats | None = None,
     ) -> None:
         self.table = table
-        self.memory = LRUCache(capacity)
+        self.stats = EngineStats() if stats is None else stats
+        self.memory = LRUCache(capacity, on_evict=partial(self.stats.tick, "evictions"))
         self.store = store
         self._encode = encode
         self._decode = decode
-        self.persistent_hits = 0
-        self.persistent_misses = 0
-        self.persistent_writes = 0
-        self.store_errors = 0
 
     def _degradable(self, exc: Exception) -> bool:
         """Is *exc* a dead-store condition we absorb as a miss?
@@ -115,7 +186,7 @@ class TieredCache:
         """
         if getattr(exc, "kind", None) != "unavailable":
             return False
-        self.store_errors += 1
+        self.stats.store_errors += 1
         return True
 
     def get(self, key: Any, persist_key: str | None = None) -> tuple[Any, str | None]:
@@ -130,11 +201,11 @@ class TieredCache:
                     raise
                 payload = None
             if payload is not None:
-                self.persistent_hits += 1
+                self.stats.persistent_hits += 1
                 value = self._decode(payload)
                 self.memory.put(key, value)
                 return value, "persistent"
-            self.persistent_misses += 1
+            self.stats.persistent_misses += 1
         return None, None
 
     def put(self, key: Any, value: Any, persist_key: str | None = None) -> None:
@@ -146,7 +217,7 @@ class TieredCache:
                 if not self._degradable(exc):
                     raise
                 return
-            self.persistent_writes += 1
+            self.stats.persistent_writes += 1
 
     def wait_promote(
         self, key: Any, persist_key: str | None, timeout_s: float
@@ -169,7 +240,7 @@ class TieredCache:
             payload = None
         if payload is None:
             return None, False
-        self.persistent_hits += 1
+        self.stats.persistent_hits += 1
         value = self._decode(payload)
         self.memory.put(key, value)
         return value, True

@@ -40,6 +40,7 @@ serialized; only verdicts and covers cross the persistence boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
 
 from ..algebra.instance import DatabaseInstance
@@ -60,7 +61,7 @@ from ..core.chase import (
 from ..core.fd import FD
 from ..core.values import const, is_const
 from ..tableau.tableau import materialize_branch
-from .cache import LRUCache
+from .cache import EngineStats, LRUCache
 
 _MISSING = object()
 
@@ -163,6 +164,11 @@ class BranchPairCache:
     ``enabled=False`` nothing is stored and every layer recomputes — the
     ``--no-cache`` ablation baseline — but the counters still run.
 
+    The counters live on *stats*: the engine hands in its own
+    :class:`~repro.propagation.cache.EngineStats`, which every layer (and
+    each :class:`~repro.kernel.chase.PackedPairRunner`) ticks in place;
+    a standalone cache gets a private one.
+
     *capacity* bounds the **coupled** and **chased** layers with the
     same LRU policy as the engine's verdict/cover memo tiers
     (``cache_size``): those two grow with the diversity of LHS shapes
@@ -171,9 +177,8 @@ class BranchPairCache:
     they can never exceed ``k²``/``k`` entries and the pair loop sweeps
     all of them every query, so an LRU bound below ``k²`` would evict
     each skeleton just before its next use (steady-state thrash, ~0%
-    hit rate).  Evictions are counted per cache (:attr:`evictions`) and
-    folded into
-    :attr:`~repro.propagation.engine.EngineStats.tableau_evictions`.
+    hit rate).  Each eviction ticks
+    :attr:`~repro.propagation.cache.EngineStats.tableau_evictions`.
     An evicted skeleton is at worst rebuilt — correctness never depends
     on residency.
     """
@@ -183,6 +188,7 @@ class BranchPairCache:
         view: ViewLike,
         enabled: bool = True,
         capacity: int | None = None,
+        stats: EngineStats | None = None,
     ) -> None:
         self.view = view
         self.branches = _branches(view)
@@ -193,38 +199,25 @@ class BranchPairCache:
         self.single_chase = not any(
             branch.has_finite_domain_attribute() for branch in self.branches
         )
-        self.chase_invocations = 0
-        self.coupled_hits = 0
-        self.coupled_misses = 0
-        self.chased_hits = 0
-        self.chased_misses = 0
+        self.stats = EngineStats() if stats is None else stats
         self._capacity = capacity
+        evicted = partial(self.stats.tick, "tableau_evictions")
         self._base: LRUCache = LRUCache(None)  # <= k^2 entries, swept whole
         self._single: LRUCache = LRUCache(None)  # <= k entries
-        self._coupled: LRUCache = LRUCache(capacity)
-        self._chased: LRUCache = LRUCache(capacity)
+        self._coupled: LRUCache = LRUCache(capacity, on_evict=evicted)
+        self._chased: LRUCache = LRUCache(capacity, on_evict=evicted)
         self._runners: LRUCache = LRUCache(capacity)  # sigma_key -> runner
-        self._programs: LRUCache = LRUCache(capacity)  # sigma_key -> program
-
-    @property
-    def evictions(self) -> int:
-        """LRU evictions across the bounded tableau layers."""
-        total = (
-            self._coupled.evictions
-            + self._chased.evictions
-            + self._programs.evictions
-        )
-        for runner in self._runners.values():
-            total += runner.evictions
-        return total
+        # sigma_key -> program
+        self._programs: LRUCache = LRUCache(capacity, on_evict=evicted)
 
     def kernel_runner(self, sigma: list, sigma_key: frozenset):
         """The packed pair runner for *sigma* (built once per Sigma).
 
         The runner replaces layers 2-3 for the single-chase fast path: it
         owns the packed templates plus the per-premise-signature outcome
-        cache, and ticks the same coupled/chased counters.  Its outcome
-        caches share the ``capacity`` bound of the layers it replaces.
+        cache, and ticks the same coupled/chased counters on
+        :attr:`stats`.  Its outcome caches share the ``capacity`` bound
+        of the layers it replaces.
         """
         runner = self._runners.get(sigma_key, _MISSING)
         if runner is _MISSING:
@@ -313,9 +306,9 @@ class BranchPairCache:
         if self.enabled:
             prepared = self._coupled.get(key, _MISSING)
             if prepared is not _MISSING:
-                self.coupled_hits += 1
+                self.stats.coupled_hits += 1
                 return prepared
-        self.coupled_misses += 1
+        self.stats.coupled_misses += 1
         base = self.base_pair(i, j)
         if base is None:
             prepared = None
@@ -357,10 +350,10 @@ class BranchPairCache:
         if self.enabled:
             result = self._chased.get(key, _MISSING)
             if result is not _MISSING:
-                self.chased_hits += 1
+                self.stats.chased_hits += 1
                 return result
-        self.chased_misses += 1
-        self.chase_invocations += 1
+        self.stats.chased_misses += 1
+        self.stats.chase_invocations += 1
         result = chase(instance.copy(), sigma)
         if self.enabled:
             self._chased.put(key, result)
@@ -408,7 +401,7 @@ def program_verdict(cache: BranchPairCache, program, phi: CFD) -> bool | None:
         tested += 1
         if not holds:
             break
-    cache.chase_invocations += tested
+    cache.stats.chase_invocations += tested
     return holds
 
 
@@ -536,7 +529,7 @@ def _chase_runs(
 ):
     def count_chase() -> None:
         if cache is not None:
-            cache.chase_invocations += 1
+            cache.stats.chase_invocations += 1
 
     if assume_infinite:
         count_chase()

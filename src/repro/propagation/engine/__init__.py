@@ -11,12 +11,15 @@ mixing three concerns; this package splits them into explicit layers
 - :mod:`.scheduler` — the deterministic **shard plan** of the ``k^2``
   branch-pair chase of union views, which a ``shard_index`` engine
   restricts itself to.
-- :mod:`.core` — the **engine core**: :class:`PropagationEngine` and
-  :class:`EngineStats`, the batch hit/miss partitioning over the tiered
-  caches and the closure fast path.
+- :mod:`.core` — the **engine core**: :class:`PropagationEngine`, the
+  batch hit/miss partitioning over the tiered caches and the closure
+  fast path.  Its counters, :class:`EngineStats`, are declared in
+  :mod:`repro.propagation.cache` so the caches can tick them in place;
+  they are re-exported here.
 """
 
-from .core import EngineStats, PropagationEngine
+from ..cache import EngineStats
+from .core import PropagationEngine
 from .keys import (
     cover_key,
     key_view,

@@ -66,7 +66,6 @@ live either way, which is what the perf-regression tests assert on.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ...algebra.spc import SPCView
@@ -78,7 +77,7 @@ from ...core.mincover import min_cover
 from ...kernel.config import resolve_kernel
 from ...core.values import is_wildcard
 from ...io import dependencies_to_json, dependency_from_json
-from ..cache import TieredCache, view_fingerprint
+from ..cache import EngineStats, TieredCache, view_fingerprint
 from ..check import (
     BranchPairCache,
     Counterexample,
@@ -90,7 +89,6 @@ from ..check import (
     program_verdict,
 )
 from ..cover import prop_cfd_spc, prop_cfd_spc_report
-from ..rbr import RBRStats
 from ..spcu_cover import prop_cfd_spcu
 from ...store import DEFAULT_LEASE_TTL, BlobStore, SqliteStore, open_store
 from .keys import (
@@ -106,80 +104,11 @@ from .keys import (
 )
 from .scheduler import plan_pairs
 
-__all__ = ["EngineStats", "PropagationEngine"]
+__all__ = ["PropagationEngine"]
 
 #: ``_fast_contexts`` caches ``None`` for views off the fast path, so a
 #: lookup needs its own miss marker.
 _NO_CONTEXT = object()
-
-
-@dataclass
-class EngineStats:
-    """Instrumentation counters for one :class:`PropagationEngine`.
-
-    ``chase_invocations`` counts chase runs *launched by check queries*
-    (cache hits launch none); the perf-regression tests bound it by the
-    number of unique closures/LHS shapes in a batch.  A miss decided on a
-    compiled implication program ticks one per conjunct it tests, and no
-    ``coupled``/``chased`` counter (it builds no skeleton).
-    ``verdict_hits``/``cover_hits`` count memory-tier hits; the
-    ``persistent_*`` counters and ``evictions`` mirror the tiered memo
-    caches and ``tableau_evictions`` the LRU-bounded
-    :class:`~repro.propagation.check.BranchPairCache` layers;
-    ``closure_hits``/``closure_misses`` are this engine's window onto
-    the process-wide attribute-closure memo
-    (:func:`repro.core.fd.closure_cache_info`) — deltas since engine
-    construction, so engines sharing the process also share traffic;
-    ``shard_tasks`` counts the miss batches a ``shard_index`` engine
-    decided on a non-empty shard plan.
-    ``pair_chases`` counts pair-restricted chase launches — the misses
-    of the per-pair verdict memo on multi-branch unions, so the
-    delta-restricted share of ``chase_invocations`` is distinguishable.
-    """
-
-    check_queries: int = 0
-    verdict_hits: int = 0
-    closure_fast_path: int = 0
-    closure_hits: int = 0
-    closure_misses: int = 0
-    chase_invocations: int = 0
-    coupled_hits: int = 0
-    coupled_misses: int = 0
-    chased_hits: int = 0
-    chased_misses: int = 0
-    cover_queries: int = 0
-    cover_hits: int = 0
-    persistent_hits: int = 0
-    persistent_misses: int = 0
-    persistent_writes: int = 0
-    evictions: int = 0
-    tableau_evictions: int = 0
-    shard_tasks: int = 0
-    single_flight_waits: int = 0
-    store_errors: int = 0
-    pair_chases: int = 0
-    rbr: RBRStats = field(default_factory=RBRStats)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            "EngineStats("
-            f"check_queries={self.check_queries}, "
-            f"verdict_hits={self.verdict_hits}, "
-            f"closure_fast_path={self.closure_fast_path}, "
-            f"closure={self.closure_hits}h/{self.closure_misses}m, "
-            f"chase_invocations={self.chase_invocations}, "
-            f"coupled={self.coupled_hits}h/{self.coupled_misses}m, "
-            f"chased={self.chased_hits}h/{self.chased_misses}m, "
-            f"cover_queries={self.cover_queries}, cover_hits={self.cover_hits}, "
-            f"persistent={self.persistent_hits}h/{self.persistent_misses}m/"
-            f"{self.persistent_writes}w, "
-            f"evictions={self.evictions}, "
-            f"tableau_evictions={self.tableau_evictions}, "
-            f"shard_tasks={self.shard_tasks}, "
-            f"single_flight_waits={self.single_flight_waits}, "
-            f"store_errors={self.store_errors}, "
-            f"pair_chases={self.pair_chases})"
-        )
 
 
 def _all_wildcard(phi: CFD) -> bool:
@@ -235,10 +164,12 @@ class PropagationEngine:
         LRU capacity of each in-memory memo tier (verdicts and covers
         separately) *and* of the growing tableau layers (coupled
         skeletons, chased results) of the per-view
-        :class:`~repro.propagation.check.BranchPairCache`; ``None``
-        keeps them unbounded.  Evictions are counted in
-        :attr:`EngineStats.evictions` (memo tiers) and
-        :attr:`EngineStats.tableau_evictions` (tableau layers).
+        :class:`~repro.propagation.check.BranchPairCache`, and the
+        number of per-view tableau caches, view fingerprints and union
+        branch-provenance tables kept; ``None`` keeps them unbounded.
+        Evictions are counted in :attr:`EngineStats.evictions` (memo
+        tiers) and :attr:`EngineStats.tableau_evictions` (tableau
+        layers).
     shards:
         The size of the branch-pair shard plan (see :mod:`.scheduler`);
         it only matters together with ``shard_index``.
@@ -312,6 +243,7 @@ class PropagationEngine:
             store=self._store,
             encode=lambda v: "1" if v else "0",
             decode=lambda payload: payload == "1",
+            stats=self.stats,
         )
         self._cover_tier = TieredCache(
             "covers",
@@ -319,11 +251,14 @@ class PropagationEngine:
             store=self._store,
             encode=_encode_cover,
             decode=_decode_cover,
+            stats=self.stats,
         )
         # Each call interns its view's structural key once; every line
         # below is keyed by that int token, never by the nested tuple.
         self._views = ViewTokens()
-        self._pair_caches: dict[int, BranchPairCache] = {}
+        # One tableau cache per view token; its counters tick self.stats,
+        # so an evicted cache takes no history with it.
+        self._pair_caches = LRUCache(capacity=cache_size)
         # Input MinCover per relation: one relation's CFD frozenset ->
         # its minimal cover (see _minimized_sigma).
         self._min_covers = LRUCache(capacity=cache_size)
@@ -348,19 +283,9 @@ class PropagationEngine:
         # touched-relation sets per view token (the whole-view set lives
         # in ``_views``) and the stable fingerprints of the persistent
         # tier.
-        self._branch_touched: dict[int, tuple] = {}
+        self._branch_touched = LRUCache(capacity=cache_size)
         self._prov_fps = LRUCache(capacity=cache_size)
-        self._view_fps: dict[int, str] = {}
-        #: Counter totals of caches no longer tracked (retired by clear()
-        #: or by object turnover, and the throwaway uncached-run caches).
-        self._retired = {
-            "chase_invocations": 0,
-            "coupled_hits": 0,
-            "coupled_misses": 0,
-            "chased_hits": 0,
-            "chased_misses": 0,
-            "tableau_evictions": 0,
-        }
+        self._view_fps = LRUCache(capacity=cache_size)
         #: Process-wide closure-memo counters at construction; the stats
         #: report deltas from here (this engine's window of traffic).
         info = closure_cache_info()
@@ -376,8 +301,6 @@ class PropagationEngine:
         Stats survive, and so does the persistent store: a cleared engine
         re-fills its memory tier from sqlite on the next queries.
         """
-        for cache in self._pair_caches.values():
-            self._retire(cache)
         self._pair_caches.clear()
         self._verdict_tier.clear_memory()
         self._cover_tier.clear_memory()
@@ -471,11 +394,10 @@ class PropagationEngine:
             # chased layer is Sigma-keyed (stale entries unreachable),
             # so the precise sweep leaves them; only the conservative
             # sweep drops whole caches for affected views.
-            for token, cache in list(self._pair_caches.items()):
+            for token in self._pair_caches.keys():
                 touched = touched_of(token)
                 if touched is None or not touched.isdisjoint(affected):
-                    self._retire(cache)
-                    del self._pair_caches[token]
+                    self._pair_caches.discard(token)
         return {"invalidated": invalidated, "retained": retained}
 
     def _persist_fps(
@@ -497,7 +419,7 @@ class PropagationEngine:
         view_fp = self._view_fps.get(token)
         if view_fp is None:
             view_fp = view_fingerprint(view)
-            self._view_fps[token] = view_fp
+            self._view_fps.put(token, view_fp)
         return prov_fp, view_fp
 
     def _memo_settings(self) -> tuple:
@@ -530,14 +452,6 @@ class PropagationEngine:
             self._fast_contexts.put(key, context)
         return context
 
-    def _retire(self, cache: BranchPairCache) -> None:
-        self._retired["chase_invocations"] += cache.chase_invocations
-        self._retired["coupled_hits"] += cache.coupled_hits
-        self._retired["coupled_misses"] += cache.coupled_misses
-        self._retired["chased_hits"] += cache.chased_hits
-        self._retired["chased_misses"] += cache.chased_misses
-        self._retired["tableau_evictions"] += cache.evictions
-
     def _pair_cache(self, view: ViewLike, token: int) -> BranchPairCache:
         cache = self._pair_caches.get(token)
         if cache is None or cache.view is not view:
@@ -545,31 +459,17 @@ class PropagationEngine:
             # SymVars handed out by the view's materialization, so a
             # structurally equal but distinct object gets a fresh cache
             # (the verdict/cover memos still share across objects).
-            if cache is not None:
-                self._retire(cache)
-            cache = BranchPairCache(view, enabled=True, capacity=self.cache_size)
-            self._pair_caches[token] = cache
+            cache = BranchPairCache(
+                view, enabled=True, capacity=self.cache_size, stats=self.stats
+            )
+            self._pair_caches.put(token, cache)
         return cache
 
-    def _sync_pair_stats(self) -> None:
-        live = list(self._pair_caches.values())
-        for name in self._retired:
-            attr = "evictions" if name == "tableau_evictions" else name
-            self.stats.__setattr__(
-                name,
-                self._retired[name] + sum(getattr(c, attr) for c in live),
-            )
+    def _read_closure_window(self) -> None:
+        """Refresh this engine's window onto the process-wide closure memo."""
         info = closure_cache_info()
         self.stats.closure_hits = info.hits - self._closure_base[0]
         self.stats.closure_misses = info.misses - self._closure_base[1]
-
-    def _sync_tier_stats(self) -> None:
-        tiers = (self._verdict_tier, self._cover_tier)
-        self.stats.persistent_hits = sum(t.persistent_hits for t in tiers)
-        self.stats.persistent_misses = sum(t.persistent_misses for t in tiers)
-        self.stats.persistent_writes = sum(t.persistent_writes for t in tiers)
-        self.stats.evictions = sum(t.memory.evictions for t in tiers)
-        self.stats.store_errors = sum(t.store_errors for t in tiers)
 
     # ------------------------------------------------------------------
     # Cross-process single-flight (lease-capable stores).
@@ -610,7 +510,7 @@ class PropagationEngine:
             except Exception as exc:
                 if getattr(exc, "kind", None) != "unavailable":
                     raise
-                tier.store_errors += 1
+                self.stats.store_errors += 1
                 acquired = True
             (owned if acquired else waiters).append(memo_key)
         return owned, waiters
@@ -625,7 +525,7 @@ class PropagationEngine:
         except Exception as exc:
             if getattr(exc, "kind", None) != "unavailable":
                 raise
-            tier.store_errors += 1
+            self.stats.store_errors += 1
 
     def _await_flights(
         self, tier: TieredCache, waiters: list, pending: dict, resolved: dict
@@ -675,7 +575,7 @@ class PropagationEngine:
         sigma = list(sigma)
         if not self.use_cache:
             self.stats.check_queries += len(phis)
-            cache = BranchPairCache(view, enabled=False)
+            cache = BranchPairCache(view, enabled=False, stats=self.stats)
             verdicts = [
                 find_counterexample(
                     sigma,
@@ -688,8 +588,7 @@ class PropagationEngine:
                 is None
                 for phi in phis
             ]
-            self._retire(cache)
-            self._sync_pair_stats()
+            self._read_closure_window()
             return verdicts
 
         sigma_cfds = _as_cfds(sigma)
@@ -770,8 +669,7 @@ class PropagationEngine:
                 for idx in indices:
                     verdicts[idx] = verdict
 
-        self._sync_pair_stats()
-        self._sync_tier_stats()
+        self._read_closure_window()
         return verdicts
 
     def _resolve_check_misses(
@@ -863,7 +761,7 @@ class PropagationEngine:
                 for j in range(k)
             }
             entry = (per_branch, pair_unions)
-            self._branch_touched[token] = entry
+            self._branch_touched.put(token, entry)
         return entry
 
     def _pair_scoped_sigma(
@@ -981,7 +879,7 @@ class PropagationEngine:
             kernel=self.kernel if cache is not None else None,
         )
         if cache is not None:
-            self._sync_pair_stats()
+            self._read_closure_window()
         return witness
 
     # ------------------------------------------------------------------
@@ -1076,8 +974,7 @@ class PropagationEngine:
                 for idx in indices:
                     covers[idx] = list(cover)
 
-        self._sync_pair_stats()
-        self._sync_tier_stats()
+        self._read_closure_window()
         return covers
 
     def _minimized_sigma(

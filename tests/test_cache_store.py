@@ -20,6 +20,7 @@ import pytest
 
 from repro import CFD, FD
 from repro.algebra.spc import RelationAtom, SPCView
+from repro.algebra.spcu import SPCUView
 from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.propagation.cache import (
     LRUCache,
@@ -28,7 +29,7 @@ from repro.propagation.cache import (
     view_fingerprint,
 )
 from repro.propagation.check import _as_cfds
-from repro.propagation.closure_baseline import exponential_family
+from repro.propagation.closure_baseline import exponential_family, union_shard_workload
 from repro.propagation.engine import PropagationEngine, structural_view_key
 from repro.store.sqlite import SCHEMA_VERSION, SqliteStore
 
@@ -315,7 +316,9 @@ def test_bounded_engine_counts_evictions_and_stays_correct():
 
 def test_cache_size_bounds_the_fast_path_and_fingerprint_memos(tmp_path):
     """Each distinct Sigma adds a fast-path context and a provenance
-    fingerprint; ``cache_size`` bounds both like the verdict tier."""
+    fingerprint, and each distinct view a tableau cache, a view
+    fingerprint and (for unions) its branch provenance; ``cache_size``
+    bounds them all like the verdict tier."""
     fds, view, queries = _family(4)
     with PropagationEngine(cache_size=16, cache_dir=str(tmp_path)) as engine:
         for i in range(300):
@@ -330,6 +333,23 @@ def test_cache_size_bounds_the_fast_path_and_fingerprint_memos(tmp_path):
         engine.check(fds, view, queries[0])
         engine.clear()
         assert len(engine._fast_contexts) == len(engine._prov_fps) == 0
+
+        _, union_sigma, union, phis = union_shard_workload()
+        for i in range(300):
+            # Structurally distinct: the first branch's tag moves.
+            first = union.branches[0]
+            tagged = SPCView(
+                "U",
+                first.source_schema,
+                first.atoms,
+                projection=first.projection,
+                constants={"CC": f"t{i}"},
+            )
+            distinct = SPCUView("U", [tagged, *union.branches[1:]])
+            engine.check(union_sigma, distinct, phis[0])
+        assert len(engine._pair_caches) <= 16
+        assert len(engine._view_fps) <= 16
+        assert len(engine._branch_touched) <= 16
 
 
 # ----------------------------------------------------------------------

@@ -251,7 +251,7 @@ def test_kernel_engine_still_counts_chases():
     assert stats.coupled_misses >= stats.coupled_hits * 0  # counters exist
     # Closure-memo counters (PR 9 satellite) are surfaced too.
     assert stats.closure_hits >= 0 and stats.closure_misses >= 0
-    assert "closure=" in repr(stats)
+    assert "closure_hits=" in repr(stats)
 
 
 def test_runner_does_not_keep_its_cache_alive():

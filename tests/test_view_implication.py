@@ -329,7 +329,7 @@ def test_nan_after_a_tested_conjunct_counts_only_the_pair_loop():
     view = _view("R")
     cache = BranchPairCache(view)
     assert find_counterexample(SIGMA, view, phi, cache=cache, kernel="bitset")
-    assert engine.stats.chase_invocations == cache.chase_invocations > 0
+    assert engine.stats.chase_invocations == cache.stats.chase_invocations > 0
 
 
 def test_self_join_stays_on_the_pair_loop():

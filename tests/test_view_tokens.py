@@ -147,7 +147,7 @@ def _memo_lines(service: PropagationService) -> dict:
         lines[index, "prov_fps"] = engine._prov_fps.keys()
         lines[index, "min_covers"] = engine._min_covers.keys()
         lines[index, "pair_sigma"] = list(engine._pair_sigma_intern)
-        lines[index, "pair_caches"] = list(engine._pair_caches)
+        lines[index, "pair_caches"] = engine._pair_caches.keys()
     return lines
 
 
