@@ -21,8 +21,10 @@ constant underscore use ``Const("_")`` explicitly.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from operator import itemgetter
+from typing import Any, Iterable
 
 from .fd import FD
 from .values import (
@@ -51,15 +53,15 @@ def _coerce(entry: Any) -> PatternValue:
 
 
 def _as_items(pattern: Mapping[str, Any] | Iterable[tuple[str, Any]]) -> PatternItems:
-    if isinstance(pattern, Mapping):
+    if type(pattern) is dict or isinstance(pattern, Mapping):
         pairs = pattern.items()
     else:
         pairs = pattern
-    items = tuple(sorted((name, _coerce(entry)) for name, entry in pairs))
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate attributes in pattern: {names}")
-    return items
+    items = [(name, _coerce(entry)) for name, entry in pairs]
+    if len({name for name, _ in items}) != len(items):
+        raise ValueError(f"duplicate attributes in pattern: {sorted(n for n, _ in items)}")
+    # By name only: the names are distinct, and entries need not be ordered.
+    return tuple(sorted(items, key=itemgetter(0)))
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,26 @@ class CFD:
         return cls(relation, {attribute: WILDCARD}, {attribute: value})
 
     @classmethod
+    def _from_items(
+        cls, relation: str, lhs: PatternItems, rhs: PatternItems, equality: bool
+    ) -> "CFD":
+        """A CFD from valid items sorted by name: ``__init__`` minus its checks."""
+        cfd = cls.__new__(cls)
+        cfd._init(relation, lhs, rhs, equality)
+        return cfd
+
+    @classmethod
     def from_fd(cls, fd: FD) -> "CFD":
         """Embed a traditional FD as a CFD with an all-wildcard pattern.
 
-        The FD's attribute tuples are already sorted and duplicate-free,
-        so the items are built directly, without ``__init__``'s checks.
+        The FD's attribute tuples are already sorted and duplicate-free.
         """
-        cfd = cls.__new__(cls)
-        cfd._init(
+        return cls._from_items(
             fd.relation,
             tuple((a, WILDCARD) for a in fd.lhs),
             tuple((b, WILDCARD) for b in fd.rhs),
             False,
         )
-        return cfd
 
     # ------------------------------------------------------------------
     # Accessors.
@@ -334,7 +342,8 @@ class CFD:
         new_rhs = {mapping.get(n, n): e for n, e in self.rhs}
         if len(new_lhs) != len(self.lhs) or len(new_rhs) != len(self.rhs):
             raise ValueError(f"renaming {mapping} collapses attributes of {self}")
-        return CFD(relation or self.relation, new_lhs, new_rhs)
+        lhs, rhs = tuple(sorted(new_lhs.items())), tuple(sorted(new_rhs.items()))
+        return CFD._from_items(relation or self.relation, lhs, rhs, self.is_equality)
 
     def substitute(self, old: str, new: str) -> "CFD | None":
         """Replace attribute *old* by *new* (Lemma 4.3 substitution).
@@ -363,15 +372,18 @@ class CFD:
         rhs = merge(self.rhs)
         if lhs is None or rhs is None:
             return None
-        return CFD(self.relation, lhs, rhs)
+        lhs_items, rhs_items = tuple(sorted(lhs.items())), tuple(sorted(rhs.items()))
+        return CFD._from_items(self.relation, lhs_items, rhs_items, self.is_equality)
 
     def drop_lhs_attribute(self, attribute: str) -> "CFD":
         """The CFD with *attribute* removed from the LHS (pattern included)."""
-        remaining = {n: e for n, e in self.lhs if n != attribute}
-        return CFD(self.relation, remaining, dict(self.rhs))
+        remaining = tuple(item for item in self.lhs if item[0] != attribute)
+        if self.is_equality:  # the public checks reject a lone special RHS
+            return CFD(self.relation, remaining, self.rhs)
+        return CFD._from_items(self.relation, remaining, self.rhs, False)
 
     def with_relation(self, relation: str) -> "CFD":
-        return CFD(relation, dict(self.lhs), dict(self.rhs))
+        return CFD._from_items(relation, self.lhs, self.rhs, self.is_equality)
 
     # ------------------------------------------------------------------
 

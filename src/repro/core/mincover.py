@@ -17,13 +17,13 @@ drop redundant CFDs.  It is used three ways by ``PropCFD_SPC``:
 
 With ``kernel="bitset"`` and no finite-domain attribute, both passes run
 their implication tests on one compiled
-:class:`~repro.kernel.implication.ImplicationProgram` per relation and
-pass — a chase on bitmasks rather than ``SymVar`` cells — instead of
-calling :func:`~repro.core.implication.implies`.  LHS trimming tests
-each candidate as a kept-items mask of its compiled rule against the
-full Sigma; redundancy removal tests each rule with itself retired from
-the alive-rule mask.  The covers are identical; any other setting runs
-the baseline tests.
+:class:`~repro.kernel.implication.ImplicationProgram` per relation — a
+chase on bitmasks rather than ``SymVar`` cells — instead of calling
+:func:`~repro.core.implication.implies`.  LHS trimming tests each
+candidate as a kept-items mask of its compiled rule against the full
+Sigma; redundancy removal re-masks the trimmed rules on the same program
+and tests each rule with itself retired from the alive-rule mask.  The
+covers are identical; any other setting runs the baseline tests.
 """
 
 from __future__ import annotations
@@ -119,12 +119,12 @@ def _trim_lhs(
 
 
 def _min_cover_packed(current: list[CFD]) -> list[CFD] | None:
-    """Both MinCover passes on compiled programs (same cover as baseline).
+    """Both MinCover passes on one compiled program (same cover as baseline).
 
-    Trimming tests each candidate as a kept-items mask of its rule
-    against the full compiled Sigma; redundancy removal compiles the
-    trimmed set once and tests each rule with itself retired from the
-    alive mask.  ``None`` when a constant cannot be keyed.
+    Trimming tests each candidate as a kept-items mask of its rule against
+    the full Sigma; redundancy removal re-masks the trimmed rules, retires
+    copies of earlier ones and tests each in ``repr`` order with itself
+    retired from the alive mask.  ``None`` when a constant cannot be keyed.
     """
     # Imported on use, like the other kernel seams below core.
     from ..kernel.implication import ImplicationProgram
@@ -132,15 +132,19 @@ def _min_cover_packed(current: list[CFD]) -> list[CFD] | None:
     program = ImplicationProgram.compile(current)
     if program is None:
         return None
-    current = [_trim_lhs_packed(phi, rule, program) for rule, phi in enumerate(current)]
-    current = sorted(set(current), key=repr)
-    # Trimming only drops LHS items, so every constant can be keyed.
-    program = ImplicationProgram(current)
-    for rule in range(len(current)):
+    trimmed = [_trim_lhs_packed(phi, rule, program) for rule, phi in enumerate(current)]
+    first: dict[CFD, int] = {}
+    for rule, phi in enumerate(trimmed):
+        if phi is not current[rule]:
+            program.replace(rule, phi)
+        if first.setdefault(phi, rule) != rule:
+            program.retire(rule)  # a duplicate of an earlier rule
+    order = sorted(first.values(), key=lambda rule: repr(trimmed[rule]))
+    for rule in order:
         program.retire(rule)
         if not program.implies_rule(rule):
             program.revive(rule)
-    return [phi for phi, alive in zip(current, program.alive) if alive]
+    return [trimmed[rule] for rule in order if program.alive[rule]]
 
 
 def _trim_lhs_packed(phi: CFD, rule: int, program: "ImplicationProgram") -> CFD:
@@ -168,7 +172,7 @@ def _trim_lhs_packed(phi: CFD, rule: int, program: "ImplicationProgram") -> CFD:
     if kept == len(lhs):
         return phi
     items = tuple(item for position, item in enumerate(lhs) if keep >> position & 1)
-    return CFD(phi.relation, items, phi.rhs)
+    return CFD._from_items(phi.relation, items, phi.rhs, False)
 
 
 def partitioned_min_cover(

@@ -102,20 +102,11 @@ class PackedEquivalenceClasses:
             buckets.setdefault(self._names[self._find(node)], []).append(attribute)
         return [sorted(members) for _, members in sorted(buckets.items())]
 
-    def representative(self, attribute: str, prefer: Iterable[str]) -> str:
-        """The class member used to stand for the class (Figure 2 line 8):
-        a member of *prefer* (the projection list) when one exists."""
-        preferred = set(prefer)
-        root = self._find(self._index[attribute])
-        members = [
-            name
-            for node, name in enumerate(self._names)
-            if self._find(node) == root
-        ]
-        in_y = sorted(m for m in members if m in preferred)
-        if in_y:
-            return in_y[0]
-        return sorted(members)[0]
+    def representatives(self, prefer: Iterable[str]) -> dict[str, str]:
+        """As :meth:`EquivalenceClasses.representatives`."""
+        from ..propagation.eqclasses import _representatives
+
+        return _representatives(self.classes(), prefer)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = []

@@ -83,7 +83,7 @@ class ImplicationProgram:
         names = sorted({name for phi in sigma for name in phi.attributes})
         self.index: dict[str, int] = {name: i for i, name in enumerate(names)}
         self.alive = [True] * len(sigma)
-        self._sigma = sigma
+        self._sigma = list(sigma)
         self._base: tuple | None = None
         self._compile(self._grouping())
 
@@ -146,6 +146,15 @@ class ImplicationProgram:
         """Put a retired rule back."""
         self.alive[rule] = True
         self._changed(rule)
+
+    def replace(self, rule: int, phi: CFD) -> None:
+        """Re-mask non-equality rule *rule* as *phi*, its LHS trimmed."""
+        self._sigma[rule] = phi
+        literal = _literal_table(self._literals, len(self._groups))
+        self._fires[rule], self._couplings[rule], self._goals[rule] = _rule(
+            phi.lhs, phi.rhs_attr, phi.rhs_entry, self._slots, literal
+        )
+        self._base = None
 
     def _changed(self, rule: int) -> None:
         """Drop what toggling *rule* invalidates.

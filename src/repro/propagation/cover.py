@@ -227,11 +227,10 @@ def _apply_domain_constraints(
     conflicting constant conclusion would deny a sub-pattern, which the
     cover drops — see the module docstring).
     """
-    substitution: dict[str, str] = {}
-    for attr in view.extended_attributes():
-        rep = eq.representative(attr, prefer=view.projection)
-        if rep != attr:
-            substitution[attr] = rep
+    reps = eq.representatives(view.projection)
+    substitution = {
+        attr: reps[attr] for attr in view.extended_attributes() if reps[attr] != attr
+    }
 
     result: list[CFD] = []
     seen: set[CFD] = set()

@@ -278,7 +278,7 @@ class PropagationEngine:
         self._branch_covers = LRUCache(capacity=cache_size)
         # Interned pair-scoped Sigma frozensets (see _pair_scoped_sigma):
         # derived values, swept alongside the layers they feed.
-        self._pair_sigma_intern: dict[tuple, frozenset] = {}
+        self._pair_sigma_intern = LRUCache(capacity=cache_size)
         # Pure functions of their keys, memoized: the per-branch
         # touched-relation sets per view token (the whole-view set lives
         # in ``_views``) and the stable fingerprints of the persistent
@@ -373,11 +373,11 @@ class PropagationEngine:
         # scoped Sigma they were derived under moves.  Drop entries
         # whose pair or whose sigma component mentions an affected
         # relation; the rest stay reachable byte-for-byte.
-        for key in list(self._pair_sigma_intern):
+        for key in self._pair_sigma_intern.keys():
             if not key[1].isdisjoint(affected) or any(
                 phi.relation in affected for phi in key[0]
             ):
-                del self._pair_sigma_intern[key]
+                self._pair_sigma_intern.discard(key)
         # Each MinCover line is one relation's CFD group, so its
         # provenance is that single relation; one singleton set per
         # relation keeps the predicate's scoped-Sigma memo warm.
@@ -781,7 +781,7 @@ class PropagationEngine:
             pair_sigma = frozenset(
                 phi for phi in scoped if phi.relation in pair_touched
             )
-            self._pair_sigma_intern[key] = pair_sigma
+            self._pair_sigma_intern.put(key, pair_sigma)
         return pair_sigma
 
     def _check_by_pairs(

@@ -103,15 +103,10 @@ class EquivalenceClasses:
             buckets.setdefault(self.find(attribute), []).append(attribute)
         return [sorted(members) for _, members in sorted(buckets.items())]
 
-    def representative(self, attribute: str, prefer: Iterable[str]) -> str:
-        """The class member used to stand for the class (Figure 2 line 8):
-        a member of *prefer* (the projection list) when one exists."""
-        preferred = set(prefer)
-        members = [a for a in self._parent if self.same(a, attribute)]
-        in_y = sorted(m for m in members if m in preferred)
-        if in_y:
-            return in_y[0]
-        return sorted(members)[0]
+    def representatives(self, prefer: Iterable[str]) -> dict[str, str]:
+        """Each attribute's class representative (Figure 2 line 8): the
+        least member in *prefer* (the projection list), else the least."""
+        return _representatives(self.classes(), prefer)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = []
@@ -120,6 +115,15 @@ class EquivalenceClasses:
             suffix = f"={key!r}" if self.has_key(members[0]) else ""
             parts.append("{" + ",".join(members) + "}" + suffix)
         return "EQ(" + " ".join(parts) + ")"
+
+
+def _representatives(classes: list[list[str]], prefer: Iterable[str]) -> dict[str, str]:
+    preferred = set(prefer)
+    out: dict[str, str] = {}
+    for members in classes:
+        rep = next((m for m in members if m in preferred), members[0])
+        out.update(dict.fromkeys(members, rep))
+    return out
 
 
 def compute_eq(

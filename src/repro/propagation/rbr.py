@@ -85,8 +85,8 @@ def a_resolvent(phi1: CFD, phi2: CFD, attribute: str) -> CFD | None:
             merged[name] = joined
         else:
             merged[name] = entry
-    return CFD(
-        phi2.relation, merged, {phi2.rhs_attr: phi2.rhs_entry}
+    return CFD._from_items(
+        phi2.relation, tuple(sorted(merged.items())), phi2.rhs, False
     ).simplified()
 
 

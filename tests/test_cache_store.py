@@ -317,8 +317,9 @@ def test_bounded_engine_counts_evictions_and_stays_correct():
 def test_cache_size_bounds_the_fast_path_and_fingerprint_memos(tmp_path):
     """Each distinct Sigma adds a fast-path context and a provenance
     fingerprint, and each distinct view a tableau cache, a view
-    fingerprint and (for unions) its branch provenance; ``cache_size``
-    bounds them all like the verdict tier."""
+    fingerprint and (for unions) its branch provenance and interned
+    pair-scoped Sigma sets; ``cache_size`` bounds them all like the
+    verdict tier."""
     fds, view, queries = _family(4)
     with PropagationEngine(cache_size=16, cache_dir=str(tmp_path)) as engine:
         for i in range(300):
@@ -346,10 +347,13 @@ def test_cache_size_bounds_the_fast_path_and_fingerprint_memos(tmp_path):
                 constants={"CC": f"t{i}"},
             )
             distinct = SPCUView("U", [tagged, *union.branches[1:]])
-            engine.check(union_sigma, distinct, phis[0])
+            # A distinct Sigma too: each one interns new pair-scoped sets.
+            spiked = union_sigma + [CFD("R1", {"A": str(i)}, {"D": "9"})]
+            engine.check(spiked, distinct, phis[0])
         assert len(engine._pair_caches) <= 16
         assert len(engine._view_fps) <= 16
         assert len(engine._branch_touched) <= 16
+        assert len(engine._pair_sigma_intern) <= 16
 
 
 # ----------------------------------------------------------------------

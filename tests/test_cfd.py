@@ -1,10 +1,15 @@
 """CFDs: construction, semantics, triviality, attribute surgery."""
 
+import random
+
 import pytest
 
 from repro.core.cfd import CFD
 from repro.core.fd import FD
+from repro.core.mincover import min_cover
 from repro.core.values import Const, SPECIAL, WILDCARD
+from repro.generators import random_cfds, random_schema
+from repro.propagation.rbr import a_resolvent
 
 
 class TestConstruction:
@@ -38,6 +43,21 @@ class TestConstruction:
             CFD("R", {"A": SPECIAL, "B": "_"}, {"C": SPECIAL})
         with pytest.raises(ValueError):
             CFD("R", {"A": "_"}, {"C": SPECIAL})
+
+    @pytest.mark.parametrize(
+        "lhs",
+        [[("A", 1), ("A", 2)], [("A", 1), ("A", "_")], [("A", "_"), ("A", "_")]],
+    )
+    def test_duplicate_attributes_rejected(self, lhs):
+        # Entries of one attribute are never compared: Const has no order.
+        with pytest.raises(ValueError, match="duplicate attributes"):
+            CFD("R", lhs, {"B": "_"})
+        with pytest.raises(ValueError, match="duplicate attributes"):
+            CFD("R", {"B": "_"}, lhs)
+
+    def test_items_sorted_by_name_only(self):
+        phi = CFD("R", [("B", 1), ("A", "a"), ("C", "_")], [("D", 2)])
+        assert phi.lhs_attrs == ("A", "B", "C")
 
     def test_from_fd(self):
         phi = CFD.from_fd(FD("R", ("A",), ("B", "C")))
@@ -225,3 +245,84 @@ class TestSurgery:
     def test_with_relation(self):
         phi = CFD("R", {"A": "_"}, {"B": "_"})
         assert phi.with_relation("V").relation == "V"
+
+
+# ----------------------------------------------------------------------
+# The internal rewrites build CFDs from validated items, skipping the
+# public checks; each must equal the public rebuild of what it returns.
+# ----------------------------------------------------------------------
+
+#: The Section 5 generator seed of the figure benchmarks.
+PAPER_SEED = 20080824
+
+
+def _surgery_inputs() -> list[CFD]:
+    """Fig. 5 generator CFDs (wide and constant-LHS), multi-RHS CFDs and
+    equality forms over the Fig. 5 schema."""
+    schema = random_schema(random.Random(PAPER_SEED), num_relations=10)
+    rng = random.Random(PAPER_SEED + 1)
+    cfds = random_cfds(rng, schema, 60, max_lhs=9, min_lhs=3, var_pct=0.4)
+    cfds += random_cfds(
+        rng, schema, 30, max_lhs=3, min_lhs=0, var_pct=0.5, constant_lhs=True
+    )
+    for relation in list(schema)[:4]:
+        a, b, c, d = rng.sample(relation.attribute_names, 4)
+        cfds.append(CFD.equality(relation.name, a, b))
+        cfds.append(CFD(relation.name, {a: "_", b: rng.randint(1, 3)}, {c: "_", d: 7}))
+    return cfds
+
+
+def _assert_public_rebuild(phi: CFD) -> None:
+    rebuilt = CFD(phi.relation, dict(phi.lhs), dict(phi.rhs))
+    assert phi == rebuilt and hash(phi) == hash(rebuilt)
+    assert repr(phi) == repr(rebuilt)
+    assert phi.attributes == rebuilt.attributes
+    assert phi.is_equality == rebuilt.is_equality
+    if phi.is_normal_form:
+        assert phi.rhs_attr == rebuilt.rhs_attr
+    else:
+        with pytest.raises(ValueError):
+            rebuilt.rhs_attr
+        with pytest.raises(ValueError):
+            phi.rhs_attr
+
+
+def test_internal_rewrites_equal_the_public_rebuild():
+    rng = random.Random(PAPER_SEED + 2)
+    cfds = _surgery_inputs()
+    assert any(phi.is_equality for phi in cfds)
+    assert any(not phi.is_normal_form for phi in cfds)
+    built = []
+    for phi in cfds:
+        names = sorted(phi.attributes)
+        mapping = {n: f"t{rng.randint(0, 2)}.{n}" for n in rng.sample(names, len(names) // 2)}
+        built.append(phi.rename(mapping, relation="V"))
+        built.append(phi.with_relation("V"))
+        for old in names:
+            new = rng.choice(names + ["Z"])
+            substituted = phi.substitute(old, new)
+            if substituted is not None:
+                built.append(substituted)
+        if not phi.is_equality:
+            built.extend(phi.drop_lhs_attribute(name) for name in phi.lhs_attrs)
+    for attribute in sorted({name for phi in cfds for name in phi.attributes}):
+        normal = [n for phi in cfds if not phi.is_equality for n in phi.normalize()]
+        for phi1 in normal:
+            for phi2 in normal:
+                resolvent = a_resolvent(phi1, phi2, attribute)
+                if resolvent is not None:
+                    built.append(resolvent)
+    built.extend(min_cover(cfds, kernel="bitset"))
+    assert len(built) > 1000
+    for phi in built:
+        _assert_public_rebuild(phi)
+
+
+def test_rewrites_that_break_a_cfd_still_raise():
+    phi = CFD("R", {"A": 1, "B": "_"}, {"C": "_"})
+    with pytest.raises(ValueError, match="collapses"):
+        phi.rename({"A": "B"})
+    equality = CFD.equality("R", "A", "B")
+    with pytest.raises(ValueError):
+        equality.drop_lhs_attribute("A")
+    assert equality.drop_lhs_attribute("Z") == equality

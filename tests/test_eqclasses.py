@@ -57,10 +57,17 @@ class TestUnionFind:
         assert ["A", "B"] in classes and ["C"] in classes
 
     def test_representative_prefers_projection(self):
-        eq = EquivalenceClasses(["A", "B"])
+        eq = EquivalenceClasses(["A", "B", "C", "D"])
+        eq.union("C", "A")
         eq.union("A", "B")
-        assert eq.representative("A", prefer=["B"]) == "B"
-        assert eq.representative("A", prefer=[]) == "A"
+        # The least projected member wins, not the root (C) or the least (A).
+        assert eq.find("B") == "C"
+        assert eq.representatives(prefer=["D", "C", "B"]) == {
+            "A": "B", "B": "B", "C": "B", "D": "D"
+        }
+        assert eq.representatives(prefer=[]) == {
+            "A": "A", "B": "A", "C": "A", "D": "D"
+        }
 
 
 class TestComputeEQ:

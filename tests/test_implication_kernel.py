@@ -36,6 +36,7 @@ from repro.core.fd import FD
 from repro.core.implication import implies
 from repro.core.mincover import min_cover
 from repro.core.domains import BOOL
+from repro.core.values import Const
 from repro.core.schema import Attribute, RelationSchema
 from repro.generators import random_cfds, random_schema
 from repro.kernel.implication import ImplicationProgram
@@ -387,6 +388,118 @@ def test_min_cover_byte_identical_with_equality_rules():
         CFD(R, {"C": 1}, {"E": True}),
         CFD(R, {"B": 1.0}, {"E": 1}),
     ])
+
+
+# ----------------------------------------------------------------------
+# One program per MinCover: the redundancy pass re-masks the trimmed
+# rules on the trimming program instead of compiling them again.
+# ----------------------------------------------------------------------
+
+SINGLE_PROGRAM_CORNERS = {
+    # Both rules trim to (C -> D, (_ || 1)); the second copy is retired.
+    "trim-to-duplicate": [
+        CFD(R, {"A": "_", "C": "_"}, {"D": 1}),
+        CFD(R, {"B": "_", "C": "_"}, {"D": 1}),
+        CFD(R, {"D": "_"}, {"E": "_"}),
+    ],
+    # A = B is implied by the two constants, so it is retired and A, B
+    # fall into separate groups: the regroup recompiles the trimmed rule.
+    "equality-retired-regroups": [
+        CFD.equality(R, "A", "B"),
+        CFD(R, {"C": "_"}, {"A": 1}),
+        CFD(R, {"C": "_"}, {"B": True}),
+        CFD(R, {"B": "_", "C": "_", "E": "_"}, {"D": 2}),
+    ],
+    # (A, B=5, E -> C) trims to (A -> C): B, E and the literal B = 5
+    # leave Sigma, and the trimmed rule is then redundant.
+    "trim-loses-attribute-and-literal": [
+        CFD(R, {"A": "_", "B": 5, "E": "_"}, {"C": "_"}),
+        CFD(R, {"A": "_"}, {"D": "_"}),
+        CFD(R, {"D": "_"}, {"C": "_"}),
+    ],
+}
+
+
+def _single_program_effects(sigma: list[CFD]) -> set[str]:
+    """Which of the corners above baseline MinCover meets on *sigma*."""
+    current = sorted(
+        {
+            simple
+            for dep in sigma
+            for phi in dep.normalize()
+            if not (simple := phi.simplified()).is_trivial()
+        },
+        key=repr,
+    )
+    trimmed = [mincover._trim_lhs(phi, current, None) for phi in current]
+
+    def mentions(rules):
+        return {
+            item if isinstance(item[1], Const) else item[0]
+            for phi in rules
+            for item in phi.lhs + phi.rhs
+        }
+
+    effects = set()
+    if len(set(trimmed)) < len(trimmed):
+        effects.add("trim-to-duplicate")
+    if mentions(trimmed) < mentions(current):
+        effects.add("trim-loses-attribute-and-literal")
+    cover = min_cover(sigma)
+    groups = {name: name for phi in current for name in phi.attributes}
+
+    def find(name):
+        while groups[name] != name:
+            name = groups[name]
+        return name
+
+    for phi in cover:
+        if phi.is_equality:
+            groups[find(phi.lhs_attrs[0])] = find(phi.rhs_attr)
+    if any(
+        phi.is_equality and phi not in cover and find(phi.lhs_attrs[0]) != find(phi.rhs_attr)
+        for phi in current
+    ):
+        effects.add("equality-retired-regroups")
+    return effects
+
+
+def _assert_one_program_same_list(sigma: list[CFD], monkeypatch) -> None:
+    """``kernel="bitset"`` returns baseline's list, in order, from one
+    compiled program and no baseline test."""
+    expected = min_cover(sigma, kernel="baseline")
+    programs = []
+    init = ImplicationProgram.__init__
+
+    def counting_init(self, rules):
+        programs.append(len(rules))
+        init(self, rules)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ImplicationProgram, "__init__", counting_init)
+        patch.setattr(mincover, "implies", _refuse)
+        got = min_cover(sigma, kernel="bitset")
+    assert got == expected
+    assert [repr(phi) for phi in got] == [repr(phi) for phi in expected]
+    assert len(programs) == len({phi.relation for phi in sigma})
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_PROGRAM_CORNERS))
+def test_single_program_corner(name, monkeypatch):
+    sigma = SINGLE_PROGRAM_CORNERS[name]
+    assert name in _single_program_effects(sigma)
+    _assert_one_program_same_list(sigma, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_single_program_min_cover_on_seeded_corners(seed, monkeypatch):
+    rng = random.Random(7600 + seed)
+    seen: set[str] = set()
+    for _ in range(120):
+        sigma = _random_sigma(rng, rng.randint(2, 10))
+        seen |= _single_program_effects(sigma)
+        _assert_one_program_same_list(sigma, monkeypatch)
+    assert seen == set(SINGLE_PROGRAM_CORNERS)
 
 
 # ----------------------------------------------------------------------

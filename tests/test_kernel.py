@@ -109,10 +109,11 @@ class TestPackedEquivalenceClasses:
                 assert packed.has_key(a) == base.has_key(a)
         assert packed.classes() == base.classes()
         prefer = rng.sample(attrs, rng.randint(1, len(attrs)))
+        reps = packed.representatives(prefer)
+        assert reps == base.representatives(prefer)
         for attr in attrs:
-            assert packed.representative(attr, prefer) == base.representative(
-                attr, prefer
-            )
+            members = [m for m in attrs if base.same(m, attr)]
+            assert reps[attr] == min([m for m in members if m in prefer] or members)
 
     def test_merge_direction_names_the_root(self):
         packed = PackedEquivalenceClasses(["X", "Y"])

@@ -146,7 +146,7 @@ def _memo_lines(service: PropagationService) -> dict:
         lines[index, "branch_covers"] = engine._branch_covers.keys()
         lines[index, "prov_fps"] = engine._prov_fps.keys()
         lines[index, "min_covers"] = engine._min_covers.keys()
-        lines[index, "pair_sigma"] = list(engine._pair_sigma_intern)
+        lines[index, "pair_sigma"] = engine._pair_sigma_intern.keys()
         lines[index, "pair_caches"] = engine._pair_caches.keys()
     return lines
 
