@@ -16,7 +16,7 @@ Two entry points, following ``bench_server.py``:
   through the shared ``record_point`` series, asserting zero
   disagreements and full corner coverage.
 - **``--smoke``** (pytest-free, for CI): one full-matrix run — engine
-  settings plus the tcp/http/orchestrator/replica endpoints — writing
+  settings plus the tcp/http/replica endpoints — writing
   cases/s, the run digest, and the per-profile corner-hit counters to
   ``BENCH_fuzz.json``, so fuzz throughput is tracked run over run.
 
@@ -44,7 +44,7 @@ SMOKE_CASES = int(os.environ.get("REPRO_FUZZ_CASES", "64") or "64")
 
 #: Engine-settings-only matrix: no sockets, so the pytest leg measures
 #: pure matrix arithmetic rather than loopback latency.
-LOCAL_MATRIX = ["baseline", "cache", "shard-recombine"]
+LOCAL_MATRIX = ["baseline", "cache"]
 
 #: Where ``--smoke`` accumulates its throughput records.
 BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_fuzz.json"

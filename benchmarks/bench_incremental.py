@@ -1,4 +1,4 @@
-"""Incremental-propagation benchmark: delta invalidation + sharded chase.
+"""Incremental-propagation benchmark: delta invalidation + streaming Sigma.
 
 The acceptance experiment for PR 4's provenance-scoped keyspace
 (``docs/incremental.md``): a *multi-relation* workspace is warmed, Sigma
@@ -20,10 +20,6 @@ carries its own ``2^n``-query eta batch):
                             recomputes (no stale reuse).
 - ``delta_sigma (svc)``   — in-process service: warm, diff, re-ask — the
                             unaffected batch answers purely from memory.
-- ``sharded k^2``         — the union-view check on one full engine vs
-                            one ``shard_index`` engine per shard of a
-                            4-way plan: the AND of the shard verdicts
-                            equals the full verdict.
 
 PR 10 adds the streaming-Sigma legs, recorded to ``BENCH_incremental.json``:
 
@@ -40,7 +36,7 @@ PR 10 adds the streaming-Sigma legs, recorded to ``BENCH_incremental.json``:
                              (best-of-reps on both sides).
 
 Run ``python benchmarks/bench_incremental.py --smoke`` for the CI smoke
-mode: the delta, sharding and streaming assertions on a tiny grid, no
+mode: the delta and streaming assertions on a tiny grid, no
 pytest required (exit 0 = pass); the streaming legs are written to
 ``BENCH_incremental.json``.
 """
@@ -68,14 +64,11 @@ from repro.core.cfd import CFD
 from repro.core.fd import FD
 from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.propagation.closure_baseline import exponential_family
-from repro.propagation.engine import PropagationEngine
 
 SIZES = [3, 4]
 RELATIONS = ("R1", "R2")
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
-#: Plan size of the ``shard_index`` recombination leg.
-SHARDS = 4
 STREAM_EDITS = int(os.environ.get("REPRO_STREAM_EDITS", "1000") or "1000")
 
 #: Where the streaming legs accumulate their records.
@@ -325,81 +318,7 @@ def test_delta_sigma_service_answers_unaffected_from_memory():
 
 
 # ----------------------------------------------------------------------
-# Leg 3: sharded k^2 chase on a union view.
-# ----------------------------------------------------------------------
-
-
-def _union_workload(k: int):
-    attrs = ["A", "B", "C", "D"]
-    schema = DatabaseSchema(
-        [RelationSchema(f"S{i}", attrs) for i in range(1, k + 1)]
-    )
-    branches = [
-        SPCView(
-            "U",
-            schema,
-            [RelationAtom(f"S{i}", {a: a for a in attrs})],
-            projection=["A", "B", "CC"],
-            constants={"CC": str(i)},
-        )
-        for i in range(1, k + 1)
-    ]
-    view = SPCUView("U", branches)
-    sigma: list = []
-    for i in range(1, k + 1):
-        sigma.append(FD(f"S{i}", ("A",), ("B",)))
-        sigma.append(CFD(f"S{i}", {"A": "1"}, {"D": "9"}))
-    phis = [CFD("U", {"A": "_"}, {"B": "_"})] + [
-        CFD("U", {"CC": str(i), "A": "_"}, {"B": "_"}) for i in range(1, k + 1)
-    ]
-    return sigma, view, phis
-
-
-def _sharded_union(k: int, shards: int, record=None) -> None:
-    sigma, view, phis = _union_workload(k)
-
-    flat = PropagationEngine()
-    flat_started = time.perf_counter()
-    expected = flat.check_many(sigma, view, phis)
-    flat_elapsed = time.perf_counter() - flat_started
-
-    workers = [
-        PropagationEngine(shards=shards, shard_index=index)
-        for index in range(shards)
-    ]
-    shard_started = time.perf_counter()
-    partial = [worker.check_many(sigma, view, phis) for worker in workers]
-    shard_elapsed = time.perf_counter() - shard_started
-    got = [all(column) for column in zip(*partial)]
-    assert got == expected, "the AND of the shard verdicts must equal the full verdict"
-    assert all(worker.stats.shard_tasks == 1 for worker in workers)
-
-    if record is not None:
-        record(
-            "Sharded k^2 chase (union view)",
-            k,
-            "full engine",
-            flat_elapsed,
-            {"chases": flat.stats.chase_invocations},
-        )
-        record(
-            "Sharded k^2 chase (union view)",
-            k,
-            f"shard_index x{shards} (serial sum)",
-            shard_elapsed,
-            {"chases": sum(w.stats.chase_invocations for w in workers)},
-        )
-
-
-def test_shard_index_verdicts_recombine():
-    from conftest import record_point
-
-    for k in (4, 6):
-        _sharded_union(k, SHARDS, record_point)
-
-
-# ----------------------------------------------------------------------
-# Leg 4: streaming sessions (steady-state latency, retained warmth).
+# Leg 3: streaming sessions (steady-state latency, retained warmth).
 # ----------------------------------------------------------------------
 
 
@@ -460,7 +379,7 @@ def _retained_warmth(edits: int, record=None) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Leg 5: seeded delta vs cold-per-edit on a k-branch union.
+# Leg 4: seeded delta vs cold-per-edit on a k-branch union.
 # ----------------------------------------------------------------------
 
 
@@ -611,9 +530,7 @@ def test_seeded_delta_beats_cold_per_edit():
 def main(argv: list[str]) -> int:
     smoke = "--smoke" in argv
     n = 2 if smoke else SIZES[0]
-    k = 3 if smoke else 4
     _service_delta(n)
-    _sharded_union(k, 2 if smoke else SHARDS)
     if not smoke:
         import tempfile
 
@@ -630,7 +547,6 @@ def main(argv: list[str]) -> int:
     print(
         f"bench_incremental {'smoke ' if smoke else ''}OK: "
         f"delta kept unaffected relations warm (n={n}), "
-        f"shard_index verdicts recombine (k={k}), "
         f"streaming warm path {seeded['speedup']}x over cold per edit"
     )
     return 0

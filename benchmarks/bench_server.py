@@ -24,17 +24,13 @@ Env knobs (``docs/caching.md`` documents the shared ones):
 - ``REPRO_CACHE_DIR`` — forwarded as ``--cache-dir`` (persistent tier);
 - ``REPRO_TRANSPORT`` — ``--smoke`` only: ``ndjson`` (TCP NDJSON,
   default) or ``http`` picks the server transport under test;
-- ``REPRO_WORKERS``   — ``--smoke`` only: > 1 launches that many
-  ``--shard-worker`` servers and runs the 2-phase (cold/warm)
-  :class:`~repro.api.ShardOrchestrator` experiment over a 3-branch
-  union view instead of the single-server throughput loop, asserting
-  the AND-combined verdicts match a single full engine and that the
-  warm fleet answers with zero chases;
-- ``REPRO_KILL_WORKER`` — ``--smoke`` with ``REPRO_WORKERS`` > 1 only:
-  the fault-injection experiment — after the cold fan-out, one worker
-  is hard-killed mid-run and the orchestrator must fail its shard over
-  to the survivors and land the same verdict; recovery latency and the
-  degraded-fleet throughput are recorded to ``BENCH_server.json``;
+- ``REPRO_WORKERS``   — ``--smoke`` only: > 1 runs the fault-injection
+  experiment instead of the single-server throughput loop — that many
+  ``repro serve`` replicas behind a :class:`~repro.api.ReplicaSet`
+  answer a 3-branch union view, one replica is hard-killed mid-run, and
+  the set must fail over to the survivors and keep matching a single
+  endpoint; recovery latency and the degraded-fleet throughput are
+  recorded to ``BENCH_server.json``;
 - ``REPRO_SHARED_STORE`` — ``--smoke`` only: the fleet-shared cache
   experiment (PR 8) — a ``repro store-serve`` blob-store server plus a
   worker answering the cold batch through ``--store-url``, then a
@@ -76,7 +72,6 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 CACHE_DIR = os.environ.get("REPRO_CACHE_DIR") or None
 TRANSPORT = os.environ.get("REPRO_TRANSPORT", "ndjson")
 WORKERS = int(os.environ.get("REPRO_WORKERS", "1") or "1")
-KILL_WORKER = bool(os.environ.get("REPRO_KILL_WORKER"))
 SHARED_STORE = bool(os.environ.get("REPRO_SHARED_STORE"))
 
 #: Where ``--smoke`` accumulates its per-transport throughput records.
@@ -352,77 +347,18 @@ def _union_workload_docs():
     }
 
 
-def _orchestrator_smoke(transport: str, workers: int) -> None:
-    """The 2-phase fleet experiment: cold fan-out, then a warm AND."""
-    from repro.api import CheckRequest, ShardOrchestrator, connect
-
-    docs = _union_workload_docs()
-
-    with connect("local://") as reference:
-        reference.register_schema("default", docs["schema"])
-        reference.register_sigma("default", docs["sigma"])
-        reference.register_view("U", docs["view"])
-        expected = reference.check(CheckRequest(view="U", targets=docs["phis"]))
-
-    procs = []
-    urls = []
-    try:
-        for _ in range(workers):
-            proc, url = _launch_endpoint([], transport, extra=["--shard-worker"])
-            procs.append(proc)
-            urls.append(url)
-        with ShardOrchestrator(urls) as orch:
-            orch.register_schema("default", docs["schema"])
-            orch.register_sigma("default", docs["sigma"])
-            orch.register_view("U", docs["view"])
-            started = time.perf_counter()
-            cold = orch.check(CheckRequest(view="U", targets=docs["phis"]))
-            cold_s = time.perf_counter() - started
-            started = time.perf_counter()
-            warm = orch.check(CheckRequest(view="U", targets=docs["phis"]))
-            warm_s = time.perf_counter() - started
-            assert cold.propagated == expected.propagated, "AND != single engine"
-            assert warm.propagated == expected.propagated
-            assert cold.stats.chases > 0
-            assert warm.stats.chases == 0, "warm fleet must be chase-free"
-            for worker in orch.workers:
-                worker.shutdown()
-    except BaseException:
-        for proc in procs:
-            proc.kill()  # don't mask the real failure with a wait timeout
-        raise
-    for proc in procs:
-        assert proc.wait(timeout=60) == 0
-    _record_bench(
-        f"{transport}-w{workers}",
-        {
-            "transport": transport,
-            "workers": workers,
-            "queries_per_batch": len(docs["phis"]),
-            "cold_s": round(cold_s, 4),
-            "warm_s": round(warm_s, 4),
-            "warm_req_per_s": round(1.0 / warm_s, 1),
-            "cold_chases": cold.stats.chases,
-            "warm_chases": 0,
-        },
-    )
-    print(
-        f"bench_server --smoke OK: {workers}-worker {transport} orchestrator "
-        f"ANDs to the single-engine verdict; cold={cold_s:.3f}s warm={warm_s:.4f}s"
-    )
-
-
 def _failover_smoke(transport: str, workers: int) -> None:
-    """The fault-injection experiment: kill 1 of N workers mid-run.
+    """The fault-injection experiment: kill 1 of N replicas mid-run.
 
-    A shard-worker fleet lands a cold AND-verdict; then the last worker
-    is hard-killed (SIGKILL — no goodbye on the wire) and the batch loop
-    keeps going.  The orchestrator must detect the death, re-plan the
-    dead worker's shard onto the survivors, and land the *same* verdict
-    as a single full engine.  Records the recovery latency (kill to the
-    first correct verdict) and the degraded-fleet throughput.
+    Every replica answers one cold check; then replica 0, the next in
+    the round-robin, is hard-killed (SIGKILL — no goodbye on the wire)
+    and the batch loop
+    keeps going.  The :class:`~repro.api.ReplicaSet` must detect the
+    death, fail the request over to a survivor, and land the *same*
+    verdict as a single endpoint.  Records the recovery latency (kill to
+    the first correct verdict) and the degraded-fleet throughput.
     """
-    from repro.api import CheckRequest, ShardOrchestrator, connect
+    from repro.api import CheckRequest, ReplicaSet, connect
 
     assert workers >= 2, "failover needs a worker to lose and one to keep"
     docs = _union_workload_docs()
@@ -436,42 +372,45 @@ def _failover_smoke(transport: str, workers: int) -> None:
     urls = []
     try:
         for _ in range(workers):
-            proc, url = _launch_endpoint([], transport, extra=["--shard-worker"])
+            proc, url = _launch_endpoint([], transport)
             procs.append(proc)
             urls.append(url)
-        with ShardOrchestrator(urls) as orch:
-            orch.register_schema("default", docs["schema"])
-            orch.register_sigma("default", docs["sigma"])
-            orch.register_view("U", docs["view"])
+        with ReplicaSet(urls) as replicas:
+            replicas.register_schema("default", docs["schema"])
+            replicas.register_sigma("default", docs["sigma"])
+            replicas.register_view("U", docs["view"])
             request = CheckRequest(view="U", targets=docs["phis"])
-            cold = orch.check(request)
-            assert cold.propagated == expected.propagated, "AND != single engine"
+            for _ in range(workers):  # round-robin: one cold check each
+                cold = replicas.check(request)
+                assert cold.propagated == expected.propagated, (
+                    "replica verdict != single endpoint"
+                )
 
-            procs[-1].kill()
-            procs[-1].wait(timeout=60)
+            procs[0].kill()
+            procs[0].wait(timeout=60)
             killed_at = time.perf_counter()
-            recovered = orch.check(request)
+            recovered = replicas.check(request)
             recovery_s = time.perf_counter() - killed_at
             assert recovered.propagated == expected.propagated, (
-                "failover verdict != single engine"
+                "failover verdict != single endpoint"
             )
-            assert orch.failovers >= 1, "the worker death went undetected"
-            assert orch.live_workers() == list(range(workers - 1))
+            assert replicas.failovers >= 1, "the replica death went undetected"
+            assert replicas.live_workers() == list(range(1, workers))
 
             started = time.perf_counter()
             for _ in range(WARM_BATCHES):
-                warm = orch.check(request)
+                warm = replicas.check(request)
                 assert warm.propagated == expected.propagated
             degraded_mean = (time.perf_counter() - started) / WARM_BATCHES
-            assert warm.stats.chases == 0, "degraded fleet must re-warm"
-            failovers = orch.failovers
-            for index in orch.live_workers():
-                orch.workers[index].shutdown()
+            assert warm.stats.chases == 0, "surviving replicas answer warm"
+            failovers = replicas.failovers
+            for index in replicas.live_workers():
+                replicas.workers[index].shutdown()
     except BaseException:
         for proc in procs:
             proc.kill()  # don't mask the real failure with a wait timeout
         raise
-    for proc in procs[:-1]:  # the killed one exits nonzero by design
+    for proc in procs[1:]:  # the killed one exits nonzero by design
         assert proc.wait(timeout=60) == 0
     _record_bench(
         f"{transport}-failover-w{workers}",
@@ -488,7 +427,7 @@ def _failover_smoke(transport: str, workers: int) -> None:
         },
     )
     print(
-        f"bench_server --smoke OK: killed 1/{workers} {transport} workers; "
+        f"bench_server --smoke OK: killed 1/{workers} {transport} replicas; "
         f"verdict still matched, recovery={recovery_s:.3f}s, degraded warm "
         f"{1.0 / degraded_mean:.0f} req/s"
     )
@@ -498,8 +437,8 @@ def main(argv: list[str]) -> int:
     if "--smoke" not in argv:
         print(
             "usage: python benchmarks/bench_server.py --smoke\n"
-            "  (REPRO_TRANSPORT=ndjson|http, REPRO_WORKERS=N, "
-            "REPRO_KILL_WORKER=1 for the fault-injection leg; the pytest "
+            "  (REPRO_TRANSPORT=ndjson|http, REPRO_WORKERS=N > 1 for the "
+            "replica fault-injection leg; the pytest "
             "entry point is `python -m pytest benchmarks/bench_server.py`)",
             file=sys.stderr,
         )
@@ -509,10 +448,8 @@ def main(argv: list[str]) -> int:
     if SHARED_STORE:
         with tempfile.TemporaryDirectory() as workdir:
             _shared_store_smoke(TRANSPORT, Path(workdir))
-    elif WORKERS > 1 and KILL_WORKER:
-        _failover_smoke(TRANSPORT, WORKERS)
     elif WORKERS > 1:
-        _orchestrator_smoke(TRANSPORT, WORKERS)
+        _failover_smoke(TRANSPORT, WORKERS)
     else:
         with tempfile.TemporaryDirectory() as workdir:
             _single_server_smoke(TRANSPORT, Path(workdir))

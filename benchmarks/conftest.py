@@ -134,9 +134,16 @@ def view_cache(source_schema):
 
     Figures 5-7 use block projection (required to reproduce the paper's
     cover magnitudes); Figure 8 uses uniform projection (required to
-    reproduce the survival collapse as |Ec| grows) — see EXPERIMENTS.md
-    for why the paper's underspecified generator cannot satisfy both
-    figures with a single mode.
+    reproduce the survival collapse as |Ec| grows).  The paper does not
+    say how ``Y`` is drawn, and neither mode reproduces all four
+    figures.  Block projection keeps whole relations visible, so source
+    CFDs survive into covers of the sizes Figures 5(b)-7(b) report;
+    under a uniform ``Y`` almost no CFD keeps all its attributes
+    projected and those covers collapse to a handful (see
+    ``random_spc_view``).  Figure 8's decline needs the uniform mode:
+    with ``|Y|`` fixed and the product growing, a uniform ``Y`` drops
+    more of each relation's attributes, so fewer CFDs survive into RBR
+    (see ``bench_fig8.py``).
     """
     cache = {}
 

@@ -7,17 +7,14 @@ stats back.  The same documents travel every wire: ``repro serve``
 (:mod:`repro.api.server`) exposes a warm service over NDJSON (stdio /
 TCP) or HTTP, :func:`connect` opens a typed :class:`Client` on any
 endpoint URL (``local://``, ``tcp://host:port``, ``http://host:port`` —
-:mod:`repro.api.transport`), and a :class:`ShardOrchestrator` fans one
-check across a ``shard_index`` worker fleet and ANDs the partial
-verdicts (:mod:`repro.api.orchestrator`).
+:mod:`repro.api.transport`), and a :class:`ReplicaSet` load-balances
+requests across identical workers (:mod:`repro.api.orchestrator`).
 
 The fleet surface is fault-tolerant: a :class:`RetryPolicy` makes any
 remote transport absorb transient ``unavailable`` failures of idempotent
 requests with bounded exponential backoff (``connect(url, retry=...)``),
-the orchestrator health-checks its workers and **fails a dead worker's
-shards over** to survivors mid-check, and a :class:`ReplicaSet`
-load-balances unsharded requests across identical workers with the same
-mark-dead/mark-alive health model.
+and a :class:`ReplicaSet` health-checks its workers, marks a dead one
+and fails its request over to a survivor mid-call.
 
     >>> from repro.api import CheckRequest, connect
     >>> client = connect("local://")  # or tcp://host:port, http://host:port
@@ -39,7 +36,7 @@ from .errors import (
     KINDS,
     to_api_error,
 )
-from .orchestrator import ReplicaSet, ShardOrchestrator
+from .orchestrator import ReplicaSet
 from .requests import (
     BatchRequest,
     BatchResult,
@@ -108,7 +105,6 @@ __all__ = [
     "ReplicaSet",
     "RequestStats",
     "RetryPolicy",
-    "ShardOrchestrator",
     "SigmaUpdate",
     "TcpTransport",
     "Transport",

@@ -103,10 +103,6 @@ class Client:
         self.transport = transport
         #: The endpoint's wire-protocol version, known after a handshake.
         self.protocol: int | None = None
-        #: Whether the endpoint serves partial shard verdicts
-        #: (``repro serve --shard-worker``); ``None`` before a handshake
-        #: or when the endpoint predates the capability flag.
-        self.shard_worker: bool | None = None
         #: The full capability document of the last handshake ping —
         #: server endpoints advertise ``uptime_s`` and
         #: ``requests_served`` here, which fleet health probes record.
@@ -218,7 +214,6 @@ class Client:
         result = self.ping()
         self.capabilities = dict(result)
         self.protocol = result.get("protocol")
-        self.shard_worker = result.get("shard_worker")
         if self.protocol != PROTOCOL_VERSION:
             spoken = (
                 f"protocol {self.protocol}"

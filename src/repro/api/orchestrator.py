@@ -1,96 +1,53 @@
-"""Fleet orchestration: shard fan-out with failover, replica balancing.
+"""Fleet orchestration: replica balancing with failover.
 
-Two fleet shapes share one health-checked worker pool (:class:`_Fleet`):
+:class:`ReplicaSet` spreads requests over N identical workers (same
+registered workspace): every check / cover / emptiness / batch request
+goes to one live replica, chosen round-robin, and fails over to the
+next one when a replica dies mid-request (idempotent requests only ever
+produce one answer, so re-routing is safe).  A worker is marked dead on
+its first ``unavailable`` failure and skipped until
+:meth:`ReplicaSet.mark_alive` or a successful
+:meth:`ReplicaSet.check_health` ping revives it.  Registrations and
+Sigma diffs fan out to every replica so the fleet stays identical; a
+fan-out that loses workers collects every per-worker failure into one
+typed :class:`~repro.api.ApiError` naming which endpoints died.
 
-- :class:`ShardOrchestrator` — the distributed shard seam made
-  resilient.  The scheduler layer
-  (:mod:`repro.propagation.engine.scheduler`) deals the ``k²``
-  branch-pair chase of a union view into deterministic shards; the
-  ``shard_index`` knob restricts one engine to a single shard, whose
-  verdict means only "no violation inside my shard".  The contract
-  pinned by ``tests/test_incremental.py`` is that the **AND** of all
-  ``shards`` partial verdicts equals the single-engine answer.  The
-  orchestrator runs that contract across endpoints — and keeps running
-  it when endpoints die: the shard-plan width is fixed at the fleet
-  size, so when a worker fails mid-check its ``shard_index`` is
-  **re-planned onto a surviving worker** (same ``shards=N`` plan, so
-  warm shard-scoped memo keys stay valid) and the AND-verdict still
-  lands.  A worker is marked dead on its first ``unavailable`` failure
-  and skipped until :meth:`_Fleet.mark_alive` or a successful
-  :meth:`_Fleet.check_health` ping revives it.
-
-- :class:`ReplicaSet` — the replica mode for *unsharded* traffic: N
-  identical workers (same registered workspace), every check / cover /
-  emptiness / batch request load-balances round-robin across the live
-  replicas and fails over to the next one when a replica dies
-  mid-request (idempotent requests only ever produce one answer, so
-  re-routing is safe).  Registrations and Sigma diffs fan out to every
-  replica so the fleet stays identical.
-
-Construction, registration fan-out, liveness bookkeeping, health
-probes and typed failure aggregation are shared.  A fan-out that loses
-workers no longer surfaces just the first failed future: every
-per-worker failure is collected into one typed
-:class:`~repro.api.ApiError` naming which endpoints died.
-
-    >>> from repro.api import CheckRequest
-    >>> from repro.api.orchestrator import ReplicaSet, ShardOrchestrator
+    >>> from repro.api.orchestrator import ReplicaSet
     >>> # two workers; any mix of local://, tcp://..., http://... URLs
-    >>> orch = ShardOrchestrator(["local://", "local://"])
-    >>> orch.close()
-
-Given N endpoint URLs (``local://`` services, ``repro serve --port``
-NDJSON workers, ``repro serve --transport http`` fleets — mixed freely),
-the shard orchestrator
-
-1. registers the workspace on every worker (:meth:`_Fleet.register` /
-   :meth:`register_schema` / :meth:`register_sigma` /
-   :meth:`register_view` fan out),
-2. dispatches every check with ``shards=N, shard_index=i`` across the
-   live workers — concurrently, one in-flight request per worker — and
-3. ANDs the partial verdicts into the full :class:`~repro.api.Verdict`,
-   summing the per-worker stats deltas (a warm fleet answers with
-   ``stats.chases == 0``: each worker memoizes its shard under
-   shard-scoped keys).
-
-Covers are **not** shard-combinable (a partial engine refuses them), so
-:meth:`ShardOrchestrator.cover` raises a typed error instead of
-returning a silently partial cover; Sigma diffs (:meth:`_Fleet.delta_sigma`)
-fan out to every worker so the fleet's registrations stay consistent.
-
-Remote shard workers must run with ``--shard-worker`` — a normal
-endpoint refuses ``shard_index`` requests so partial verdicts can never
-leak to ordinary clients.  Replicas are normal (full-verdict) endpoints.
+    >>> fleet = ReplicaSet(["local://", "local://"])
+    >>> fleet.close()
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Callable, Sequence, Union
 
 from .client import Client, connect
 from .errors import ApiError, to_api_error
-from .requests import (
-    CheckRequest,
-    Request,
-    RequestStats,
-    Response,
-    SigmaUpdate,
-    UpdateSigmaRequest,
-    Verdict,
-)
+from .requests import Request, Response, SigmaUpdate, UpdateSigmaRequest, Verdict
 
-__all__ = ["ReplicaSet", "ShardOrchestrator"]
+__all__ = ["ReplicaSet"]
 
 Endpoint = Union[str, Client]
 
 
-class _Fleet:
-    """Shared fleet plumbing: workers, liveness, health, typed fan-out.
+class ReplicaSet:
+    """Load-balances requests across identical replicas.
+
+    Every :meth:`submit` (check / cover / emptiness / batch) goes to
+    ONE live replica, chosen round-robin; a replica that fails with
+    ``unavailable`` is marked dead and the request fails over to the
+    next live one within the same call.  Service-level errors
+    (``bad-request``, ``not-found``, ...) re-raise immediately — the
+    endpoint answered, re-routing cannot change the answer.
+
+    Replicas serve the same registered workspace; use
+    :meth:`register_schema` / :meth:`register_sigma` /
+    :meth:`register_view` / :meth:`delta_sigma`, which fan out, to keep
+    them identical.
 
     ``endpoints`` are URLs (connected here, closed by :meth:`close`) or
     live :class:`~repro.api.client.Client` objects (left open — the
@@ -123,9 +80,11 @@ class _Fleet:
         )
         self._health_guard = threading.Lock()
         self._dead: dict[int, str] = {}
-        #: Dead-worker detections so far (each one is work re-planned
+        #: Dead-worker detections so far (each one is work re-routed
         #: onto survivors — the failover counter benches assert on).
         self.failovers = 0
+        self._rr_guard = threading.Lock()
+        self._rr = 0
 
     # ------------------------------------------------------------------
     # Liveness: mark-dead / mark-alive state, ping-driven health checks.
@@ -200,7 +159,7 @@ class _Fleet:
                 "alive": True,
                 "error": None,
             }
-            for key in ("protocol", "shard_worker", "uptime_s", "requests_served"):
+            for key in ("protocol", "uptime_s", "requests_served"):
                 if key in pong:
                     report[key] = pong[key]
             return report
@@ -293,174 +252,8 @@ class _Fleet:
         return self._fan_out(lambda worker, _index: worker.delta_sigma(request))
 
     # ------------------------------------------------------------------
-    # Fleet ops.
+    # Round-robin routing with failover.
     # ------------------------------------------------------------------
-
-    def ping(self) -> list[dict]:
-        return self._fan_out(lambda worker, _index: worker.ping())
-
-    def close(self) -> None:
-        """Shut the thread pool; close the clients this fleet opened."""
-        self._pool.shutdown(wait=True)
-        for client in self._owned:
-            client.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class ShardOrchestrator(_Fleet):
-    """Fans one check across N ``shard_index`` workers, ANDs the verdicts.
-
-    The worker count *is* the shard count — and stays the plan width
-    even after failures, so re-planned shards reuse the same
-    shard-scoped memo keys on whichever worker picks them up.
-    """
-
-    @property
-    def shards(self) -> int:
-        return len(self.workers)
-
-    # ------------------------------------------------------------------
-    # The sharded check, with failover.
-    # ------------------------------------------------------------------
-
-    def check(self, request: CheckRequest) -> Verdict:
-        """Dispatch *request* shard-wise and AND the partial verdicts.
-
-        Shards are dealt round-robin over the live workers (one
-        in-flight request per worker).  A worker that dies mid-check is
-        marked dead and its unfinished shards are re-planned onto the
-        survivors in the next round; the check fails only when a
-        *request-level* error occurs (typed, raised as-is) or no live
-        worker remains (typed ``unavailable`` naming the dead).
-        """
-        if request.shards is not None or request.shard_index is not None:
-            raise ApiError(
-                "bad-request",
-                "the orchestrator assigns shards/shard_index itself; leave "
-                "both unset on the request",
-            )
-        if request.witness:
-            raise ApiError(
-                "bad-request",
-                "witness extraction is not orchestrated yet; ask a single "
-                "full endpoint for the counterexample",
-            )
-        started = time.perf_counter()
-        shards = self.shards
-        remaining = set(range(shards))
-        partials: dict[int, Verdict] = {}
-        while remaining:
-            live = self.live_workers()
-            if not live:
-                with self._health_guard:
-                    dead = dict(self._dead)
-                detail = "; ".join(
-                    f"{self._describe(i)}: {message}"
-                    for i, message in sorted(dead.items())
-                )
-                raise ApiError(
-                    "unavailable",
-                    f"no live workers left for shard(s) "
-                    f"{sorted(remaining)}: {detail}",
-                )
-            assignment: dict[int, list[int]] = {}
-            for offset, shard in enumerate(sorted(remaining)):
-                assignment.setdefault(live[offset % len(live)], []).append(shard)
-            futures = [
-                self._pool.submit(self._run_shards, index, batch, request, shards)
-                for index, batch in assignment.items()
-            ]
-            concurrent.futures.wait(futures)
-            for future in futures:
-                done, error = future.result()
-                for shard, verdict in done.items():
-                    partials[shard] = verdict
-                    remaining.discard(shard)
-                if error is not None:
-                    raise error
-        ordered = [partials[shard] for shard in range(shards)]
-        width = len(ordered[0].propagated)
-        if any(len(partial.propagated) != width for partial in ordered):
-            raise ApiError(
-                "internal",
-                "shard workers disagreed on the verdict width; are all "
-                "endpoints registered with the same workspace?",
-            )
-        combined = [
-            all(partial.propagated[i] for partial in ordered)
-            for i in range(width)
-        ]
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        return Verdict(
-            combined,
-            ordered[0].route,
-            RequestStats.total(
-                [partial.stats for partial in ordered], elapsed_ms=elapsed_ms
-            ),
-        )
-
-    def _run_shards(
-        self,
-        index: int,
-        shard_batch: list[int],
-        request: CheckRequest,
-        shards: int,
-    ) -> tuple[dict[int, Verdict], ApiError | None]:
-        """One worker's slice, sequentially (transports are single-caller).
-
-        Never raises.  ``unavailable`` marks the worker dead and leaves
-        its unfinished shards for the next round's survivors; any other
-        failure is a request-level error returned for the check to
-        surface as-is.
-        """
-        worker = self.workers[index]
-        done: dict[int, Verdict] = {}
-        for shard in shard_batch:
-            try:
-                done[shard] = worker.check(
-                    replace(request, shards=shards, shard_index=shard)
-                )
-            except Exception as exc:  # noqa: BLE001 - per-worker boundary
-                error = to_api_error(exc)
-                if error.kind == "unavailable":
-                    self.mark_dead(index, error)
-                    return done, None
-                return done, error
-        return done, None
-
-    def cover(self, request) -> None:
-        raise ApiError(
-            "bad-request",
-            "covers are not shard-combinable; ask one full (non-shard_index) "
-            "endpoint for the cover",
-        )
-
-
-class ReplicaSet(_Fleet):
-    """Load-balances unsharded requests across identical replicas.
-
-    Every :meth:`submit` (check / cover / emptiness / batch) goes to
-    ONE live replica, chosen round-robin; a replica that fails with
-    ``unavailable`` is marked dead and the request fails over to the
-    next live one within the same call.  Service-level errors
-    (``bad-request``, ``not-found``, ...) re-raise immediately — the
-    endpoint answered, re-routing cannot change the answer.
-
-    Replicas are *full* endpoints serving the same registered workspace
-    (no ``--shard-worker``); use :meth:`register_schema` /
-    :meth:`register_sigma` / :meth:`register_view` /
-    :meth:`delta_sigma`, which fan out, to keep them identical.
-    """
-
-    def __init__(self, endpoints: Sequence[Endpoint], **connect_options) -> None:
-        super().__init__(endpoints, **connect_options)
-        self._rr_guard = threading.Lock()
-        self._rr = 0
 
     def _next_live(self, tried: set[int]) -> int | None:
         live = [i for i in self.live_workers() if i not in tried]
@@ -516,3 +309,22 @@ class ReplicaSet(_Fleet):
     def stats(self) -> dict:
         """One live replica's engine counters (round-robin like queries)."""
         return self._route(lambda worker: worker.stats())
+
+    # ------------------------------------------------------------------
+    # Fleet ops.
+    # ------------------------------------------------------------------
+
+    def ping(self) -> list[dict]:
+        return self._fan_out(lambda worker, _index: worker.ping())
+
+    def close(self) -> None:
+        """Shut the thread pool; close the clients this fleet opened."""
+        self._pool.shutdown(wait=True)
+        for client in self._owned:
+            client.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

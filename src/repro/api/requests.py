@@ -11,8 +11,7 @@ Per-request knobs (``use_cache``, ``max_instantiations``,
 settings"; a non-``None`` value routes the request to a warm engine
 dedicated to that settings combination, so differently-parameterized
 requests never share a cache line (the semantics-bearing settings are
-part of every cache key anyway).  ``shards`` is the plan size of
-``shard_index`` and means nothing without it.
+part of every cache key anyway).
 
 :class:`UpdateSigmaRequest` is the incremental-update path: it applies
 a diff to a *registered* Sigma and selectively invalidates, keeping
@@ -62,14 +61,6 @@ SigmaRef = Union[str, Sequence[DependencyLike], None]
 class _Settings:
     """The per-request engine-setting overrides (``None`` = inherit).
 
-    ``shard_index`` restricts the request to *one* shard of the
-    ``shards``-way branch-pair plan — the distributed scale-out seam.  A
-    ``shard_index`` verdict of ``True`` means only "no violation within
-    this shard"; an orchestrator (:mod:`repro.api.orchestrator`) must
-    AND the verdicts of all ``shards`` workers for the full answer, and
-    such partial verdicts are memoized under shard-scoped keys and never
-    persisted.
-
     ``kernel`` selects the chase implementation (``"bitset"`` — the
     packed fast path — or ``"baseline"``); kernels are answer-identical,
     so unlike the semantics-bearing settings it never enters a cache
@@ -80,8 +71,6 @@ class _Settings:
     use_cache: bool | None = None
     max_instantiations: int | None = None
     assume_infinite: bool | None = None
-    shards: int | None = None
-    shard_index: int | None = None
     kernel: str | None = None
 
 
@@ -172,7 +161,6 @@ class RequestStats:
     memo_hits: int = _sums("verdict_hits", "cover_hits")
     persistent_hits: int = _sums("persistent_hits")
     closure_fast_path: int = _sums("closure_fast_path")
-    shard_tasks: int = _sums("shard_tasks")
     pair_chases: int = _sums("pair_chases")
 
     def to_json(self) -> dict:

@@ -31,10 +31,7 @@ Boundary hygiene: request lines and HTTP bodies larger than
 document (NDJSON framing is lost after an oversized line, so that
 connection then closes); malformed JSON, unknown routes and wrong HTTP
 methods all come back as error documents, never tracebacks or bare
-disconnects.  Per-request ``shard_index`` (partial shard verdicts — the
-distributed-orchestrator seam) is refused unless the server was started
-as a shard worker (``--shard-worker``), so a normal endpoint can never
-leak a partial verdict to a client that expects a full one.
+disconnects.
 """
 
 from __future__ import annotations
@@ -99,9 +96,6 @@ def _error_doc(kind: str, message: str, *, op: str | None = None) -> dict:
 class PropagationServer:
     """Wraps one service with the request loops of every transport.
 
-    ``shard_worker=True`` lets requests carry ``shard_index`` (partial
-    shard verdicts for a :class:`~repro.api.orchestrator.ShardOrchestrator`
-    to AND); the flag is advertised in ``ping`` responses.
     ``max_request_bytes`` bounds a single request document on the wire.
     """
 
@@ -109,11 +103,9 @@ class PropagationServer:
         self,
         service: PropagationService,
         *,
-        shard_worker: bool = False,
         max_request_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
     ) -> None:
         self.service = service
-        self.shard_worker = shard_worker
         self.max_request_bytes = max_request_bytes
         self._locks: dict[tuple, asyncio.Lock] = {}
         self._locks_guard = asyncio.Lock()
@@ -156,33 +148,6 @@ class PropagationServer:
         except Exception:  # noqa: BLE001 - malformed settings
             return [], False
 
-    def _shard_gate(self, doc) -> dict | None:
-        """Refuse ``shard_index`` requests unless serving as shard worker."""
-        if self.shard_worker or not isinstance(doc, Mapping):
-            return None
-
-        def mentions(sub) -> bool:
-            if not isinstance(sub, Mapping):
-                return False
-            if sub.get("shard_index") is not None:
-                return True
-            requests = sub.get("requests")
-            return isinstance(requests, list) and any(
-                mentions(item) for item in requests
-            )
-
-        if not mentions(doc):
-            return None
-        refusal = _error_doc(
-            "bad-request",
-            "this endpoint does not serve partial shard verdicts; start it "
-            "with --shard-worker to accept shard_index requests",
-            op=doc.get("op") if isinstance(doc.get("op"), str) else None,
-        )
-        if "id" in doc:
-            refusal = {"id": doc["id"], **refusal}
-        return refusal
-
     async def handle_request(self, doc) -> dict:
         """Answer one wire document (the transport-independent core).
 
@@ -191,9 +156,6 @@ class PropagationServer:
         handler on a worker thread, and annotates ``ping`` results with
         the server-level capabilities.
         """
-        refusal = self._shard_gate(doc)
-        if refusal is not None:
-            return refusal
         keys, exclusive = self._lock_keys(doc)
         if exclusive:
             # Holding the guard while draining every pool lock blocks
@@ -231,7 +193,6 @@ class PropagationServer:
         if response.get("ok") and response.get("op") == "ping":
             # Health/uptime capabilities: what a fleet's check_health
             # probe records per worker.
-            response["result"]["shard_worker"] = self.shard_worker
             response["result"]["uptime_s"] = round(
                 time.monotonic() - self._started, 3
             )
@@ -516,7 +477,7 @@ def background_server(
 ) -> Iterator[str]:
     """Run a TCP or HTTP endpoint on a daemon thread; yields its URL.
 
-    The in-process fixture behind the endpoint tests, the orchestrator
+    The in-process fixture behind the endpoint tests, the replica
     quickstart and embedded deployments: the caller keeps owning the
     service (and closes it); the context exit stops the listener.
 

@@ -90,14 +90,7 @@ class _Effective:
     use_cache: bool
     max_instantiations: int | None
     assume_infinite: bool
-    shards: int = 1
-    shard_index: int | None = None
     kernel: str | None = None
-
-
-def _shard_key(shards, shard_index) -> tuple | None:
-    """The shard component of the engine-pool key (``None`` = full)."""
-    return None if shard_index is None else (shards, shard_index)
 
 
 def _normalized(dep: DependencyLike) -> list[CFD]:
@@ -166,23 +159,6 @@ class PropagationService:
 
     def _effective(self, request) -> _Effective:
         d = self._defaults
-        shards = 1 if request.shards is None else request.shards
-        # Validated here — not only in PropagationEngine.__init__ — so a
-        # bad value is rejected identically whether the settings combo
-        # resolves to a warm pooled engine or constructs a fresh one.
-        if type(shards) is not int or shards < 1:
-            raise ApiError(
-                "bad-request", f"shards must be a positive integer, got {shards!r}"
-            )
-        shard_index = getattr(request, "shard_index", None)
-        if shard_index is not None and (
-            type(shard_index) is not int or not 0 <= shard_index < shards
-        ):
-            raise ApiError(
-                "bad-request",
-                f"shard_index must be an integer in [0, shards), got "
-                f"{shard_index!r} with shards={shards}",
-            )
         kernel = getattr(request, "kernel", None)
         if kernel is None:
             kernel = d.kernel
@@ -199,27 +175,19 @@ class PropagationService:
             d.assume_infinite
             if request.assume_infinite is None
             else request.assume_infinite,
-            shards,
-            shard_index,
             kernel,
         )
 
     def _engine(self, settings: _Effective) -> PropagationEngine:
-        # `shard_index` and, with it, the plan size `shards` are part of
-        # the key: a shard-restricted engine computes partial verdicts
-        # under shard-scoped memo keys and never persists, so it must not
-        # share an engine object with full requests or with another
-        # plan.  Without `shard_index`, `shards` changes nothing and
-        # stays out of the key.  `kernel` is part of the key too — not
-        # because answers differ (they are byte-identical; it is absent
-        # from every cache key), but because the engine object is pinned
-        # to one implementation, and a request asking for the baseline
-        # oracle must not silently get the packed kernel.
+        # `kernel` is part of the key — not because answers differ (they
+        # are byte-identical; it is absent from every cache key), but
+        # because the engine object is pinned to one implementation, and
+        # a request asking for the baseline oracle must not silently get
+        # the packed kernel.
         key = (
             settings.use_cache,
             settings.max_instantiations,
             settings.assume_infinite,
-            _shard_key(settings.shards, settings.shard_index),
             settings.kernel,
         )
         with self._pool_guard:
@@ -229,8 +197,6 @@ class PropagationService:
                     use_cache=settings.use_cache,
                     max_instantiations=settings.max_instantiations,
                     assume_infinite=settings.assume_infinite,
-                    shards=settings.shards,
-                    shard_index=settings.shard_index,
                     kernel=settings.kernel,
                     **self._engine_opts,
                 )
@@ -255,7 +221,6 @@ class PropagationService:
         use_cache = get("use_cache")
         max_instantiations = get("max_instantiations")
         assume_infinite = get("assume_infinite")
-        shards = get("shards")
         kernel = get("kernel")
         key = (
             d.use_cache if use_cache is None else use_cache,
@@ -263,7 +228,6 @@ class PropagationService:
             if max_instantiations is None
             else max_instantiations,
             d.assume_infinite if assume_infinite is None else assume_infinite,
-            _shard_key(1 if shards is None else shards, get("shard_index")),
             d.kernel if kernel is None else kernel,
         )
         hash(key)  # raises on unhashable garbage values

@@ -40,8 +40,8 @@ Non-idempotent ops (``shutdown``) and service-level errors are never
 retried.
 
 Callers normally do not touch transports directly:
-:func:`repro.api.client.connect` wraps one in the typed SDK, and the
-orchestrator fans one request across many of them.
+:func:`repro.api.client.connect` wraps one in the typed SDK, and a
+:class:`~repro.api.ReplicaSet` spreads requests across many of them.
 """
 
 from __future__ import annotations

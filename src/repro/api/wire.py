@@ -24,10 +24,9 @@ verbatim::
 inline dependency list, or absent for the ``"default"`` registration.
 ``phis`` entries are :mod:`repro.io` dependency documents.  The query ops
 accept the per-request knobs ``use_cache`` / ``max_instantiations`` /
-``assume_infinite`` / ``shards`` / ``shard_index`` (the last one only on
-endpoints serving as shard workers — see
-:class:`~repro.api.server.PropagationServer`).  ``ping`` responses carry
-the wire :data:`PROTOCOL_VERSION` so clients can detect drift.  ``update-sigma`` applies a diff to a
+``assume_infinite`` / ``kernel``; unknown fields are ignored.  ``ping``
+responses carry the wire :data:`PROTOCOL_VERSION` so clients can detect
+drift.  ``update-sigma`` applies a diff to a
 *registered* Sigma (``name`` absent = ``"default"``; ``add``/``remove``
 are dependency-document lists) with selective, provenance-scoped
 invalidation — warm lines for relations the diff does not mention
@@ -107,8 +106,6 @@ _SETTING_FIELDS = (
     "use_cache",
     "max_instantiations",
     "assume_infinite",
-    "shards",
-    "shard_index",
     "kernel",
 )
 

@@ -7,7 +7,7 @@ Drives the library from JSON files (formats in :mod:`repro.io`):
     repro cover   --schema s.json --sigma deps.json --view v.json [--out cover.json]
     repro empty   --schema s.json --sigma deps.json --view v.json
     repro serve   [--schema ... --sigma ... --view ...] [--transport ndjson|http]
-                  [--port N] [--shard-worker]
+                  [--port N]
     repro store-serve [--port N] [--cache-dir DIR | --quota-entries N --quota-ttl S]
     repro validate --schema s.json --rules deps.json --data db.json
     repro repair  --schema s.json --rules deps.json --data db.json [--out fixed.json]
@@ -38,9 +38,7 @@ The input files are registered on the endpoint per invocation (names
 ``"default"``, the view also under its own name), then a typed request
 is submitted and capability-routed server-side.  ``repro serve`` is the
 other half: it keeps one warm service alive behind NDJSON (stdin or
-``--port``) or HTTP (``--transport http``), and ``--shard-worker`` lets
-it answer the partial ``shard_index`` requests a
-:class:`~repro.api.ShardOrchestrator` fans across a fleet.
+``--port``) or HTTP (``--transport http``).
 
 Engine knobs (shared by check / propagate-batch / cover / empty / serve):
 
@@ -287,7 +285,7 @@ def _cmd_empty(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    # Imported here: the fuzz harness pulls in the orchestrator/server
+    # Imported here: the fuzz harness pulls in the replica/server
     # stack, which the data-file subcommands never need.
     from .fuzz import run_fuzz
     from .fuzz.runner import harvest_corpus, replay_corpus
@@ -386,14 +384,13 @@ def _cmd_serve(args) -> int:
         schema=args.schema, sigma=args.sigma, view=args.view
     )
     service = PropagationService(workspace, **_service_options(args))
-    server_options = dict(shard_worker=args.shard_worker)
     try:
         if args.transport == "http":
-            serve_http(service, args.host, args.port or 0, **server_options)
+            serve_http(service, args.host, args.port or 0)
         elif args.port is not None:
-            serve_tcp(service, args.host, args.port, **server_options)
+            serve_tcp(service, args.host, args.port)
         else:
-            serve_stdio(service, **server_options)
+            serve_stdio(service)
     except KeyboardInterrupt:  # pragma: no cover - interactive escape
         pass
     finally:
@@ -734,12 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="TCP bind address (default loopback)"
-    )
-    serve.add_argument(
-        "--shard-worker",
-        action="store_true",
-        help="serve partial shard_index verdicts for a ShardOrchestrator "
-        "fleet (refused otherwise, so partial verdicts never leak)",
     )
     serve.set_defaults(func=_cmd_serve)
 

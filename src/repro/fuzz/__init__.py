@@ -3,10 +3,8 @@
 The correctness-tooling subsystem ROADMAP item 5(b) called for: random
 (schema, Sigma, view, targets) workloads from the Section-5 generators
 are answered by every execution path the system has grown — engine
-settings (cache on/off, kernel, store, Sigma deltas, per-``shard_index``
-AND-recombination) and service endpoints (``local://``,
-``tcp://``, ``http://``, a shard-worker fleet behind
-:class:`~repro.api.orchestrator.ShardOrchestrator`, a
+settings (cache on/off, kernel, store, Sigma deltas) and service
+endpoints (``local://``, ``tcp://``, ``http://``, a
 :class:`~repro.api.orchestrator.ReplicaSet`) — and every answer must be
 byte-identical to the uncached local baseline.  Failing cases shrink to
 minimal replayable JSON repro files under ``tests/fuzz_corpus/``, which

@@ -2,9 +2,8 @@
 
 :class:`MatrixHarness` owns one long-lived runner per matrix entry —
 warm local services for the engine-settings axes, background TCP/HTTP
-endpoints, a two-worker :class:`~repro.api.orchestrator.ShardOrchestrator`
-over ``shard_worker`` servers and a :class:`~repro.api.orchestrator.ReplicaSet`
-— and runs each case's check/cover/emptiness requests through all of
+endpoints and a :class:`~repro.api.orchestrator.ReplicaSet` over both —
+and runs each case's check/cover/emptiness requests through all of
 them.  Results are *canonicalized* (verdict lists, covers as sorted
 canonical-JSON dependency documents, emptiness booleans; typed
 :class:`~repro.api.ApiError` failures collapse to their taxonomy kind)
@@ -13,7 +12,7 @@ transport framing or response field order.
 
 The reference entry is ``baseline``: an uncached local service, i.e. the
 plain single-query procedures of :mod:`repro.propagation` with no memo,
-no parallelism and no shard plan.  Every other entry must match it
+no parallelism.  Every other entry must match it
 exactly.  On top of the differential matrix,
 :func:`closure_oracle_disagreements` checks the FD-over-projection
 fragment against the *independent* textbook closure baseline
@@ -38,7 +37,7 @@ from ..api import (
     UpdateSigmaRequest,
 )
 from ..api.client import connect
-from ..api.orchestrator import ReplicaSet, ShardOrchestrator
+from ..api.orchestrator import ReplicaSet
 from ..api.server import background_server
 from ..core.fd import FD, equivalent, implies
 from ..core.values import is_wildcard
@@ -63,10 +62,8 @@ DEFAULT_MATRIX = (
     "kernel",
     "store",
     "delta",
-    "shard-recombine",
     "tcp",
     "http",
-    "orchestrator",
     "replicas",
 )
 
@@ -102,8 +99,6 @@ def _canonical_cover(cover) -> str:
 
 class _Runner:
     """One matrix entry: typed requests against one execution path."""
-
-    ops: Sequence[str] = _ALL_OPS
 
     def prepare(self, case: dict) -> None:
         """Per-case setup (endpoint entries register the case schema)."""
@@ -145,41 +140,6 @@ class _ServiceRunner(_Runner):
 
     def close(self) -> None:
         self.service.close()
-
-
-class _ShardRecombineRunner(_ServiceRunner):
-    """Per-``shard_index`` partial verdicts ANDed back into full answers.
-
-    The distributed-seam contract: a ``shard_index=i`` verdict means "no
-    violation within shard ``i`` of the ``shards``-way plan", so the AND
-    over all indices must equal the single-engine verdict.  Covers are
-    not shard-combinable (a partial engine refuses them), so this entry
-    checks only.
-    """
-
-    ops = ("check",)
-
-    def __init__(self, shards: int = 4) -> None:
-        super().__init__()
-        self.shards = shards
-
-    def check(self, view, sigma, targets) -> str:
-        combined = [True] * len(list(targets))
-        for index in range(self.shards):
-            verdict = self.service.check(
-                CheckRequest(
-                    view=view,
-                    targets=targets,
-                    sigma=sigma,
-                    shards=self.shards,
-                    shard_index=index,
-                )
-            )
-            combined = [
-                acc and bool(part)
-                for acc, part in zip(combined, verdict.propagated)
-            ]
-        return _canonical({"propagated": combined})
 
 
 class _DeltaRunner(_Runner):
@@ -280,7 +240,8 @@ class _DeltaRunner(_Runner):
 
 
 class _ClientRunner(_Runner):
-    """A typed client over a wire endpoint (``tcp://`` / ``http://``).
+    """A typed client over a wire endpoint (``tcp://`` / ``http://``), or
+    a :class:`ReplicaSet` balancing over both (it mirrors the client).
 
     Views and Sigma travel inline in every request; inline views parse
     against the endpoint's ``"default"`` schema registration, which
@@ -313,60 +274,6 @@ class _ClientRunner(_Runner):
         self.client.close()
 
 
-class _OrchestratorRunner(_Runner):
-    """A shard fleet: partial verdicts recombined *across endpoints*.
-
-    Covers are refused by design (not shard-combinable) and emptiness is
-    not part of the orchestrator surface, so this entry checks only.
-    """
-
-    ops = ("check",)
-
-    def __init__(self, orchestrator: ShardOrchestrator) -> None:
-        self.orchestrator = orchestrator
-
-    def prepare(self, case: dict) -> None:
-        self.orchestrator.register_schema("default", case["schema"])
-
-    def check(self, view, sigma, targets) -> str:
-        verdict = self.orchestrator.check(
-            CheckRequest(view=view, targets=targets, sigma=sigma)
-        )
-        return _canonical({"propagated": list(verdict.propagated)})
-
-    def close(self) -> None:
-        self.orchestrator.close()
-
-
-class _ReplicaRunner(_Runner):
-    """A :class:`ReplicaSet` load-balancing over full-verdict endpoints."""
-
-    def __init__(self, replicas: ReplicaSet) -> None:
-        self.replicas = replicas
-
-    def prepare(self, case: dict) -> None:
-        self.replicas.register_schema("default", case["schema"])
-
-    def check(self, view, sigma, targets) -> str:
-        verdict = self.replicas.check(
-            CheckRequest(view=view, targets=targets, sigma=sigma)
-        )
-        return _canonical({"propagated": list(verdict.propagated)})
-
-    def cover(self, view, sigma) -> str:
-        result = self.replicas.cover(CoverRequest(view=view, sigma=sigma))
-        return _canonical_cover(result.cover)
-
-    def empty(self, view, sigma) -> str:
-        result = self.replicas.emptiness(
-            EmptinessRequest(view=view, sigma=sigma)
-        )
-        return _canonical({"empty": bool(result.empty)})
-
-    def close(self) -> None:
-        self.replicas.close()
-
-
 class MatrixHarness:
     """Every requested matrix entry, built once and kept warm for a run."""
 
@@ -391,11 +298,11 @@ class MatrixHarness:
             self.close()
             raise
 
-    def _endpoint(self, transport: str, **server_options) -> str:
+    def _endpoint(self, transport: str) -> str:
         """Start a background endpoint whose lifetime matches the harness."""
         service = PropagationService()
         self._contexts.append(service)
-        context = background_server(service, transport, **server_options)
+        context = background_server(service, transport)
         url = context.__enter__()
         self._contexts.append(context)
         return url
@@ -427,8 +334,6 @@ class MatrixHarness:
             runners["store"] = _ServiceRunner(store_url=store_url)
         if "delta" in wanted:
             runners["delta"] = _DeltaRunner()
-        if "shard-recombine" in wanted:
-            runners["shard-recombine"] = _ShardRecombineRunner(shards=4)
         tcp_url = http_url = None
         if wanted & {"tcp", "replicas"}:
             tcp_url = self._endpoint("tcp")
@@ -438,17 +343,8 @@ class MatrixHarness:
             runners["tcp"] = _ClientRunner(connect(tcp_url))
         if "http" in wanted:
             runners["http"] = _ClientRunner(connect(http_url))
-        if "orchestrator" in wanted:
-            workers = [
-                self._endpoint("tcp", shard_worker=True) for _ in range(2)
-            ]
-            runners["orchestrator"] = _OrchestratorRunner(
-                ShardOrchestrator(workers)
-            )
         if "replicas" in wanted:
-            runners["replicas"] = _ReplicaRunner(
-                ReplicaSet([tcp_url, http_url])
-            )
+            runners["replicas"] = _ClientRunner(ReplicaSet([tcp_url, http_url]))
 
     # ------------------------------------------------------------------
     # Case evaluation.
@@ -469,9 +365,9 @@ class MatrixHarness:
         """Run one case through every entry.
 
         Returns ``(results, disagreements)`` where ``results`` maps
-        ``config -> op -> canonical string`` (ops an entry does not
-        serve are absent) and ``disagreements`` lists every non-baseline
-        answer that differs from the baseline's for the same op.
+        ``config -> op -> canonical string`` and ``disagreements`` lists
+        every non-baseline answer that differs from the baseline's for
+        the same op.
         """
         schema, sigma, view, targets = parse_case(case)
         results: dict[str, dict[str, str]] = {}
@@ -480,7 +376,7 @@ class MatrixHarness:
             runner.prepare(case)
             results[name] = {
                 op: self._run_op(runner, op, view, sigma, targets)
-                for op in runner.ops
+                for op in _ALL_OPS
             }
         reference = results[BASELINE]
         disagreements = [
@@ -488,7 +384,7 @@ class MatrixHarness:
             for name in self.names
             if name != BASELINE
             for op, answer in results[name].items()
-            if op in reference and answer != reference[op]
+            if answer != reference[op]
         ]
         return results, disagreements
 
@@ -499,7 +395,7 @@ class MatrixHarness:
         runner.prepare(case)
         return {
             op: self._run_op(runner, op, view, sigma, targets)
-            for op in runner.ops
+            for op in _ALL_OPS
         }
 
     # ------------------------------------------------------------------

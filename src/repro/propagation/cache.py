@@ -111,8 +111,7 @@ class EngineStats:
     the process-wide attribute-closure memo
     (:func:`repro.core.fd.closure_cache_info`) — deltas since engine
     construction, read at the end of each call, so engines sharing the
-    process also share traffic; ``shard_tasks`` counts the miss batches
-    a ``shard_index`` engine decided on a non-empty shard plan.
+    process also share traffic.
     ``pair_chases`` counts pair-restricted chase launches — the misses
     of the per-pair verdict memo on multi-branch unions, so the
     delta-restricted share of ``chase_invocations`` is distinguishable.
@@ -135,7 +134,6 @@ class EngineStats:
     persistent_writes: int = 0
     evictions: int = 0
     tableau_evictions: int = 0
-    shard_tasks: int = 0
     single_flight_waits: int = 0
     store_errors: int = 0
     pair_chases: int = 0

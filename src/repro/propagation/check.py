@@ -465,12 +465,12 @@ def find_counterexample(
     the same view (see :class:`BranchPairCache`); it must have been built
     for *view*.
 
-    *pairs* restricts the search to the given ordered branch pairs (the
-    sharded-chase scheduler's knob — see
-    :mod:`repro.propagation.engine.scheduler`): equality-form conjuncts
-    run on the branches of the diagonal pairs present.  ``None`` keeps
-    the full ``k²`` iteration.  A pair-restricted ``None`` result means
-    only "no violation *within these pairs*".
+    *pairs* restricts the search to the given ordered branch pairs:
+    equality-form conjuncts run on the branches of the diagonal pairs
+    present.  ``None`` keeps the full ``k²`` iteration.  A
+    pair-restricted ``None`` result means only "no violation *within
+    these pairs*"; the engine's per-pair verdict memo passes one pair
+    at a time and ANDs the results.
 
     *kernel* — ``"bitset"`` routes eligible pair sweeps through the
     packed runner of :mod:`repro.kernel.chase` (cached single-chase
@@ -698,9 +698,9 @@ def _equality_counterexample(
     if pairs is None:
         indexes = list(range(len(branches)))
     else:
-        # Equality-form conjuncts need one copy per branch; a shard owns
-        # branch i iff it owns the diagonal pair (i, i), so the shards
-        # jointly cover every branch exactly once.
+        # Equality-form conjuncts need one copy per branch; a pair subset
+        # runs branch i iff it holds the diagonal pair (i, i), so subsets
+        # that partition the k² pairs cover every branch exactly once.
         indexes = sorted({i for i, j in pairs if i == j})
     for i in indexes:
         branch = branches[i]

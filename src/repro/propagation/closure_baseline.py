@@ -111,14 +111,13 @@ def example_41_workload(n: int, defeat_fast_path: bool = False):
 
 
 def union_shard_workload():
-    """The 3-branch union workload the shard/orchestrator experiments share.
+    """The 3-branch union workload the fleet experiments share.
 
     A union view ``U`` over relations ``R1``/``R2``/``R3`` (one tagged
-    branch each) whose ``k² = 9`` branch-pair space gives the shard
-    scheduler — and a ``shard_index`` worker fleet — real work to deal,
-    with Sigma spiked per relation so nothing trivializes into the
-    closure fast path.  Defined once so the transport acceptance test
-    and the CI orchestrator smoke provably replay the *same* fleet
+    branch each) whose ``k² = 9`` branch-pair space gives the pair chase
+    real work, with Sigma spiked per relation so nothing trivializes
+    into the closure fast path.  Defined once so the transport tests,
+    the replica failover smoke and perfbench replay the *same*
     workload.
 
     Returns ``(schema, sigma, view, phis)`` objects; callers needing the

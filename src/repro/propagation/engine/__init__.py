@@ -8,9 +8,6 @@ mixing three concerns; this package splits them into explicit layers
   fingerprints, the touched-relation sets recorded from the view's
   chase instance, and the composite cache keys that make Sigma edits
   invalidate only the lines whose provenance they meet.
-- :mod:`.scheduler` — the deterministic **shard plan** of the ``k^2``
-  branch-pair chase of union views, which a ``shard_index`` engine
-  restricts itself to.
 - :mod:`.core` — the **engine core**: :class:`PropagationEngine`, the
   batch hit/miss partitioning over the tiered caches and the closure
   fast path.  Its counters, :class:`EngineStats`, are declared in
@@ -32,7 +29,6 @@ from .keys import (
     touched_relations,
     verdict_key,
 )
-from .scheduler import plan_pairs
 
 __all__ = [
     "EngineStats",
@@ -40,7 +36,6 @@ __all__ = [
     "cover_key",
     "key_view",
     "make_stale_predicate",
-    "plan_pairs",
     "provenance_doc",
     "provenance_fingerprint",
     "relation_fingerprints",

@@ -10,8 +10,7 @@ attribute closures are shared structure.
 
 This module is the *engine core* of the layered
 :mod:`repro.propagation.engine` package; key construction lives in
-:mod:`~repro.propagation.engine.keys` (the provenance layer) and the
-branch-pair shard plan in :mod:`~repro.propagation.engine.scheduler`.
+:mod:`~repro.propagation.engine.keys` (the provenance layer).
 
 :class:`PropagationEngine` answers batches:
 
@@ -51,10 +50,7 @@ hook the delta path calls.
 Each batch is partitioned into *hits* (answered inline from the memory
 tier, the persistent tier, or the closure fast path) and *misses*, which
 resolve sequentially through the shared tableau caches and are written
-back through both tiers.  An engine built with ``shard_index`` evaluates
-only that shard of the ``shards``-way branch-pair plan of union views
-(see :mod:`.scheduler`) — the seam a fleet orchestrator uses to spread
-one wide SPCU query across processes or machines.
+back through both tiers.
 
 ``PropagationEngine(use_cache=False)`` disables every layer (including
 the fast path and the persistent store) and
@@ -102,7 +98,6 @@ from .keys import (
     touched_relations,
     verdict_key,
 )
-from .scheduler import plan_pairs
 
 __all__ = ["PropagationEngine"]
 
@@ -133,9 +128,9 @@ class PropagationEngine:
     use_cache:
         ``False`` gives the uncached ablation baseline: every query runs
         the plain single-query procedure (no tableau reuse, no verdict
-        memo, no closure fast path, no persistent store, no shard
-        restriction).  Verdicts are guaranteed identical either way — the
-        differential tests enforce it.
+        memo, no closure fast path, no persistent store).  Verdicts are
+        guaranteed identical either way — the differential tests enforce
+        it.
     max_instantiations / assume_infinite:
         Defaults forwarded to the underlying decision procedure (the
         finite-domain enumeration cap and the deliberately incomplete
@@ -170,20 +165,6 @@ class PropagationEngine:
         Evictions are counted in :attr:`EngineStats.evictions` (memo
         tiers) and :attr:`EngineStats.tableau_evictions` (tableau
         layers).
-    shards:
-        The size of the branch-pair shard plan (see :mod:`.scheduler`);
-        it only matters together with ``shard_index``.
-    shard_index:
-        Restrict this engine to evaluating *one* shard of the plan —
-        the scale-out seam for distributing one view's pair space
-        across processes or machines.  A shard verdict of ``True``
-        means only "no violation within shard ``shard_index``"; it is
-        memoized under shard-scoped keys and never written to the
-        persistent store, and an orchestrator must AND the verdicts of
-        all ``shards`` engines for the full answer.  Covers are *not*
-        shard-combinable, so :meth:`cover`/:meth:`cover_many` raise on
-        a ``shard_index``-restricted engine rather than return a
-        silently partial cover.
     kernel:
         The chase/closure representation: ``"bitset"`` (the packed
         int-array fast path of :mod:`repro.kernel`) or ``"baseline"``
@@ -207,16 +188,8 @@ class PropagationEngine:
         cache_size: int | None = None,
         store_url: str | None = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
-        shards: int = 1,
-        shard_index: int | None = None,
         kernel: str | None = None,
     ) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be positive, got {shards}")
-        if shard_index is not None and not 0 <= shard_index < shards:
-            raise ValueError(
-                f"shard_index must be in [0, {shards}), got {shard_index}"
-            )
         self.use_cache = use_cache
         self.max_instantiations = max_instantiations
         self.assume_infinite = assume_infinite
@@ -226,8 +199,6 @@ class PropagationEngine:
         #: answer-identical (differential-tested), so cache lines warmed
         #: under one kernel stay valid under the other.
         self.kernel = resolve_kernel(kernel)
-        self.shards = shards
-        self.shard_index = shard_index
         self.cache_size = cache_size
         self.lease_ttl = lease_ttl
         self.stats = EngineStats()
@@ -409,8 +380,8 @@ class PropagationEngine:
         view: ViewLike,
     ) -> tuple[str, str] | None:
         """Stable (provenance, view) fingerprints, or ``None`` when the
-        line must not persist (no store, or a partial shard verdict)."""
-        if self._store is None or self.shard_index is not None:
+        line must not persist (no store)."""
+        if self._store is None:
             return None
         prov_fp = self._prov_fps.get((sigma_key, touched))
         if prov_fp is None:
@@ -421,18 +392,6 @@ class PropagationEngine:
             view_fp = view_fingerprint(view)
             self._view_fps.put(token, view_fp)
         return prov_fp, view_fp
-
-    def _memo_settings(self) -> tuple:
-        """The settings component of memory-tier memo keys.
-
-        A ``shard_index``-restricted engine computes *partial* verdicts,
-        which must never share a line with (or be promoted into) the
-        full-answer keyspace — the shard coordinates join the key.
-        """
-        settings = (self.max_instantiations, self.assume_infinite)
-        if self.shard_index is not None:
-            settings += ("shard", self.shards, self.shard_index)
-        return settings
 
     def _fast_context(
         self,
@@ -483,9 +442,9 @@ class PropagationEngine:
         For each persistable miss, try to acquire its single-flight
         lease on the shared store: winners compute (the *owned* list),
         losers wait for the winner's payload (the *waiters* list).
-        Misses without a persist key — no store, or a shard-restricted
-        engine — and every miss on a lease-less store are owned: no
-        coordination, today's compute-locally behavior.  A store that
+        Misses without a persist key (no store) and every miss on a
+        lease-less store are owned: no coordination, today's
+        compute-locally behavior.  A store that
         fails the lease call degrades the same way (compute locally) —
         lease state is an optimization, never a correctness gate.
         """
@@ -600,7 +559,6 @@ class PropagationEngine:
         cache = self._pair_cache(view, token)
         fps = self._persist_fps(sigma_key, scoped, touched, token, view)
         settings = (self.max_instantiations, self.assume_infinite)
-        memo_settings = self._memo_settings()
 
         def persist_key(phi_cfd: CFD) -> str | None:
             if fps is None:
@@ -613,7 +571,7 @@ class PropagationEngine:
         for idx, phi in enumerate(phis):
             self.stats.check_queries += 1
             phi_cfd = CFD.from_fd(phi) if isinstance(phi, FD) else phi
-            memo_key = (sigma_key, token, phi_cfd, *memo_settings)
+            memo_key = (sigma_key, token, phi_cfd, *settings)
             if memo_key in pending:
                 # Duplicate of an in-flight miss: answered from the memo
                 # once the first occurrence resolves.
@@ -683,9 +641,7 @@ class PropagationEngine:
     ) -> list[bool]:
         """Decide the deduplicated cache misses of one check batch.
 
-        A ``shard_index`` engine checks a multi-branch union only on its
-        one shard of the branch-pair plan.  Otherwise multi-branch
-        unions go through the per-pair verdict memo
+        Multi-branch unions go through the per-pair verdict memo
         (:meth:`_check_by_pairs`), so after a Sigma edit only pairs
         whose provenance meets the edited relation re-chase, and on the
         bitset kernel a single-branch view over distinct relations is
@@ -693,25 +649,6 @@ class PropagationEngine:
         (:meth:`BranchPairCache.implication_program`).
         """
         if isinstance(view, SPCUView) and len(view.branches) > 1:
-            if self.shard_index is not None:
-                plan = plan_pairs(len(view.branches), self.shards)[self.shard_index]
-                if not plan:  # a shard beyond the pair space: no violations
-                    return [True] * len(miss_phis)
-                self.stats.shard_tasks += 1
-                return [
-                    find_counterexample(
-                        scoped,
-                        view,
-                        phi_cfd,
-                        max_instantiations=self.max_instantiations,
-                        assume_infinite=self.assume_infinite,
-                        cache=cache,
-                        pairs=plan,
-                        kernel=self.kernel,
-                    )
-                    is None
-                    for phi_cfd in miss_phis
-                ]
             return [
                 self._check_by_pairs(scoped, sigma_key, view, token, cache, phi_cfd)
                 for phi_cfd in miss_phis
@@ -814,7 +751,7 @@ class PropagationEngine:
         k = len(branches)
         projection = set(branches[0].projection)
         per_branch, pair_unions = self._branch_provenance(view, token)
-        settings = self._memo_settings()
+        settings = (self.max_instantiations, self.assume_infinite)
         for normal in phi_cfd.normalize():
             if normal.is_trivial():
                 continue
@@ -908,20 +845,9 @@ class PropagationEngine:
         :meth:`check_many`, the batch partitions into tier hits and
         misses.
         """
-        if self.shard_index is not None:
-            # SPCU candidate verification would funnel through the
-            # pair-restricted checker, whose partial verdicts are not
-            # AND-combinable into a cover — fail loudly instead of
-            # returning a silently wrong one.
-            raise ValueError(
-                "covers are not available on a shard_index-restricted "
-                "engine: partial shard verdicts cannot be combined into "
-                "a cover; use a full engine (shard_index=None)"
-            )
         sigma = list(sigma)
         sigma_cfds = _as_cfds(sigma)
         settings = (self.max_instantiations, self.assume_infinite)
-        memo_settings = self._memo_settings()
         covers: list[list[CFD] | None] = [None] * len(views)
         # Misses, deduplicated: memo key -> (view, persist key, indices).
         pending: dict[tuple, tuple[ViewLike, str | None, list[int]]] = {}
@@ -934,7 +860,7 @@ class PropagationEngine:
             touched = self._views.touched(token)
             scoped = scoped_sigma(sigma_cfds, touched)
             sigma_key = frozenset(scoped)
-            memo_key = (sigma_key, token, *memo_settings)
+            memo_key = (sigma_key, token, *settings)
             if memo_key in pending:
                 self.stats.cover_hits += 1
                 pending[memo_key][2].append(idx)

@@ -88,7 +88,6 @@ def test_tcp_round_trip_matches_in_process_answers():
         pong = (await client.call({"id": 0, "op": "ping"}))["result"]
         assert pong["pong"] is True
         assert pong["protocol"] == PROTOCOL_VERSION
-        assert pong["shard_worker"] is False  # not started with --shard-worker
         for kind, name, doc in [
             ("schema", "default", SCHEMA_DOC),
             ("sigma", "default", SIGMA_DOC),

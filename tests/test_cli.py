@@ -531,15 +531,13 @@ class TestServeParser:
         args = build_parser().parse_args(["serve", "--port", "0"])
         assert args.command == "serve"
         assert args.schema is None and args.port == 0
-        assert args.transport == "ndjson" and args.shard_worker is False
+        assert args.transport == "ndjson"
 
-    def test_serve_http_shard_worker_flags_parse(self):
+    def test_serve_http_flags_parse(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve", "--transport", "http", "--shard-worker"]
-        )
-        assert args.transport == "http" and args.shard_worker is True
+        args = build_parser().parse_args(["serve", "--transport", "http"])
+        assert args.transport == "http"
 
     def test_no_direct_procedure_imports_left_in_cli(self):
         """cli.py is a thin client: every query routes via repro.api."""

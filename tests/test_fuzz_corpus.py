@@ -5,7 +5,7 @@ the fuzzer once flagged or anchored (see ``docs/fuzzing.md``).  Replay
 asserts three things per file, against one warm full matrix shared by
 the module:
 
-- every matrix entry (engine settings, transports, orchestrator,
+- every matrix entry (engine settings, transports,
   replicas) answers byte-identically to the uncached local baseline;
 - the independent closure-baseline oracle agrees on the
   FD-over-projection fragment;

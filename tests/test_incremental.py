@@ -1,4 +1,4 @@
-"""Incremental propagation: provenance keys, delta invalidation, sharding.
+"""Incremental propagation: provenance keys, delta invalidation, union covers.
 
 The PR 4 obligations (see ``docs/incremental.md``):
 
@@ -11,10 +11,8 @@ The PR 4 obligations (see ``docs/incremental.md``):
    in-memory LRU tiers (same engine) and across real processes through
    the sqlite store (persistent hits > 0, chases = 0), while queries on
    the edited relation recompute (no stale reuse).
-3. *Shard recombination* — one ``shard_index`` engine per shard of an
-   ``S``-way plan: the AND of their partial verdicts equals the
-   unsharded verdict, for every plan size (including ``S > k²``, where
-   the shards past the pair space are empty and answer ``True``).
+3. *Union covers* — the cached engine's cover of a 3-branch union
+   equals the uncached one, and every member propagates.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from repro.api import (
 from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.propagation.engine import (
     PropagationEngine,
-    plan_pairs,
     provenance_fingerprint,
     relation_fingerprints,
     scoped_sigma,
@@ -131,26 +128,6 @@ def test_provenance_distinguishes_empty_from_untouched():
     assert provenance_fingerprint([], only_r1) != provenance_fingerprint(
         cfds, only_r1
     )
-
-
-def test_plan_pairs_is_deterministic_and_exhaustive():
-    for k in (1, 2, 3, 5):
-        for shards in (1, 2, 4, k * k, k * k + 3):
-            plans = plan_pairs(k, shards)
-            assert len(plans) == shards
-            flat = [pair for plan in plans for pair in plan]
-            assert sorted(flat) == [(i, j) for i in range(k) for j in range(k)]
-            assert plans == plan_pairs(k, shards)  # deterministic
-            # Diagonal pairs carry the equality-form work; they must
-            # land on min(k, shards) distinct shards, never cluster
-            # (regression: a row-major stride parks all of them in
-            # shard 0 whenever shards divides k + 1, e.g. k=3/shards=4).
-            owners = {
-                s for s, plan in enumerate(plans) for i, j in plan if i == j
-            }
-            assert len(owners) == min(k, shards)
-    with pytest.raises(ValueError):
-        plan_pairs(2, 0)
 
 
 # ----------------------------------------------------------------------
@@ -304,25 +281,6 @@ def test_delta_sigma_spares_other_sigmas_emptiness_memo():
     assert after.empty == before.empty
 
 
-def test_bad_shards_is_rejected_warm_or_cold():
-    """A bad per-request shards value must fail identically whether the
-    settings combo maps to a warm pooled engine or a fresh one."""
-    from repro.api import ApiError
-
-    schema = _schema(("R1",))
-    service = PropagationService(_workspace_small(schema, [FD("R1", ("A",), ("C",))]))
-    phi = [FD("VR1", ("A",), ("C",))]
-    for bad in (0, -1, "4", True):
-        with pytest.raises(ApiError) as err:
-            service.check(CheckRequest(view="VR1", targets=phi, shards=bad))
-        assert err.value.kind == "bad-request"
-    # Warm the default combo, then retry the bad values: same rejection.
-    assert service.check(CheckRequest(view="VR1", targets=phi)).propagated
-    for bad in (0, "4"):
-        with pytest.raises(ApiError):
-            service.check(CheckRequest(view="VR1", targets=phi, shards=bad))
-
-
 def test_delta_sigma_unknown_name_is_not_found():
     from repro.api import ApiError
 
@@ -465,7 +423,7 @@ def _workspace_small(schema, sigma) -> Workspace:
 
 
 # ----------------------------------------------------------------------
-# 3. Shard-count invariance.
+# 3. Union covers.
 # ----------------------------------------------------------------------
 
 
@@ -482,180 +440,16 @@ def _union_workload(schema):
     return sigma, view, phis
 
 
-def _recombined(sigma, view, phis, shards):
-    """One ``shard_index`` engine per shard; returns the AND of their
-    verdicts, each engine's partial verdicts, and the engines."""
-    workers = [
-        PropagationEngine(shards=shards, shard_index=index)
-        for index in range(shards)
-    ]
-    partial = [worker.check_many(sigma, view, phis) for worker in workers]
-    return [all(column) for column in zip(*partial)], partial, workers
-
-
-@pytest.mark.parametrize("shards", [2, 4, 9, 16])
-def test_sharded_verdicts_match_unsharded(shards):
-    schema = _schema()
-    sigma, view, phis = _union_workload(schema)
-    expected = PropagationEngine().check_many(sigma, view, phis)
-    assert PropagationEngine(use_cache=False).check_many(sigma, view, phis) == expected
-
-    combined, partial, workers = _recombined(sigma, view, phis, shards)
-    assert combined == expected
-    pairs = len(view.branches) ** 2
-    for index, worker in enumerate(workers):
-        if index < pairs:
-            # The worker chased its own shard of the plan.
-            assert worker.stats.shard_tasks == 1
-            assert worker.stats.chase_invocations > 0
-        else:
-            # A shard past the k² pair space is empty: no violation.
-            assert partial[index] == [True] * len(phis)
-            assert worker.stats.shard_tasks == 0
-            assert worker.stats.chase_invocations == 0
-        # Second ask: pure memory hits, no new shard work.
-        tasks = worker.stats.shard_tasks
-        assert worker.check_many(sigma, view, phis) == partial[index]
-        assert worker.stats.shard_tasks == tasks
-        assert worker.stats.verdict_hits >= len(phis)
-        worker.close()
-
-
-def test_sharded_covers_match_unsharded():
-    """Covers are not shard-combinable, but their members are: every CFD
-    of the full engine's cover recombines to ``True`` across the
-    ``shard_index`` engines, alongside the workload's refuted targets."""
+def test_union_cover_matches_uncached():
+    """The cached cover of a union equals the uncached one, every member
+    propagates, and the workload's refuted targets still fail."""
     schema = _schema()
     sigma, view, phis = _union_workload(schema)
     full = PropagationEngine()
     cover = full.cover(sigma, view)
     assert cover and cover == PropagationEngine(use_cache=False).cover(sigma, view)
-    targets = cover + phis
-    expected = full.check_many(sigma, view, targets)
+    expected = full.check_many(sigma, view, cover + phis)
     assert all(expected[: len(cover)]) and not all(expected)
-    for shards in (3, 4):
-        combined, _, workers = _recombined(sigma, view, targets, shards)
-        assert combined == expected
-        for worker in workers:
-            worker.close()
-
-
-def test_shard_index_scale_out_combines_to_the_full_verdict():
-    """shards engines, one shard each: AND of the partial verdicts equals
-    the unsharded answer (the distributed-orchestrator contract)."""
-    schema = _schema()
-    sigma, view, phis = _union_workload(schema)
-    expected = PropagationEngine(shards=1).check_many(sigma, view, phis)
-    shards = 3
-    workers = [
-        PropagationEngine(shards=shards, shard_index=index)
-        for index in range(shards)
-    ]
-    partial = [worker.check_many(sigma, view, phis) for worker in workers]
-    combined = [
-        all(partial[s][idx] for s in range(shards)) for idx in range(len(phis))
-    ]
-    assert combined == expected
-    for worker in workers:
-        worker.close()
-
-
-def test_shard_index_verdicts_never_persist(tmp_path):
-    """Partial shard verdicts must not poison the shared store."""
-    schema = _schema()
-    sigma, view, phis = _union_workload(schema)
-    expected = PropagationEngine(shards=1).check_many(sigma, view, phis)
-    with PropagationEngine(
-        shards=3, shard_index=0, cache_dir=str(tmp_path)
-    ) as partial:
-        partial.check_many(sigma, view, phis)
-        assert partial.stats.persistent_writes == 0
-    with PropagationEngine(cache_dir=str(tmp_path)) as full:
-        assert full.check_many(sigma, view, phis) == expected
-        assert full.stats.persistent_hits == 0  # nothing partial to reuse
-
-
-def test_shard_knob_validation():
-    with pytest.raises(ValueError):
-        PropagationEngine(shards=0)
-    with pytest.raises(ValueError):
-        PropagationEngine(shards=2, shard_index=2)
-    with pytest.raises(ValueError):
-        PropagationEngine(shard_index=1)  # shards defaults to 1
-
-
-def test_shard_index_engine_refuses_covers():
-    """Partial shard verdicts are not AND-combinable into a cover, so a
-    shard_index-restricted engine must fail loudly instead of returning
-    a silently partial one."""
-    schema = _schema()
-    sigma, view, _ = _union_workload(schema)
-    partial = PropagationEngine(shards=3, shard_index=0)
-    with pytest.raises(ValueError, match="shard_index"):
-        partial.cover(sigma, view)
-
-
-def test_per_request_shards_share_one_warm_engine():
-    """Without `shard_index`, `shards` changes nothing, so requests with
-    different plan sizes hit one engine's warm memo tiers."""
-    schema = _schema()
-    sigma, view, phis = _union_workload(schema)
-    workspace = Workspace()
-    workspace.add_schema("default", schema)
-    workspace.add_sigma("default", sigma)
-    workspace.add_view("U", view)
-    service = PropagationService(workspace)
-
-    cold = service.check(CheckRequest(view="U", targets=phis, shards=4))
-    assert cold.stats.chases > 0 and cold.stats.shard_tasks == 0
-    warm = service.check(CheckRequest(view="U", targets=phis, shards=1))
-    assert warm.propagated == cold.propagated
-    assert warm.stats.chases == 0
-    assert warm.stats.memo_hits == len(set(phis))
-
-
-def test_shard_plans_get_distinct_engines():
-    """Two plan sizes at one `shard_index` dispatch to distinct pooled
-    engines whose plan never changes, and each plan's partial verdicts
-    AND back to the full verdict — interleaving them on one service must
-    not re-plan a shared engine."""
-    schema = _schema()
-    sigma, view, phis = _union_workload(schema)
-    workspace = Workspace()
-    workspace.add_schema("default", schema)
-    workspace.add_sigma("default", sigma)
-    workspace.add_view("U", view)
-    service = PropagationService(workspace)
-    expected = service.check(CheckRequest(view="U", targets=phis)).propagated
-
-    requests = {
-        (shards, index): CheckRequest(
-            view="U", targets=phis, shards=shards, shard_index=index
-        )
-        for shards in (2, 3)
-        for index in range(shards)
-    }
-    engines = {
-        plan: service._engine(service._effective(request))
-        for plan, request in requests.items()
-    }
-    assert engines[2, 0] is not engines[3, 0]
-    assert len({id(engine) for engine in engines.values()}) == len(requests)
-    assert service.pool_key({"shards": 2, "shard_index": 0}) != service.pool_key(
-        {"shards": 3, "shard_index": 0}
-    )
-    assert service.pool_key({"shards": 2}) == service.pool_key({"shards": 3})
-
-    partial: dict[int, list[list[bool]]] = {2: [], 3: []}
-    for index in range(3):  # interleave the two plans on one service
-        for shards in (2, 3):
-            if index < shards:
-                result = service.check(requests[shards, index])
-                partial[shards].append(list(result.propagated))
-            for (plan, _), engine in engines.items():
-                assert engine.shards == plan
-    for shards, verdicts in partial.items():
-        assert [all(column) for column in zip(*verdicts)] == list(expected)
 
 
 def test_provenance_and_legacy_keys_share_one_derivation():

@@ -151,12 +151,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown kernel"):
             PropagationEngine(kernel="turbo")
 
-    def test_kernel_is_not_a_memo_setting(self):
+    def test_kernel_is_not_a_memo_setting(self, tmp_path):
         # Answer-identical kernels share warm lines: the kernel must not
-        # enter the memo/persist key material.
-        for name in KERNELS:
-            engine = PropagationEngine(kernel=name)
-            assert engine._memo_settings() == PropagationEngine()._memo_settings()
+        # enter the key material, so a line persisted under one kernel
+        # is a hit under the other.
+        from repro.propagation.closure_baseline import example_41_workload
+
+        view, sigma, queries = example_41_workload(3, defeat_fast_path=True)
+        with PropagationEngine(kernel="bitset", cache_dir=str(tmp_path)) as warm:
+            expected = warm.check_many(sigma, view, queries)
+        with PropagationEngine(kernel="baseline", cache_dir=str(tmp_path)) as other:
+            assert other.check_many(sigma, view, queries) == expected
+            assert other.stats.persistent_hits > 0
+            assert other.stats.chase_invocations == 0
 
 
 # ----------------------------------------------------------------------

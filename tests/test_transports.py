@@ -1,4 +1,4 @@
-"""URL-addressed endpoints: transports, client SDK, orchestrator, boundary.
+"""URL-addressed endpoints: transports, client SDK, replicas, boundary.
 
 The PR 5 obligations:
 
@@ -6,9 +6,9 @@ The PR 5 obligations:
    Example 4.1 batch yield **identical** verdict and cover documents
    via ``local://``, ``tcp://`` and ``http://`` endpoints (stats equal
    up to wall time).
-2. *Distributed shard orchestrator* — a 2-worker ``shard_index`` fleet
-   (one NDJSON worker, one HTTP worker) ANDs its partial verdicts to
-   the single-engine answer, with **zero chases** on the warm leg.
+2. *Ignored legacy fields* — a ``check`` document still carrying the
+   retired ``shards`` / ``shard_index`` fields gets the full verdict,
+   on the same engine pool as one without them.
 3. *Boundary hygiene* — truncated NDJSON, oversized request bodies, bad
    HTTP methods/paths and unknown URL schemes each surface a typed
    :class:`~repro.api.ApiError` (or error document), never a traceback;
@@ -18,7 +18,7 @@ The PR 6 failure matrix (section 4): :class:`~repro.api.RetryPolicy`
 backoff semantics and the flaky-transport retry loop; the
 ``TcpTransport`` broken-socket reset and ``HttpTransport`` gateway-5xx
 classification bugfixes; aggregated fleet failures naming every dead
-endpoint; kill-a-worker shard **failover**; and
+endpoint; kill-a-replica **failover**; and
 :class:`~repro.api.ReplicaSet` load balancing + dead-replica rerouting.
 """
 
@@ -44,7 +44,6 @@ from repro.api import (
     ReplicaSet,
     RequestStats,
     RetryPolicy,
-    ShardOrchestrator,
     Transport,
     UpdateSigmaRequest,
     background_server,
@@ -221,110 +220,26 @@ def test_update_sigma_round_trips_typed_over_http():
 
 
 # ----------------------------------------------------------------------
-# 2. The distributed shard orchestrator.
+# 2. Ignored legacy fields.
 # ----------------------------------------------------------------------
 
 
-def test_two_worker_orchestrator_ands_to_the_single_engine_verdict():
-    """The acceptance run: NDJSON + HTTP shard workers, warm leg chase-free."""
+def test_retired_shard_fields_are_ignored_on_the_wire():
+    """A full verdict is a sound answer to a partial-verdict request."""
     docs = _union_docs()
-    with connect("local://") as reference:
-        _register_named(reference, docs, "U")
-        expected = reference.check(CheckRequest(view="U", targets=docs["phis"]))
-
-    with PropagationService() as worker1, PropagationService() as worker2:
-        with background_server(worker1, "tcp", shard_worker=True) as url1:
-            with background_server(worker2, "http", shard_worker=True) as url2:
-                with ShardOrchestrator([url1, url2]) as orch:
-                    assert orch.shards == 2
-                    assert all(
-                        pong["shard_worker"] is True for pong in orch.ping()
-                    )
-                    orch.register_schema("default", docs["schema"])
-                    orch.register_sigma("default", docs["sigma"])
-                    orch.register_view("U", docs["view"])
-                    cold = orch.check(CheckRequest(view="U", targets=docs["phis"]))
-                    assert cold.propagated == expected.propagated
-                    assert cold.stats.chases > 0
-                    warm = orch.check(CheckRequest(view="U", targets=docs["phis"]))
-                    assert warm.propagated == expected.propagated
-                    assert warm.stats.chases == 0  # every worker answered warm
-                    assert warm.stats.memo_hits > 0
-
-
-def test_orchestrator_over_local_endpoints_needs_no_sockets():
-    docs = _union_docs()
-    with connect("local://") as reference:
-        _register_named(reference, docs, "U")
-        expected = reference.check(CheckRequest(view="U", targets=docs["phis"]))
-    with ShardOrchestrator(["local://", "local://", "local://"]) as orch:
-        orch.register_schema("default", docs["schema"])
-        orch.register_sigma("default", docs["sigma"])
-        orch.register_view("U", docs["view"])
-        combined = orch.check(CheckRequest(view="U", targets=docs["phis"]))
-    assert combined.propagated == expected.propagated
-
-
-def test_orchestrator_refuses_what_it_cannot_combine():
-    with ShardOrchestrator(["local://"]) as orch:
-        with pytest.raises(ApiError) as err:
-            orch.check(CheckRequest(view="V", targets=[], shard_index=0))
-        assert err.value.kind == "bad-request"
-        with pytest.raises(ApiError) as err:
-            orch.check(CheckRequest(view="V", targets=[], witness=True))
-        assert err.value.kind == "bad-request"
-        with pytest.raises(ApiError) as err:
-            orch.cover(None)
-        assert "not shard-combinable" in err.value.message
-    with pytest.raises(ApiError):
-        ShardOrchestrator([])
-
-
-def test_plain_endpoints_refuse_shard_index_requests():
-    """Partial verdicts never leak: shard_index needs --shard-worker."""
+    phis = repro_io.dependencies_to_json(docs["phis"])
+    plain = {"op": "check", "view": "U", "phis": phis}
+    legacy = {**plain, "shards": 4, "shard_index": 1}
     with PropagationService() as service:
+        assert service.pool_key(legacy) == service.pool_key(plain)
         with background_server(service, "tcp") as url:
             with connect(url) as client:
-                reply = client.call(
-                    {"op": "check", "view": "V", "phis": [], "shard_index": 0}
-                )
-                assert not reply["ok"]
-                assert reply["error"]["kind"] == "bad-request"
-                assert "--shard-worker" in reply["error"]["message"]
-                # ... also when smuggled inside a batch.
-                reply = client.call(
-                    {
-                        "op": "batch",
-                        "requests": [
-                            {"op": "check", "view": "V", "phis": [], "shard_index": 1}
-                        ],
-                    }
-                )
-                assert not reply["ok"]
-                assert "--shard-worker" in reply["error"]["message"]
-
-
-def test_shard_index_service_validation():
-    service = PropagationService()
-    service.workspace.add_schema(
-        "default", {"relations": [{"name": "R", "attributes": ["A", "B"]}]}
-    )
-    service.workspace.add_sigma("default", [])
-    service.workspace.add_view(
-        "V", {"name": "V", "atoms": [{"source": "R", "prefix": ""}]}
-    )
-    for bad in (-1, 2, "0", True):
-        with pytest.raises(ApiError) as err:
-            service.check(
-                CheckRequest(view="V", targets=[], shards=2, shard_index=bad)
-            )
-        assert err.value.kind == "bad-request"
-    # Valid: a partial engine joins the pool without touching the full one.
-    verdict = service.check(
-        CheckRequest(view="V", targets=[], shards=2, shard_index=1)
-    )
-    assert verdict.propagated == []
-    service.close()
+                _register_named(client, docs, "U")
+                expected = client.call(plain)
+                reply = client.call(legacy)
+    assert expected["ok"] and reply["ok"]
+    assert reply["result"]["propagated"] == expected["result"]["propagated"]
+    assert not all(expected["result"]["propagated"])
 
 
 # ----------------------------------------------------------------------
@@ -808,28 +723,28 @@ def test_fan_out_aggregates_every_worker_failure():
         connect(url, handshake=False) for url in dead_urls
     ]
     try:
-        with ShardOrchestrator(workers) as orch:
+        with ReplicaSet(workers) as replicas:
             with pytest.raises(ApiError) as err:
-                orch.ping()
+                replicas.ping()
             assert err.value.kind == "unavailable"
             assert "2/3 workers failed" in err.value.message
             for url in dead_urls:  # every dead endpoint is named
                 assert url in err.value.message
-            assert [entry["alive"] for entry in orch.health()] == [
+            assert [entry["alive"] for entry in replicas.health()] == [
                 True,
                 False,
                 False,
             ]
-            assert orch.live_workers() == [0]
-            assert orch.failovers == 2
+            assert replicas.live_workers() == [0]
+            assert replicas.failovers == 2
     finally:
         for worker in workers:
             worker.close()
 
 
 def test_aggregate_prefers_service_level_error_kinds():
-    with ShardOrchestrator(["local://", "local://"]) as orch:
-        error = orch._aggregate(
+    with ReplicaSet(["local://", "local://"]) as replicas:
+        error = replicas._aggregate(
             [
                 (0, ApiError("unavailable", "connection refused")),
                 (1, ApiError("not-found", "no view 'ghost'")),
@@ -840,21 +755,23 @@ def test_aggregate_prefers_service_level_error_kinds():
     assert "connection refused" in error.message
 
 
-def test_shard_failover_lands_the_and_verdict_after_a_worker_dies():
-    """The tentpole: kill 1 of 2 shard workers, the check still lands."""
+def test_replica_failover_after_a_worker_dies():
+    """Kill 1 of 2 replicas: health probes see it, checks still land."""
     docs = _union_docs()
     with connect("local://") as reference:
         _register_named(reference, docs, "U")
         expected = reference.check(CheckRequest(view="U", targets=docs["phis"]))
 
     with PropagationService() as worker1, PropagationService() as worker2:
-        with background_server(worker1, "tcp", shard_worker=True) as url1:
-            with background_server(worker2, "tcp", shard_worker=True) as url2:
-                with ShardOrchestrator([url1, url2]) as orch:
-                    orch.register_schema("default", docs["schema"])
-                    orch.register_sigma("default", docs["sigma"])
-                    orch.register_view("U", docs["view"])
-                    cold = orch.check(CheckRequest(view="U", targets=docs["phis"]))
+        with background_server(worker1, "tcp") as url1:
+            with background_server(worker2, "tcp") as url2:
+                with ReplicaSet([url1, url2]) as replicas:
+                    replicas.register_schema("default", docs["schema"])
+                    replicas.register_sigma("default", docs["sigma"])
+                    replicas.register_view("U", docs["view"])
+                    cold = replicas.check(
+                        CheckRequest(view="U", targets=docs["phis"])
+                    )
                     assert cold.propagated == expected.propagated
 
                     with connect(url2, handshake=False) as killer:
@@ -862,24 +779,23 @@ def test_shard_failover_lands_the_and_verdict_after_a_worker_dies():
                     # Ping-driven liveness: the health probe detects the
                     # death (polling rides out the shutdown's last gasp).
                     deadline = time.time() + 30
-                    while orch.check_health()[1]["alive"]:
+                    while replicas.check_health()[1]["alive"]:
                         assert time.time() < deadline, "worker never died"
                         time.sleep(0.05)
-                    assert orch.live_workers() == [0]
-                    assert orch.failovers >= 1
+                    assert replicas.live_workers() == [0]
+                    assert replicas.failovers >= 1
 
-                    # The dead worker's shard is re-planned onto the
-                    # survivor: same 2-shard plan, full AND verdict.
-                    recovered = orch.check(
-                        CheckRequest(view="U", targets=docs["phis"])
-                    )
-                    assert recovered.propagated == expected.propagated
+                    for _ in range(2):  # every request lands on the survivor
+                        recovered = replicas.check(
+                            CheckRequest(view="U", targets=docs["phis"])
+                        )
+                        assert recovered.propagated == expected.propagated
 
                     # mark_alive puts it back in rotation; the next
                     # health probe re-detects the corpse.
-                    orch.mark_alive(1)
-                    assert orch.live_workers() == [0, 1]
-                    health = orch.check_health()
+                    replicas.mark_alive(1)
+                    assert replicas.live_workers() == [0, 1]
+                    health = replicas.check_health()
                     assert [entry["alive"] for entry in health] == [True, False]
 
 
@@ -952,6 +868,8 @@ def test_replica_set_reraises_service_errors_without_failover():
         # The replica answered; rerouting cannot change the answer.
         assert replicas.failovers == 0
         assert replicas.live_workers() == [0, 1]
+    with pytest.raises(ApiError):
+        ReplicaSet([])
 
 
 def test_request_stats_total_sums_every_counter_field():
@@ -969,7 +887,6 @@ def test_server_ping_advertises_uptime_and_served_count():
     with PropagationService() as service:
         with background_server(service, "tcp") as url:
             with connect(url) as client:
-                assert client.capabilities["shard_worker"] is False
                 pong = client.ping()
                 assert pong["uptime_s"] >= 0
                 assert pong["requests_served"] >= 2  # the handshake + this
