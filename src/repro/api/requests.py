@@ -26,12 +26,14 @@ warm-cache smoke tests assert on (``chases == 0`` on a warm leg).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from typing import Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, Sequence, Union
 
 from ..algebra.instance import DatabaseInstance
 from ..core.cfd import CFD
+from ..kernel.config import KERNELS
 from ..propagation.check import DependencyLike, ViewLike
+from .errors import ApiError
 
 __all__ = [
     "ENGINE_SUMS",
@@ -48,6 +50,7 @@ __all__ = [
     "SigmaUpdate",
     "UpdateSigmaRequest",
     "Verdict",
+    "settings_from_json",
 ]
 
 #: A view reference: a registered name or the view object itself.
@@ -72,6 +75,28 @@ class _Settings:
     max_instantiations: int | None = None
     assume_infinite: bool | None = None
     kernel: str | None = None
+
+
+#: Each :class:`_Settings` field -> (what a non-null value must be, its test).
+_SETTING_RULES = {
+    "use_cache": ("a boolean", lambda v: isinstance(v, bool)),
+    "max_instantiations": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "assume_infinite": ("a boolean", lambda v: isinstance(v, bool)),
+    "kernel": (f"one of {', '.join(KERNELS)}", lambda v: v in KERNELS),
+}
+SETTING_FIELDS = tuple(_SETTING_RULES)
+
+
+def settings_from_json(doc: Mapping[str, Any]) -> dict:
+    """*doc*'s per-request settings, each ``None`` or validated: a mistyped
+    one is a ``bad-request`` before any engine or lock exists for it."""
+    settings = {}
+    for name, (expected, valid) in _SETTING_RULES.items():
+        value = doc.get(name)
+        if value is not None and not valid(value):
+            raise ApiError("bad-request", f"{name} must be {expected}, got {value!r}")
+        settings[name] = value
+    return settings
 
 
 @dataclass
@@ -164,7 +189,7 @@ class RequestStats:
     pair_chases: int = _sums("pair_chases")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # all scalars: asdict's deepcopy is waste
 
     @classmethod
     def engine_delta(

@@ -23,8 +23,14 @@ that resolve to the same warm engine take the same lock, while requests
 routed to different engine settings run concurrently.  Workspace
 mutations (``register``, ``update-sigma``) are exclusive — they wait for
 every in-flight request and block new ones until done — so every request
-still sees one consistent warm cache.  A ``shutdown`` op stops the
-server after its response is written.
+still sees one consistent warm cache.  Warm hits never leave the event
+loop: a ``check``/``cover`` naming a registered view and Sigma, on a
+free pool with no mutation running, is decoded and
+:meth:`PropagationService.peek`-ed there, and answered if memory holds
+it; a miss hands its decoded request to a worker thread, so cold work
+and inline documents never block the loop.  ``ping`` is answered on the
+loop too, and ``shutdown`` unless a mutation is running.  A
+``shutdown`` op stops the server after its response is written.
 
 Boundary hygiene: request lines and HTTP bodies larger than
 ``max_request_bytes`` are answered with a typed ``bad-request`` error
@@ -46,6 +52,7 @@ from contextlib import contextmanager
 from typing import Iterator, Mapping, TextIO
 
 from .errors import HTTP_STATUS
+from .requests import Request
 from .service import PropagationService
 from .wire import HTTP_ROUTES, PROTOCOL_VERSION, handle_request
 
@@ -63,8 +70,10 @@ DEFAULT_MAX_REQUEST_BYTES = 8 * 1024 * 1024
 
 #: Ops that mutate shared service state and therefore lock exclusively.
 _MUTATING_OPS = frozenset({"register", "update-sigma"})
-#: Ops answered without touching any engine: no lock at all.
+#: Ops answered without touching any engine: no pool lock.
 _LOCKLESS_OPS = frozenset({"ping", "shutdown"})
+#: Ops a warm memory-tier hit answers on the event loop.
+_PEEK_OPS = frozenset({"check", "cover"})
 
 #: ``(method, path) -> op``: the server-side inversion of the shared
 #: :data:`repro.api.wire.HTTP_ROUTES` table.
@@ -107,7 +116,7 @@ class PropagationServer:
     ) -> None:
         self.service = service
         self.max_request_bytes = max_request_bytes
-        self._locks: dict[tuple, asyncio.Lock] = {}
+        self._locks: dict = {}  # pool key -> asyncio.Lock
         self._locks_guard = asyncio.Lock()
         self._shutdown = asyncio.Event()
         self._started = time.monotonic()
@@ -122,7 +131,7 @@ class PropagationServer:
     # Locking: per engine pool, exclusive for mutations.
     # ------------------------------------------------------------------
 
-    def _lock_keys(self, doc) -> tuple[list[tuple], bool]:
+    def _lock_keys(self, doc) -> tuple[list, bool]:
         """The engine-pool keys *doc* touches, plus an exclusive flag."""
         if not isinstance(doc, Mapping):
             return [], False
@@ -130,7 +139,7 @@ class PropagationServer:
         if op in _MUTATING_OPS:
             return [], True
         if op == "batch":
-            keys: set[tuple] = set()
+            keys: set = set()
             exclusive = False
             subs = doc.get("requests")
             for sub in subs if isinstance(subs, list) else []:
@@ -142,8 +151,8 @@ class PropagationServer:
             return [], False
         try:
             # check / cover / empty / stats: the one pool they dispatch
-            # to.  Unhashable garbage settings -> no lock; the request
-            # fails typed validation inside `handle_request` anyway.
+            # to.  Mistyped settings -> no lock; the request fails the
+            # same validation inside `handle_request` as a bad-request.
             return [self.service.pool_key(doc)], False
         except Exception:  # noqa: BLE001 - malformed settings
             return [], False
@@ -151,12 +160,54 @@ class PropagationServer:
     async def handle_request(self, doc) -> dict:
         """Answer one wire document (the transport-independent core).
 
-        Acquires the engine-pool lock(s) the document resolves to —
-        exclusive for workspace mutations — runs the synchronous wire
-        handler on a worker thread, and annotates ``ping`` results with
-        the server-level capabilities.
+        Unless :meth:`_answer_inline` can, acquires the engine-pool
+        lock(s) the document resolves to — exclusive for workspace
+        mutations — and runs the wire handler on a worker thread.
         """
         keys, exclusive = self._lock_keys(doc)
+        response = self._answer_inline(doc, keys)
+        if not isinstance(response, dict):  # None, or a peek miss's request
+            response = await self._dispatch(doc, keys, exclusive, response)
+        if response.get("op") == "shutdown" and response.get("ok"):
+            self._shutdown.set()
+        return response
+
+    def _answer_inline(self, doc, keys: list) -> dict | Request | None:
+        """Answer *doc* on the event loop if that is cheap and safe: ``ping``;
+        ``shutdown`` unless a mutation runs (its reply goes out first); a
+        ``check``/``cover`` naming its view and Sigma (nothing inline to
+        parse), peeked while no worker can use its engine.  A peek miss
+        returns its decoded request for the worker; anything else ``None``."""
+        op = doc.get("op") if isinstance(doc, Mapping) else None
+        if op == "ping" or (op == "shutdown" and not self._locks_guard.locked()):
+            response = handle_request(doc, self.service)
+        elif (
+            op in _PEEK_OPS
+            and len(keys) == 1
+            and all(isinstance(doc.get(ref) or "", str) for ref in ("view", "sigma"))
+            and not self._pool_busy(keys[0])
+        ):
+            response = handle_request(doc, self.service, peek=True)
+            if not isinstance(response, dict):
+                return response
+        else:
+            return None
+        self._served += 1
+        if response.get("ok") and op == "ping":
+            # Health/uptime capabilities: what a fleet's check_health
+            # probe records per worker.
+            response["result"]["uptime_s"] = round(
+                time.monotonic() - self._started, 3
+            )
+            response["result"]["requests_served"] = self._served
+        return response
+
+    def _pool_busy(self, key) -> bool:
+        lock = self._locks.get(key)
+        return self._locks_guard.locked() or (lock is not None and lock.locked())
+
+    async def _dispatch(self, doc, keys: list, exclusive: bool, decoded) -> dict:
+        """Answer *doc* on a worker thread under its pool lock(s)."""
         if exclusive:
             # Holding the guard while draining every pool lock blocks
             # new lookups, so the mutation sees a quiesced service.
@@ -165,39 +216,25 @@ class PropagationServer:
                 for lock in locks:
                     await lock.acquire()
                 try:
-                    response = await self._dispatch(doc)
+                    return await self._run(doc, decoded)
                 finally:
                     for lock in reversed(locks):
                         lock.release()
-        else:
-            async with self._locks_guard:
-                locks = [
-                    self._locks.setdefault(key, asyncio.Lock()) for key in keys
-                ]
-            for lock in locks:  # sorted keys -> deterministic order
-                await lock.acquire()
-            try:
-                response = await self._dispatch(doc)
-            finally:
-                for lock in reversed(locks):
-                    lock.release()
-        if response.get("op") == "shutdown" and response.get("ok"):
-            self._shutdown.set()
-        return response
+        async with self._locks_guard:
+            locks = [self._locks.setdefault(key, asyncio.Lock()) for key in keys]
+        for lock in locks:  # sorted keys -> deterministic order
+            await lock.acquire()
+        try:
+            return await self._run(doc, decoded)
+        finally:
+            for lock in reversed(locks):
+                lock.release()
 
-    async def _dispatch(self, doc) -> dict:
+    async def _run(self, doc, decoded) -> dict:
         self._served += 1
-        response = await asyncio.get_running_loop().run_in_executor(
-            None, handle_request, doc, self.service
+        return await asyncio.get_running_loop().run_in_executor(
+            None, handle_request, doc, self.service, decoded
         )
-        if response.get("ok") and response.get("op") == "ping":
-            # Health/uptime capabilities: what a fleet's check_health
-            # probe records per worker.
-            response["result"]["uptime_s"] = round(
-                time.monotonic() - self._started, 3
-            )
-            response["result"]["requests_served"] = self._served
-        return response
 
     async def respond_line(self, line: str) -> dict:
         """Answer one NDJSON request line."""

@@ -43,13 +43,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, NamedTuple
 
 from ..algebra.spcu import SPCUView
 from ..core.cfd import CFD
 from ..core.fd import FD
-from ..kernel.config import KERNELS, resolve_kernel
+from ..kernel.config import resolve_kernel
 from ..propagation.cache import LRUCache
 from ..propagation.check import DependencyLike, ViewLike, _as_cfds, _branches
 from ..propagation.emptiness import nonempty_witness
@@ -77,15 +76,16 @@ from .requests import (
     SigmaUpdate,
     UpdateSigmaRequest,
     Verdict,
+    settings_from_json,
 )
 from .workspace import DEFAULT_NAME, Workspace
 
 __all__ = ["PropagationService"]
 
 
-@dataclass(frozen=True)
-class _Effective:
-    """A request's engine settings after falling back to service defaults."""
+class _Effective(NamedTuple):
+    """A request's engine settings after falling back to service defaults
+    (a tuple: it keys the engine pool and the server's pool locks)."""
 
     use_cache: bool
     max_instantiations: int | None
@@ -119,13 +119,8 @@ class PropagationService:
             # REPRO_STORE_URL scheme is a typed `format` error here, not
             # a traceback on the first cache miss.
             validate_store_url(store_url)
-        if kernel is not None and kernel not in KERNELS:
-            # Same fail-fast contract as the store URL: a typo'd kernel
-            # name is a typed error at construction, not on first miss.
-            raise ApiError(
-                "bad-request",
-                f"unknown kernel {kernel!r}; expected one of {', '.join(KERNELS)}",
-            )
+        # Same contract for a typo'd kernel name: a typed bad-request.
+        settings_from_json({"kernel": kernel})
         self._defaults = _Effective(
             use_cache,
             max_instantiations,
@@ -157,41 +152,28 @@ class PropagationService:
     # Engine pool.
     # ------------------------------------------------------------------
 
-    def _effective(self, request) -> _Effective:
-        d = self._defaults
-        kernel = getattr(request, "kernel", None)
-        if kernel is None:
-            kernel = d.kernel
-        elif kernel not in KERNELS:
-            raise ApiError(
-                "bad-request",
-                f"unknown kernel {kernel!r}; expected one of {', '.join(KERNELS)}",
+    def _effective(self, overrides: Mapping) -> _Effective:
+        """Per-request *overrides* (``None`` = inherit) over the defaults;
+        the one validation every entry point (wire decode, the server's
+        pool key, in-process requests) passes before any engine exists."""
+        return _Effective._make(
+            default if value is None else value
+            for value, default in zip(
+                settings_from_json(overrides).values(), self._defaults
             )
-        return _Effective(
-            d.use_cache if request.use_cache is None else request.use_cache,
-            d.max_instantiations
-            if request.max_instantiations is None
-            else request.max_instantiations,
-            d.assume_infinite
-            if request.assume_infinite is None
-            else request.assume_infinite,
-            kernel,
         )
 
-    def _engine(self, settings: _Effective) -> PropagationEngine:
-        # `kernel` is part of the key — not because answers differ (they
-        # are byte-identical; it is absent from every cache key), but
-        # because the engine object is pinned to one implementation, and
-        # a request asking for the baseline oracle must not silently get
-        # the packed kernel.
-        key = (
-            settings.use_cache,
-            settings.max_instantiations,
-            settings.assume_infinite,
-            settings.kernel,
-        )
+    def _engine(
+        self, settings: _Effective, *, create: bool = True
+    ) -> PropagationEngine | None:
+        # Keyed by the settings, `kernel` included — not because answers
+        # differ (it is in no cache key), but because an engine is pinned
+        # to one implementation: a baseline request must get the oracle.
+        engine = self._engines.get(settings)
+        if engine is not None or not create:
+            return engine
         with self._pool_guard:
-            engine = self._engines.get(key)
+            engine = self._engines.get(settings)
             if engine is None:
                 engine = PropagationEngine(
                     use_cache=settings.use_cache,
@@ -200,38 +182,20 @@ class PropagationService:
                     kernel=settings.kernel,
                     **self._engine_opts,
                 )
-                self._engines[key] = engine
+                self._engines[settings] = engine
         return engine
 
-    def pool_key(self, doc) -> tuple:
+    def pool_key(self, doc: Mapping) -> _Effective:
         """The engine-pool key a wire document's settings resolve to.
 
         This is the lock granularity of the server's per-engine-pool
-        locks (:class:`~repro.api.server.PropagationServer`): two
-        documents with the same pool key dispatch to the same warm
-        engine and must serialize; documents with different keys may run
-        concurrently.  Unset fields fall back to the service defaults,
-        so an explicit ``use_cache=true`` and an inherited default land
-        on the same key.  Raises for unhashable garbage — callers treat
-        that as "no lock needed" (the request will fail typed parsing
-        anyway).
+        locks (:class:`~repro.api.server.PropagationServer`) and the
+        key of the engine itself: documents with the same pool key
+        dispatch to the same warm engine and must serialize.  Unset
+        fields fall back to the service defaults; a mistyped one raises
+        the typed ``bad-request`` request decode raises.
         """
-        d = self._defaults
-        get = doc.get if hasattr(doc, "get") else (lambda name: None)
-        use_cache = get("use_cache")
-        max_instantiations = get("max_instantiations")
-        assume_infinite = get("assume_infinite")
-        kernel = get("kernel")
-        key = (
-            d.use_cache if use_cache is None else use_cache,
-            d.max_instantiations
-            if max_instantiations is None
-            else max_instantiations,
-            d.assume_infinite if assume_infinite is None else assume_infinite,
-            d.kernel if kernel is None else kernel,
-        )
-        hash(key)  # raises on unhashable garbage values
-        return key
+        return self._effective(doc)
 
     @property
     def engine(self) -> PropagationEngine:
@@ -266,13 +230,16 @@ class PropagationService:
         view: ViewLike,
         targets: Iterable[DependencyLike],
         settings: _Effective,
-    ) -> str:
+        *,
+        peek: bool = False,
+    ) -> str | None:
         """Classify which procedure family decides this check request.
 
         The (Sigma, view) capabilities — finite domains present, closure
         fast path applicable — are memoized structurally, so a warm
         server classifies repeated requests without rebuilding the fast
-        path context or rescanning Sigma.
+        path context or rescanning Sigma.  ``peek=True`` reads that memo
+        only: an unseen (Sigma, view) gives ``None`` and memoizes nothing.
         """
         branches = _branches(view)  # validates the view language
         if settings.assume_infinite:
@@ -280,11 +247,15 @@ class PropagationService:
         # Provenance-scoped like the engine's own keys: Sigma enters the
         # memo restricted to the view's touched relations, so route
         # classifications survive delta_sigma edits on other relations.
-        token = self._views.intern(view)
+        token = self._views.lookup(view) if peek else self._views.intern(view)
+        if token is None:
+            return None
         scoped = scoped_sigma(_as_cfds(sigma), self._views.touched(token))
         memo_key = (frozenset(scoped), token)
         capabilities = self._route_memo.get(memo_key)
         if capabilities is None:
+            if peek:
+                return None
             capabilities = (
                 any(b.has_finite_domain_attribute() for b in branches),
                 _FastPathContext.of(view, scoped) is not None,
@@ -411,16 +382,34 @@ class PropagationService:
                 stats=stats,
             )
 
+    def peek(self, request: Request) -> Verdict | CoverResult | None:
+        """:meth:`check`/:meth:`cover`'s answer, ticking the same counters, if
+        route memo, engine pool and memory tier (only read) all hold it;
+        else ``None`` (a witness or another op too).  The event-loop path."""
+        if isinstance(request, CheckRequest) and not request.witness:
+            return self._check(request, peek=True)
+        if isinstance(request, CoverRequest):
+            return self._cover(request, peek=True)
+        return None
+
     def check(self, request: CheckRequest) -> Verdict:
+        return self._check(request, peek=False)
+
+    def _check(self, request: CheckRequest, *, peek: bool) -> Verdict | None:
         with api_errors():
             view = self.workspace.view(request.view)
             sigma = self.workspace.sigma(request.sigma)
             targets = list(request.targets)
-            settings = self._effective(request)
-            route = self.route_check(sigma, view, targets, settings)
-            engine = self._engine(settings)
+            settings = self._effective(vars(request))
+            route = self.route_check(sigma, view, targets, settings, peek=peek)
+            engine = self._engine(settings, create=not peek)
+            if route is None or engine is None:
+                return None
             before, started = vars(engine.stats).copy(), time.perf_counter()
-            verdicts = engine.check_many(sigma, view, targets)
+            decide = engine.peek if peek else engine.check_many
+            verdicts = decide(sigma, view, targets)
+            if verdicts is None:
+                return None
             witnesses = None
             if request.witness:
                 witnesses = [
@@ -433,21 +422,28 @@ class PropagationService:
             return Verdict(verdicts, route, stats, witnesses)
 
     def cover(self, request: CoverRequest) -> CoverResult:
+        return self._cover(request, peek=False)
+
+    def _cover(self, request: CoverRequest, *, peek: bool) -> CoverResult | None:
         with api_errors():
             view = self.workspace.view(request.view)
             sigma = self.workspace.sigma(request.sigma)
-            settings = self._effective(request)
+            settings = self._effective(vars(request))
             route = self.route_cover(view)
-            engine = self._engine(settings)
+            engine = self._engine(settings, create=not peek)
+            if engine is None:
+                return None
             before, started = vars(engine.stats).copy(), time.perf_counter()
-            cover = engine.cover(sigma, view)
+            cover = (engine.peek if peek else engine.cover)(sigma, view)
+            if cover is None:
+                return None
             return CoverResult(cover, route, self._delta(engine, before, started, 1))
 
     def emptiness(self, request: EmptinessRequest) -> EmptinessResult:
         with api_errors():
             view = self.workspace.view(request.view)
             sigma = self.workspace.sigma(request.sigma)
-            settings = self._effective(request)
+            settings = self._effective(vars(request))
             started = time.perf_counter()
             _branches(view)  # same validation as every other route
             memo_key = None

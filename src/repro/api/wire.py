@@ -24,7 +24,8 @@ verbatim::
 inline dependency list, or absent for the ``"default"`` registration.
 ``phis`` entries are :mod:`repro.io` dependency documents.  The query ops
 accept the per-request knobs ``use_cache`` / ``max_instantiations`` /
-``assume_infinite`` / ``kernel``; unknown fields are ignored.  ``ping``
+``assume_infinite`` / ``kernel`` (a mistyped one is a ``bad-request``);
+unknown fields are ignored.  ``ping``
 responses carry the wire :data:`PROTOCOL_VERSION` so clients can detect
 drift.  ``update-sigma`` applies a diff to a
 *registered* Sigma (``name`` absent = ``"default"``; ``add``/``remove``
@@ -53,6 +54,7 @@ from typing import Any, Mapping
 from .. import io as repro_io
 from .errors import ApiError, to_api_error
 from .requests import (
+    SETTING_FIELDS,
     BatchRequest,
     BatchResult,
     CheckRequest,
@@ -66,6 +68,7 @@ from .requests import (
     SigmaUpdate,
     UpdateSigmaRequest,
     Verdict,
+    settings_from_json,
 )
 from .service import PropagationService
 
@@ -102,16 +105,6 @@ HTTP_ROUTES = {
 }
 
 _QUERY_OPS = {"check", "cover", "empty", "batch", "update-sigma"}
-_SETTING_FIELDS = (
-    "use_cache",
-    "max_instantiations",
-    "assume_infinite",
-    "kernel",
-)
-
-
-def _settings(doc: Mapping[str, Any]) -> dict:
-    return {name: doc.get(name) for name in _SETTING_FIELDS}
 
 
 def _view_ref(doc: Mapping[str, Any], service: PropagationService):
@@ -140,18 +133,20 @@ def request_from_json(
             targets=repro_io.dependencies_from_json(doc.get("phis", [])),
             sigma=_sigma_ref(doc),
             witness=bool(doc.get("witness", False)),
-            **_settings(doc),
+            **settings_from_json(doc),
         )
     if op == "cover":
         return CoverRequest(
-            view=_view_ref(doc, service), sigma=_sigma_ref(doc), **_settings(doc)
+            view=_view_ref(doc, service),
+            sigma=_sigma_ref(doc),
+            **settings_from_json(doc),
         )
     if op == "empty":
         return EmptinessRequest(
             view=_view_ref(doc, service),
             sigma=_sigma_ref(doc),
             witness=bool(doc.get("witness", False)),
-            **_settings(doc),
+            **settings_from_json(doc),
         )
     if op == "update-sigma":
         name = doc.get("name")
@@ -184,7 +179,7 @@ def _sigma_doc(ref):
 def _settings_doc(request) -> dict:
     return {
         name: value
-        for name in _SETTING_FIELDS
+        for name in SETTING_FIELDS
         if (value := getattr(request, name, None)) is not None
     }
 
@@ -363,8 +358,13 @@ def _handle_register(doc: Mapping[str, Any], service: PropagationService) -> dic
     return {"registered": {"kind": kind, "name": name}}
 
 
-def handle_request(doc: Any, service: PropagationService) -> dict:
-    """Answer one wire document; never raises (errors become documents)."""
+def handle_request(
+    doc: Any, service: PropagationService, decoded=None, *, peek: bool = False
+) -> dict | Request:
+    """Answer one wire document; never raises (errors become documents).
+    ``peek=True`` answers a ``check``/``cover`` from warm memory only
+    (:meth:`PropagationService.peek`); a miss returns the decoded
+    :class:`Request`, which a later call takes as *decoded*."""
     envelope: dict[str, Any] = {}
     if isinstance(doc, Mapping) and "id" in doc:
         envelope["id"] = doc["id"]
@@ -373,8 +373,12 @@ def handle_request(doc: Any, service: PropagationService) -> dict:
             raise ApiError("bad-request", "request must be a JSON object")
         op = doc.get("op")
         envelope["op"] = op if isinstance(op, str) else None
-        if op in _QUERY_OPS:
-            result = response_to_json(service.submit(request_from_json(doc, service)))
+        if peek or op in _QUERY_OPS:
+            request = decoded or request_from_json(doc, service)
+            response = service.peek(request) if peek else service.submit(request)
+            if response is None:
+                return request
+            result = response_to_json(response)
         elif op == "register":
             result = _handle_register(doc, service)
         elif op == "stats":

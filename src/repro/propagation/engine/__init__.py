@@ -19,7 +19,6 @@ from ..cache import EngineStats
 from .core import PropagationEngine
 from .keys import (
     cover_key,
-    key_view,
     make_stale_predicate,
     provenance_doc,
     provenance_fingerprint,
@@ -34,7 +33,6 @@ __all__ = [
     "EngineStats",
     "PropagationEngine",
     "cover_key",
-    "key_view",
     "make_stale_predicate",
     "provenance_doc",
     "provenance_fingerprint",

@@ -371,6 +371,25 @@ class PropagationEngine:
                     self._pair_caches.discard(token)
         return {"invalidated": invalidated, "retained": retained}
 
+    def _keyspace(
+        self, sigma_cfds: list[CFD], view: ViewLike, *, intern: bool = True
+    ) -> tuple[int, frozenset[str], list[CFD], frozenset] | None:
+        """``(view token, touched relations, scoped Sigma, its frozenset)``,
+        every memo key's material; ``intern=False`` gives ``None`` for an
+        unseen view instead of allocating its token."""
+        views = self._views
+        token = views.intern(view) if intern else views.lookup(view)
+        if token is None:
+            return None
+        touched = views.touched(token)
+        scoped = scoped_sigma(sigma_cfds, touched)
+        return token, touched, scoped, frozenset(scoped)
+
+    def _memo_key(self, sigma_key: frozenset, token: int, *phi: CFD) -> tuple:
+        """The memory-tier key of *phi*'s verdict, or without *phi* the cover's;
+        it leads with ``(scoped sigma, view token)`` for :func:`sweep_stale`."""
+        return (sigma_key, token, *phi, self.max_instantiations, self.assume_infinite)
+
     def _persist_fps(
         self,
         sigma_key: frozenset,
@@ -550,11 +569,7 @@ class PropagationEngine:
             self._read_closure_window()
             return verdicts
 
-        sigma_cfds = _as_cfds(sigma)
-        token = self._views.intern(view)
-        touched = self._views.touched(token)
-        scoped = scoped_sigma(sigma_cfds, touched)
-        sigma_key = frozenset(scoped)
+        token, touched, scoped, sigma_key = self._keyspace(_as_cfds(sigma), view)
         fast = self._fast_context(view, token, scoped, sigma_key)
         cache = self._pair_cache(view, token)
         fps = self._persist_fps(sigma_key, scoped, touched, token, view)
@@ -571,7 +586,7 @@ class PropagationEngine:
         for idx, phi in enumerate(phis):
             self.stats.check_queries += 1
             phi_cfd = CFD.from_fd(phi) if isinstance(phi, FD) else phi
-            memo_key = (sigma_key, token, phi_cfd, *settings)
+            memo_key = self._memo_key(sigma_key, token, phi_cfd)
             if memo_key in pending:
                 # Duplicate of an in-flight miss: answered from the memo
                 # once the first occurrence resolves.
@@ -629,6 +644,39 @@ class PropagationEngine:
 
         self._read_closure_window()
         return verdicts
+
+    def peek(
+        self,
+        sigma: Iterable[DependencyLike],
+        view: ViewLike,
+        phis: Sequence[DependencyLike] | None = None,
+    ) -> list | None:
+        """:meth:`check_many`'s verdicts (or, without *phis*, :meth:`cover`)
+        if the memory tier holds every line, with the same counters
+        ticked; else ``None``, having ticked, created and leased nothing
+        and never touched the persistent store."""
+        scope = self.use_cache and self._keyspace(_as_cfds(sigma), view, intern=False)
+        if not scope:
+            return None
+        token, sigma_key = scope[0], scope[3]
+        if phis is None:
+            memory, lines = self._cover_tier.memory, [()]
+        else:
+            memory = self._verdict_tier.memory
+            lines = [(CFD.from_fd(p) if isinstance(p, FD) else p,) for p in phis]
+        keys = [self._memo_key(sigma_key, token, *line) for line in lines]
+        if not all(key in memory for key in keys):
+            return None
+        answers = [memory.get(key) for key in keys]
+        if phis is None:
+            self.stats.cover_queries += 1
+            self.stats.cover_hits += 1
+            answers = list(answers[0])
+        else:
+            self.stats.check_queries += len(keys)
+            self.stats.verdict_hits += len(keys)
+        self._read_closure_window()
+        return answers
 
     def _resolve_check_misses(
         self,
@@ -856,11 +904,8 @@ class PropagationEngine:
             if not self.use_cache:
                 covers[idx] = self._compute_cover(sigma, sigma_cfds, view)
                 continue
-            token = self._views.intern(view)
-            touched = self._views.touched(token)
-            scoped = scoped_sigma(sigma_cfds, touched)
-            sigma_key = frozenset(scoped)
-            memo_key = (sigma_key, token, *settings)
+            token, touched, scoped, sigma_key = self._keyspace(sigma_cfds, view)
+            memo_key = self._memo_key(sigma_key, token)
             if memo_key in pending:
                 self.stats.cover_hits += 1
                 pending[memo_key][2].append(idx)

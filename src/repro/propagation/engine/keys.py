@@ -43,7 +43,7 @@ implies.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable
+from typing import Iterable
 
 from ...algebra.spcu import SPCUView
 from ...core.cfd import CFD
@@ -55,7 +55,6 @@ __all__ = [
     "ViewTokens",
     "branch_touched_relations",
     "cover_key",
-    "key_view",
     "make_stale_predicate",
     "provenance_doc",
     "provenance_fingerprint",
@@ -278,6 +277,10 @@ class ViewTokens:
             token = self._tokens.setdefault(key, token)
         return token
 
+    def lookup(self, view: ViewLike) -> int | None:
+        """*view*'s token if it was ever interned; never allocates one."""
+        return self._tokens.get(structural_view_key(view))
+
     def touched(self, token: int) -> frozenset[str] | None:
         """The touched-relation set of the view behind *token*."""
         return self._touched.get(token)
@@ -343,14 +346,3 @@ def sweep_stale(memo, stale, touched_of=None) -> tuple[int, int]:
         else:
             retained += 1
     return invalidated, retained
-
-
-def key_view(memo_key: tuple) -> Any:
-    """The view component of an engine memo key: its view token.
-
-    Every memory-tier key the engine builds — verdict memo, cover memo,
-    fast-path context — leads with ``(scoped sigma, view token, ...)``,
-    the token from the engine's :class:`ViewTokens`; :func:`sweep_stale`
-    relies on that layout.
-    """
-    return memo_key[1]

@@ -36,6 +36,7 @@ from repro.propagation.closure_baseline import (
 )
 from repro.propagation.cover import prop_cfd_spc as raw_prop_cfd_spc
 from repro.propagation.emptiness import view_is_empty
+from repro.propagation.engine import PropagationEngine
 from repro.propagation.general import propagates_general, propagates_ptime_chase
 from repro.propagation.spcu_cover import prop_cfd_spcu as raw_prop_cfd_spcu
 
@@ -361,6 +362,24 @@ class TestWorkspace:
             service.workspace.sigma("missing")
         assert err.value.kind == "not-found"
 
+    @pytest.mark.parametrize(
+        "setting", [{"kernel": "turbo"}, {"use_cache": "no"}, {"max_instantiations": -3}]
+    )
+    def test_mistyped_settings_raise_bad_request_in_process(self, service, setting):
+        sigma, view, phis = _projection_workload()
+        service.workspace.add_view("V", view)
+        service.workspace.add_sigma("default", sigma)
+        for request in (
+            CheckRequest(view="V", targets=phis, **setting),
+            CoverRequest(view="V", **setting),
+            EmptinessRequest(view="V", **setting),
+        ):
+            with pytest.raises(ApiError) as err:
+                service.submit(request)
+            assert err.value.kind == "bad-request"
+        # Rejected before any route was classified or engine pooled.
+        assert len(service._route_memo) == 0 and service._engines == {}
+
     def test_malformed_documents_raise_format(self):
         workspace = Workspace()
         with pytest.raises(ApiError) as err:
@@ -421,6 +440,91 @@ class TestUncachedParity:
         )
         assert cached.propagated == uncached.propagated
         assert uncached.stats.memo_hits == 0
+
+
+class TestPeek:
+    """Memory-only answers: the server's event-loop path."""
+
+    def test_engine_peek_is_memory_only_and_leaves_no_trace(self):
+        sigma, view, phis = _projection_workload(defeat_fast_path=True)
+        engine = PropagationEngine(store_url="memory://")
+
+        def trace():
+            return (
+                vars(engine.stats).copy(),
+                engine._views.lookup(view),
+                len(engine._fast_contexts),
+                len(engine._pair_caches),
+                len(engine._prov_fps),
+                len(engine._view_fps),
+            )
+
+        untouched = trace()
+        assert untouched[1] is None  # never seen
+        assert engine.peek(sigma, view, phis) is None
+        assert engine.peek(sigma, view) is None
+        assert trace() == untouched  # not even a view token
+
+        verdicts = engine.check_many(sigma, view, phis[:2])
+        cover = engine.cover(sigma, view)
+
+        def no_store(*args):
+            raise AssertionError("peek reached the persistent store")
+
+        for name in ("get", "put", "acquire_lease", "release_lease"):
+            setattr(engine._store, name, no_store)
+        warm = trace()
+        assert engine.peek(sigma, view, phis) is None  # phis[2] is cold
+        assert trace() == warm
+        assert engine.peek(sigma, view, phis[:2]) == verdicts
+        assert engine.peek(sigma, view) == cover
+        moved = {
+            name: value - warm[0][name]
+            for name, value in vars(engine.stats).items()
+            if isinstance(value, int) and value != warm[0][name]
+        }
+        assert moved == {
+            "check_queries": 2,
+            "verdict_hits": 2,
+            "cover_queries": 1,
+            "cover_hits": 1,
+        }
+        assert engine.peek(sigma, view, []) == []
+        engine.close()
+        uncached = PropagationEngine(use_cache=False)
+        uncached.check_many(sigma, view, phis)
+        assert uncached.peek(sigma, view, phis) is None
+
+    def test_service_peek_equals_the_full_path_on_hits_only(self, service):
+        schema, sigma, view, phis = union_shard_workload()
+        service.workspace.add_schema("default", schema)
+        service.workspace.add_sigma("default", sigma)
+        service.workspace.add_view("U", view)
+        check = CheckRequest(view="U", targets=phis)
+        cover = CoverRequest(view="U")
+        for request in (check, cover):
+            assert service.peek(request) is None  # no engine yet
+        assert service._engines == {}
+        for request in (check, cover):
+            service.submit(request)
+            before = vars(service.stats).copy()
+            full = service.submit(request)
+            between = vars(service.stats).copy()
+            peeked = service.peek(request)
+            assert peeked is not None
+            full.stats.elapsed_ms = peeked.stats.elapsed_ms = 0.0
+            assert peeked == full
+            assert _ticks(between, vars(service.stats)) == _ticks(before, between)
+        witness = CheckRequest(view="U", targets=phis, witness=True)
+        assert service.peek(witness) is None
+        assert service.peek(EmptinessRequest(view="U")) is None
+        other_pool = CheckRequest(view="U", targets=phis, kernel="baseline")
+        assert service.peek(other_pool) is None
+        assert len(service._engines) == 1
+
+
+def _ticks(before: dict, after: dict) -> dict:
+    return {k: after[k] - v for k, v in before.items() if isinstance(v, int)}
 
 
 # ----------------------------------------------------------------------

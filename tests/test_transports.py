@@ -24,10 +24,12 @@ endpoint; kill-a-replica **failover**; and
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import socket
 import socketserver
+import sys
 import threading
 import time
 from dataclasses import fields as dataclass_fields
@@ -50,13 +52,16 @@ from repro.api import (
     connect,
     is_idempotent,
 )
+from repro.api import wire
 from repro.api.client import ProtocolMismatchWarning
+from repro.api.wire import handle_request
 from repro.core.fd import FD
 from repro.propagation.closure_baseline import (
     example_41_workload,
     exponential_family_schema,
     union_shard_workload,
 )
+from repro.propagation.engine import PropagationEngine
 
 # ----------------------------------------------------------------------
 # Shared workloads.
@@ -431,6 +436,41 @@ def test_http_error_kinds_map_to_status_codes():
             assert response.status == 404
             assert doc["error"]["kind"] == "not-found"
             conn.close()
+
+
+_SETTING_PROBES = [
+    ("assume_infinite", "false"),  # truthy: silently the incomplete route
+    ("use_cache", "no"),  # truthy: silently a cached engine
+    ("max_instantiations", -3),
+    ("max_instantiations", True),  # a bool is an int subclass
+    ("max_instantiations", "x"),  # used to fail only after pooling an engine
+    ("kernel", "turbo"),
+]
+
+
+@pytest.mark.parametrize("name,value", _SETTING_PROBES)
+def test_mistyped_engine_settings_are_bad_requests_that_pool_nothing(name, value):
+    docs = _example_41_docs(3)
+    with PropagationService() as service:
+        service.workspace.add_schema("default", docs["schema"])
+        service.workspace.add_sigma("default", docs["sigma"])
+        service.workspace.add_view("V", docs["view"])
+        for op in ("check", "cover", "empty"):
+            doc = {"op": op, "view": "V", "phis": docs["phis"], name: value}
+            reply = handle_request(doc, service)
+            assert reply["ok"] is False, reply
+            assert reply["error"]["kind"] == "bad-request"
+            assert name in reply["error"]["message"]
+            # The server's lock key refuses the same value the same way,
+            # so a lock key can never name an engine decode would reject.
+            with pytest.raises(ApiError) as err:
+                service.pool_key(doc)
+            assert err.value.to_json() == reply["error"]
+        assert service._engines == {}
+        # Well-typed values, null included, are still accepted.
+        ok = {"op": "check", "view": "V", "phis": docs["phis"], name: None}
+        assert handle_request(ok, service)["ok"]
+        assert service.pool_key(ok) in service._engines
 
 
 def test_local_url_with_an_address_is_rejected():
@@ -890,3 +930,365 @@ def test_server_ping_advertises_uptime_and_served_count():
                 pong = client.ping()
                 assert pong["uptime_s"] >= 0
                 assert pong["requests_served"] >= 2  # the handshake + this
+
+
+# ----------------------------------------------------------------------
+# 5. Warm hits answered on the event loop (no executor hop).
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def executor_jobs(monkeypatch):
+    """Every wire document the server hands to a worker thread."""
+    jobs = []
+    original = asyncio.base_events.BaseEventLoop.run_in_executor
+
+    def counting(self, executor, func, *args):
+        if func is handle_request:
+            jobs.append(args[0])
+        return original(self, executor, func, *args)
+
+    monkeypatch.setattr(
+        asyncio.base_events.BaseEventLoop, "run_in_executor", counting
+    )
+    return jobs
+
+
+def _hops(client, jobs, doc) -> tuple[dict, int]:
+    """*doc*'s reply, and how many worker-thread jobs it took."""
+    before = len(jobs)
+    reply = client.call(dict(doc))
+    return reply, len(jobs) - before
+
+
+@pytest.mark.parametrize("transport", ["tcp", "http"])
+def test_warm_hits_skip_the_executor_with_identical_documents(
+    transport, executor_jobs
+):
+    docs = _example_41_docs(3)
+    check = {"id": 7, "op": "check", "view": "V", "phis": docs["phis"]}
+    cover = {"id": 8, "op": "cover", "view": "V"}
+    with PropagationService() as service:
+        with background_server(service, transport) as url:
+            with connect(url) as client:
+                _register_named(client, docs, "V")
+                for doc in (check, cover):
+                    cold, hops = _hops(client, executor_jobs, doc)
+                    assert hops == 1 and cold["ok"]
+                    hit, hops = _hops(client, executor_jobs, doc)
+                    assert hops == 0, doc["op"]
+                    assert hit["result"]["stats"]["chases"] == 0
+                    assert hit["result"]["stats"]["memo_hits"] >= 1
+                    # What the worker thread would have answered for the
+                    # same warm hit: equal up to wall time.
+                    assert _scrub(hit) == _scrub(handle_request(dict(doc), service))
+                pong, hops = _hops(client, executor_jobs, {"op": "ping"})
+                assert hops == 0
+                # Inline answers are counted: handshake ping, 3
+                # registrations, 2 x (cold, hit), this ping.
+                assert pong["result"]["requests_served"] == 9
+
+
+@pytest.mark.parametrize("transport", ["tcp", "http"])
+def test_anything_but_a_memory_hit_takes_the_executor(
+    transport, executor_jobs, tmp_path
+):
+    docs = _example_41_docs(3)
+    check = {"op": "check", "view": "V", "phis": docs["phis"]}
+    with PropagationService(cache_dir=str(tmp_path)) as service:
+        with background_server(service, transport) as url:
+            with connect(url) as client:
+                _register_named(client, docs, "V")
+                cases = [
+                    ({**check, "phis": docs["phis"][:1]}, 1),  # memory miss
+                    (check, 1),  # memory miss
+                    (check, 0),  # memory hit
+                    ({**check, "witness": True}, 1),
+                    ({**check, "kernel": "baseline"}, 1),  # no engine yet
+                    ({**check, "use_cache": False}, 1),  # never a memory tier
+                    ({**check, "use_cache": False}, 1),
+                    ({"op": "empty", "view": "V"}, 1),
+                    # Inline documents are never parsed on the loop, even
+                    # when memory holds the answer.
+                    ({**check, "sigma": docs["sigma"]}, 1),
+                    ({**check, "view": docs["view"]}, 1),
+                ]
+                for doc, expected in cases:
+                    reply, hops = _hops(client, executor_jobs, doc)
+                    assert hops == expected, doc
+                    assert reply["ok"], reply
+                # An error the loop finds is the answer: the worker
+                # thread would find the same one.
+                reply, hops = _hops(client, executor_jobs, {**check, "view": "ghost"})
+                assert hops == 0
+                assert reply["error"]["kind"] == "not-found"
+                # A persistent-tier-only hit: the store answers, on a
+                # worker thread, and promotes the line into memory.
+                service.engine.clear()
+                reply, hops = _hops(client, executor_jobs, check)
+                assert hops == 1
+                assert reply["result"]["stats"]["persistent_hits"] == len(
+                    docs["phis"]
+                )
+                reply, hops = _hops(client, executor_jobs, check)
+                assert hops == 0
+                assert reply["result"]["stats"]["persistent_hits"] == 0
+
+
+class _StallingService(PropagationService):
+    """Stalls witness checks and Sigma updates until released."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _stall(self):
+        self.entered.set()
+        assert self.release.wait(timeout=30), "never released"
+
+    def check(self, request):
+        if request.witness:
+            self._stall()
+        return super().check(request)
+
+    def delta_sigma(self, request):
+        self._stall()
+        return super().delta_sigma(request)
+
+
+def _in_thread(url, doc):
+    """Send *doc* on its own connection from a thread; a future of its reply."""
+    done = {}
+
+    def run():
+        with connect(url) as client:
+            done["reply"] = client.call(doc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, done
+
+
+@pytest.mark.parametrize("transport", ["tcp", "http"])
+def test_a_busy_pool_queues_its_hits_while_other_pools_answer_inline(
+    transport, executor_jobs
+):
+    docs = _example_41_docs(3)
+    check_a = {"op": "check", "view": "V", "phis": docs["phis"]}
+    check_b = {**check_a, "kernel": "baseline"}  # another engine pool
+    with _StallingService() as service:
+        with background_server(service, transport) as url:
+            with connect(url) as client:
+                _register_named(client, docs, "V")
+                warm = [client.call(dict(doc)) for doc in (check_a, check_b)]
+                slow, _ = _in_thread(url, {**check_a, "witness": True})
+                assert service.entered.wait(timeout=30)
+                waiting, waited = _in_thread(url, check_a)
+                reply, hops = _hops(client, executor_jobs, check_b)
+                assert hops == 0
+                assert reply["result"]["propagated"] == warm[1]["result"]["propagated"]
+                assert client.ping()["pong"] is True
+                waiting.join(timeout=0.3)
+                assert waiting.is_alive(), "a hit jumped a busy pool's lock"
+                before = len(executor_jobs)
+                service.release.set()
+                slow.join(timeout=30)
+                waiting.join(timeout=30)
+                assert waited["reply"]["result"] == {
+                    **warm[0]["result"],
+                    "stats": waited["reply"]["result"]["stats"],
+                }
+                # It waited for the lock, then took the worker thread.
+                assert check_a in executor_jobs[before - 1 :]
+
+
+@pytest.mark.parametrize("transport", ["tcp", "http"])
+def test_hits_wait_for_a_sigma_update_then_see_the_new_sigma(
+    transport, executor_jobs
+):
+    schema = {"relations": [{"name": "R", "attributes": ["A", "B", "C", "D"]}]}
+    b_to_c = {"kind": "fd", "relation": "R", "lhs": ["B"], "rhs": ["C"]}
+    sigma = [{"kind": "fd", "relation": "R", "lhs": ["A"], "rhs": ["B"]}, b_to_c]
+    view = {
+        "name": "V",
+        "atoms": [{"source": "R", "prefix": ""}],
+        "projection": ["A", "C", "D"],
+    }
+    a_to_c = [{"kind": "fd", "relation": "V", "lhs": ["A"], "rhs": ["C"]}]
+    check = {"op": "check", "view": "V", "phis": a_to_c}
+    with _StallingService() as service:
+        with background_server(service, transport) as url:
+            with connect(url) as client:
+                _register_named(
+                    client, {"schema": schema, "sigma": sigma, "view": view}, "V"
+                )
+                # Warmed in-process, so the server holds no lock for this
+                # pool yet: only the mutation guard can hold the hit back.
+                assert handle_request(dict(check), service)["result"][
+                    "propagated"
+                ] == [True]
+                assert client.call(dict(check))["result"]["propagated"] == [True]
+                update, _ = _in_thread(
+                    url, {"op": "update-sigma", "remove": [b_to_c]}
+                )
+                assert service.entered.wait(timeout=30)
+                hit, answered = _in_thread(url, check)
+                hit.join(timeout=0.3)
+                assert hit.is_alive(), "a hit ran during a workspace mutation"
+                assert client.ping()["pong"] is True  # lockless, still inline
+                service.release.set()
+                update.join(timeout=30)
+                hit.join(timeout=30)
+                assert answered["reply"]["result"]["propagated"] == [False]
+                assert check in executor_jobs  # the new key missed memory
+
+
+def test_inline_hits_and_worker_jobs_never_share_an_engine():
+    """Stress: 6 clients mix inline hits with witness checks (always a
+    worker thread, on the same engines) across two pools.  Were a hit
+    ever answered while a worker used its engine, the worker's stats
+    delta would count the hit's memo hits too (and the unlocked
+    ``check_queries += n`` ticks could lose updates); every verdict
+    must also equal the reference."""
+    docs = _example_41_docs(3)
+    phis = docs["phis"]
+    pools = [{}, {"kernel": "baseline"}]
+    with connect("local://") as reference:
+        _register_named(reference, docs, "V")
+        expected = reference.call({"op": "check", "view": "V", "phis": phis})
+    truth = expected["result"]["propagated"]
+    sent = [0, 0]
+    sent_guard = threading.Lock()
+    failures = []
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with PropagationService() as service:
+            with background_server(service, "tcp") as url:
+
+                def client_loop(seed: int) -> None:
+                    with connect(url) as client:
+                        for step in range(60):
+                            pool = (seed + step) % 2
+                            lo = (seed * 7 + step) % len(phis)
+                            doc = {
+                                "op": "check",
+                                "view": "V",
+                                "phis": phis[lo:] + phis[:lo],
+                                "witness": step % 3 == 0,
+                                **pools[pool],
+                            }
+                            result = client.call(doc)["result"]
+                            if (
+                                result["propagated"] != truth[lo:] + truth[:lo]
+                                or result["stats"]["memo_hits"] > len(phis)
+                            ):
+                                failures.append(result)
+                            with sent_guard:
+                                sent[pool] += len(phis)
+
+                with connect(url) as client:
+                    _register_named(client, docs, "V")
+                threads = [
+                    threading.Thread(target=client_loop, args=(seed,))
+                    for seed in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                for pool, settings in enumerate(pools):
+                    engine = service._engines[service.pool_key(settings)]
+                    assert engine.stats.check_queries == sent[pool]
+    finally:
+        sys.setswitchinterval(previous)
+    assert not failures
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """Every request decode, with whether it ran on the event loop."""
+    seen = []
+    original = wire.request_from_json
+
+    def recording(doc, service):
+        try:
+            asyncio.get_running_loop()
+            seen.append(("loop", doc["op"]))
+        except RuntimeError:
+            seen.append(("worker", doc["op"]))
+        return original(doc, service)
+
+    monkeypatch.setattr(wire, "request_from_json", recording)
+    return seen
+
+
+@pytest.mark.parametrize("transport", ["tcp", "http"])
+def test_a_miss_is_decoded_once_and_inline_documents_off_the_loop(
+    transport, executor_jobs, decodes
+):
+    docs = _example_41_docs(3)
+    check = {"op": "check", "view": "V", "phis": docs["phis"]}
+    with PropagationService() as service:
+        with background_server(service, transport) as url:
+            with connect(url) as client:
+                _register_named(client, docs, "V")
+                reply, hops = _hops(client, executor_jobs, check)
+                assert reply["ok"] and hops == 1
+                # Peeked on the loop, then answered by the worker thread
+                # from the request the peek decoded.
+                assert decodes == [("loop", "check")]
+                for inline in (
+                    {**check, "phis": docs["phis"][:1], "sigma": docs["sigma"]},
+                    {"op": "cover", "view": docs["view"]},
+                ):
+                    decodes.clear()
+                    reply, hops = _hops(client, executor_jobs, inline)
+                    assert reply["ok"] and hops == 1
+                    assert decodes == [("worker", inline["op"])]
+
+
+@pytest.mark.parametrize("transport", ["tcp", "http"])
+def test_a_defect_on_the_inline_path_is_reported_not_hidden(
+    transport, executor_jobs, monkeypatch
+):
+    docs = _example_41_docs(3)
+    check = {"op": "check", "view": "V", "phis": docs["phis"]}
+    with PropagationService() as service:
+        with background_server(service, transport) as url:
+            with connect(url) as client:
+                _register_named(client, docs, "V")
+                assert client.call(dict(check))["ok"]
+
+                def broken(self, *args):
+                    raise RuntimeError("peek is broken")
+
+                monkeypatch.setattr(PropagationEngine, "peek", broken)
+                reply, hops = _hops(client, executor_jobs, check)
+                assert hops == 0
+                assert reply["error"]["kind"] == "internal"
+                assert "peek is broken" in reply["error"]["message"]
+
+
+@pytest.mark.parametrize("transport", ["tcp", "http"])
+def test_shutdown_waits_for_a_running_sigma_update_to_reply(transport):
+    docs = _example_41_docs(3)
+    with _StallingService() as service:
+        with background_server(service, transport) as url:
+            with connect(url) as client:
+                _register_named(client, docs, "V")
+            update, updated = _in_thread(
+                url, {"op": "update-sigma", "remove": docs["sigma"][:1]}
+            )
+            assert service.entered.wait(timeout=30)
+            stop, stopped = _in_thread(url, {"op": "shutdown"})
+            stop.join(timeout=0.3)
+            assert stop.is_alive(), "shutdown overtook a running mutation"
+            service.release.set()
+            update.join(timeout=30)
+            stop.join(timeout=30)
+            assert updated["reply"]["ok"], updated
+            assert updated["reply"]["result"]["size"] == len(docs["sigma"]) - 1
+            assert stopped["reply"]["result"] == {"stopping": True}
