@@ -53,14 +53,20 @@ class LRUCache:
         except KeyError:
             self.misses += 1
             return default
-        self._data.move_to_end(key)
+        try:
+            self._data.move_to_end(key)
+        except KeyError:  # evicted by another thread since the read
+            pass
         self.hits += 1
         return value
 
     def put(self, key: Any, value: Any) -> None:
         if key in self._data:
             self._data[key] = value
-            self._data.move_to_end(key)
+            try:
+                self._data.move_to_end(key)
+            except KeyError:  # evicted by another thread meanwhile
+                pass
             return
         self._data[key] = value
         if self.capacity is not None and len(self._data) > self.capacity:

@@ -24,9 +24,9 @@ equality-generating consequences, so its result is the least fixpoint of
 a closure operator — order-independent, and ``closure(base ∪ coupling) =
 closure(closure(base) ∪ coupling)``.  The packed verdict (same class /
 class constant) therefore coincides with the baseline's resolved-cell
-comparison; when a violation *is* found, the caller rebuilds the witness
-database through the baseline machinery for the flagged pair, so even
-counterexamples are byte-identical.  ``tests/test_kernel.py`` and the
+comparison; when a violation *is* found, the caller confirms the flagged
+pair through the baseline machinery, whose chased instance is the
+witness's, so even counterexamples are byte-identical.  ``tests/test_kernel.py`` and the
 fuzz matrix enforce all of this differentially.
 
 The kernel covers exactly the shared-single-chase setting
@@ -131,9 +131,9 @@ class PackedPairRunner:
     """One Sigma's packed pair loop over one :class:`BranchPairCache`.
 
     Built (and cached) per ``(view cache, sigma_key)``; ``find_violation``
-    answers the Case-1/Case-2 half of ``_pair_counterexample`` — it
+    answers the Case-1/Case-2 half of ``check._pair_violation`` — it
     returns the first violating ordered pair, or ``None``.  The caller
-    owns witness reconstruction and the decision of when this kernel
+    owns the pair's confirmation and the decision of when this kernel
     applies (single-chase setting, cache enabled); after a run it must
     consult :attr:`usable` — a ``False`` means the runner met a construct
     it cannot intern (e.g. an unhashable constant) and the whole query

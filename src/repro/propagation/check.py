@@ -67,6 +67,7 @@ _MISSING = object()
 
 ViewLike = Union[SPCView, SPCUView]
 DependencyLike = Union[CFD, FD]
+_Hit = tuple[tuple[int, int], SymbolicInstance, SPCView]
 
 
 class UnsupportedViewError(ValueError):
@@ -378,20 +379,16 @@ def _view_sigma(view: SPCView, sigma: list[CFD]) -> list[CFD]:
 def program_verdict(cache: BranchPairCache, program, phi: CFD) -> bool | None:
     """``Sigma |=_V phi`` on *cache*'s compiled implication program.
 
-    Follows :func:`find_counterexample`'s contract (trivial conjuncts
-    skipped, unprojected attributes a ``KeyError``) and ticks one chase
+    Tests phi's :func:`conjuncts` (trivial ones skipped, unprojected
+    attributes a ``KeyError``) and ticks one chase
     per conjunct tested.  ``None`` when phi carries a constant the
     program cannot key: the caller then runs the pair loop, and the
     conjuncts tested before it are not counted.
     """
     branch = cache.branches[0]
-    projection = set(branch.projection)
     tested = 0
     holds = True
-    for normal in phi.normalize():
-        if normal.is_trivial():
-            continue
-        _require_projected(normal, projection)
+    for normal in conjuncts(phi, set(branch.projection)):
         if branch.unsatisfiable:
             continue  # the view is empty: every conjunct holds
         try:
@@ -405,13 +402,20 @@ def program_verdict(cache: BranchPairCache, program, phi: CFD) -> bool | None:
     return holds
 
 
-def _require_projected(phi: CFD, projection: set[str]) -> None:
-    missing = phi.attributes - projection
-    if missing:
-        raise KeyError(
-            f"view dependency references attributes {sorted(missing)} "
-            "that the view does not project"
-        )
+def conjuncts(phi: CFD, projection: set[str]):
+    """*phi*'s normal-form conjuncts to test, in order: trivial ones are
+    skipped, and one naming an attribute outside *projection* raises
+    ``KeyError`` when reached (a violation of an earlier one wins)."""
+    for normal in phi.normalize():
+        if normal.is_trivial():
+            continue
+        missing = normal.attributes - projection
+        if missing:
+            raise KeyError(
+                f"view dependency references attributes {sorted(missing)} "
+                "that the view does not project"
+            )
+        yield normal
 
 
 def propagates(
@@ -429,20 +433,14 @@ def propagates(
     ``max_instantiations`` caps the finite-domain enumeration; a capped run
     is sound for *non*-propagation but may report propagation optimistically
     (the paper's heuristic escape for the coNP cases).
+
+    The verdict path: :func:`find_counterexample`'s search, building no
+    witness database.
     """
-    return (
-        find_counterexample(
-            sigma,
-            view,
-            phi,
-            max_instantiations=max_instantiations,
-            assume_infinite=assume_infinite,
-            cache=cache,
-            pairs=pairs,
-            kernel=kernel,
-        )
-        is None
+    hit = _search(
+        sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel
     )
+    return hit is None
 
 
 def find_counterexample(
@@ -459,7 +457,9 @@ def find_counterexample(
 
     Returns ``None`` when *phi* is propagated.  The witness database is
     concrete and can be validated by evaluation — the integration tests
-    do exactly that.
+    do exactly that.  This is the witness path: :func:`search_violation`
+    (all that :func:`propagates` and the engine's checks run), then the
+    violating pair's chased instance instantiated into a database.
 
     *cache* shares materialized/coupled/chased tableaux across queries on
     the same view (see :class:`BranchPairCache`); it must have been built
@@ -469,53 +469,74 @@ def find_counterexample(
     equality-form conjuncts run on the branches of the diagonal pairs
     present.  ``None`` keeps the full ``k²`` iteration.  A
     pair-restricted ``None`` result means only "no violation *within
-    these pairs*"; the engine's per-pair verdict memo passes one pair
-    at a time and ANDs the results.
+    these pairs*".
 
     *kernel* — ``"bitset"`` routes eligible pair sweeps through the
     packed runner of :mod:`repro.kernel.chase` (cached single-chase
-    setting only; identical answers, differential-tested).  The default
-    ``None`` keeps the baseline everywhere, so library callers and the
-    fuzz oracle are untouched by the engine's kernel selection.
+    setting only; identical answers, differential-tested).  The baseline
+    confirms the pair the runner names, so the witness is the baseline's.
+    The default ``None`` keeps the baseline everywhere, so library
+    callers and the fuzz oracle are untouched by the engine's kernel
+    selection.
     """
+    hit = _search(
+        sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel
+    )
+    if hit is None:
+        return None
+    pair, instance, branch = hit
+    return Counterexample(_to_database(instance, branch), pair)
+
+
+def _search(
+    sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel
+) -> _Hit | None:
+    """Normalize Sigma and phi, then :func:`search_violation`."""
     sigma_cfds, sigma_key = _sigma_state(sigma)
     if isinstance(phi, FD):
         phi = CFD.from_fd(phi)
     if cache is not None and cache.view is not view:
         raise ValueError("cache was built for a different view")
     branches = _branches(view)
-    projection = set(branches[0].projection)
-    pair_list = None if pairs is None else list(pairs)
+    return search_violation(
+        sigma_cfds,
+        sigma_key,
+        branches,
+        conjuncts(phi, set(branches[0].projection)),
+        max_instantiations,
+        assume_infinite,
+        cache,
+        None if pairs is None else list(pairs),
+        kernel,
+    )
 
-    for normal_phi in phi.normalize():
-        if normal_phi.is_trivial():
-            continue
-        _require_projected(normal_phi, projection)
-        if normal_phi.is_equality:
-            witness = _equality_counterexample(
-                sigma_cfds,
-                branches,
-                normal_phi,
-                max_instantiations,
-                assume_infinite,
-                cache,
-                pair_list,
-                sigma_key,
-            )
+
+def search_violation(
+    sigma: list[CFD],
+    sigma_key: frozenset | None,
+    branches: list[SPCView],
+    normal_phis: Iterable[CFD],
+    max_instantiations: int | None = None,
+    assume_infinite: bool = False,
+    cache: BranchPairCache | None = None,
+    pairs: list[tuple[int, int]] | None = None,
+    kernel: str | None = None,
+) -> _Hit | None:
+    """The first violation of *normal_phis* (:func:`conjuncts` output),
+    in order: ``(branch pair, chased instance, branch)``, the branch
+    supplying a witness database's schema.  ``None`` means propagated.
+
+    *sigma* is normal-form CFDs and *sigma_key* their frozenset.  Nothing
+    is instantiated: this is the verdict path.
+    """
+    settings = (max_instantiations, assume_infinite, cache, pairs)
+    for phi in normal_phis:
+        if phi.is_equality:
+            hit = _equality_violation(sigma, sigma_key, branches, phi, *settings)
         else:
-            witness = _pair_counterexample(
-                sigma_cfds,
-                branches,
-                normal_phi,
-                max_instantiations,
-                assume_infinite,
-                cache,
-                pair_list,
-                kernel,
-                sigma_key,
-            )
-        if witness is not None:
-            return witness
+            hit = _pair_violation(sigma, sigma_key, branches, phi, *settings, kernel)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -545,17 +566,17 @@ def _chase_runs(
     )
 
 
-def _pair_counterexample(
+def _pair_violation(
     sigma: list[CFD],
+    sigma_key: frozenset | None,
     branches: list[SPCView],
     phi: CFD,
     max_instantiations: int | None,
     assume_infinite: bool,
     cache: BranchPairCache | None,
-    pairs: list[tuple[int, int]] | None = None,
-    kernel: str | None = None,
-    sigma_key: frozenset | None = None,
-) -> Counterexample | None:
+    pairs: list[tuple[int, int]] | None,
+    kernel: str | None,
+) -> _Hit | None:
     rhs_attr = phi.rhs_attr
     rhs_entry = phi.rhs_entry
     share_chase = cache is not None and cache.can_share_chase(
@@ -575,15 +596,17 @@ def _pair_counterexample(
             if runner.usable:
                 if hit is None:
                     return None
-                witness = _pair_witness(sigma, branches, phi, cache, sigma_key, hit)
-                if witness is not None:
-                    return witness
-                # A disagreement between the packed verdict and the
-                # baseline witness would land here; fall through to the
-                # full baseline sweep so the answer is always baseline.
+                # The runner only names the pair; the baseline loop confirms
+                # it (coupled skeleton, shared chase, RHS compare), and a
+                # disagreement (a kernel bug) falls through to the full sweep.
+                confirmed = _pair_violation(
+                    sigma, sigma_key, branches, phi, max_instantiations,
+                    assume_infinite, cache, [hit], None,
+                )
+                if confirmed is not None:
+                    return confirmed
 
     for i, j in pairs:
-        left, right = branches[i], branches[j]
         if cache is not None:
             prepared = cache.coupled(i, j, phi)
             if prepared is None:
@@ -592,10 +615,10 @@ def _pair_counterexample(
         else:
             instance = SymbolicInstance()
             factory = VarFactory()
-            cells1 = materialize_branch(left, instance, factory)
+            cells1 = materialize_branch(branches[i], instance, factory)
             if cells1 is None:
                 continue
-            cells2 = materialize_branch(right, instance, factory)
+            cells2 = materialize_branch(branches[j], instance, factory)
             if cells2 is None:
                 continue
             if not _couple_premise(instance, cells1, cells2, phi):
@@ -617,42 +640,8 @@ def _pair_counterexample(
             if not violated and is_const(rhs_entry):
                 violated = isinstance(r1, SymVar) or r1 != rhs_entry.value
             if violated:
-                database = _to_database(result.instance, branches[0])
-                return Counterexample(database, (i, j))
+                return (i, j), result.instance, branches[0]
     return None
-
-
-def _pair_witness(
-    sigma: list[CFD],
-    branches: list[SPCView],
-    phi: CFD,
-    cache: BranchPairCache,
-    sigma_key: frozenset,
-    pair: tuple[int, int],
-) -> Counterexample | None:
-    """Rebuild the baseline witness for the kernel's violating pair.
-
-    The packed runner only decides *which* pair violates; the concrete
-    counterexample database is produced by the exact baseline machinery
-    (coupled skeleton + shared chase + instantiation) for that pair, so
-    kernel and baseline answers are byte-identical down to the witness.
-    """
-    i, j = pair
-    prepared = cache.coupled(i, j, phi)
-    if prepared is None:
-        return None
-    instance, cells1, cells2 = prepared
-    result = cache.chased(sigma, sigma_key, i, j, phi, instance)
-    if result.status is ChaseStatus.UNDEFINED:
-        return None
-    r1 = result.instance.resolve(cells1[phi.rhs_attr])
-    r2 = result.instance.resolve(cells2[phi.rhs_attr])
-    violated = r1 != r2
-    if not violated and is_const(phi.rhs_entry):
-        violated = isinstance(r1, SymVar) or r1 != phi.rhs_entry.value
-    if not violated:
-        return None
-    return Counterexample(_to_database(result.instance, branches[0]), (i, j))
 
 
 def _couple_premise(
@@ -678,16 +667,16 @@ def _couple_premise(
     return True
 
 
-def _equality_counterexample(
+def _equality_violation(
     sigma: list[CFD],
+    sigma_key: frozenset | None,
     branches: list[SPCView],
     phi: CFD,
     max_instantiations: int | None,
     assume_infinite: bool,
     cache: BranchPairCache | None,
-    pairs: list[tuple[int, int]] | None = None,
-    sigma_key: frozenset | None = None,
-) -> Counterexample | None:
+    pairs: list[tuple[int, int]] | None,
+) -> _Hit | None:
     a = phi.lhs[0][0]
     b = phi.rhs[0][0]
     share_chase = cache is not None and cache.can_share_chase(
@@ -730,7 +719,7 @@ def _equality_counterexample(
             if result.status is ChaseStatus.UNDEFINED:
                 continue
             if result.instance.resolve(cells[a]) != result.instance.resolve(cells[b]):
-                return Counterexample(_to_database(result.instance, branch), (i, i))
+                return (i, i), result.instance, branch
     return None
 
 

@@ -80,9 +80,11 @@ from ..check import (
     DependencyLike,
     ViewLike,
     _as_cfds,
-    _require_projected,
+    _sigma_state,
+    conjuncts,
     find_counterexample,
     program_verdict,
+    search_violation,
 )
 from ..cover import prop_cfd_spc, prop_cfd_spc_report
 from ..spcu_cover import prop_cfd_spcu
@@ -554,17 +556,20 @@ class PropagationEngine:
         if not self.use_cache:
             self.stats.check_queries += len(phis)
             cache = BranchPairCache(view, enabled=False, stats=self.stats)
+            sigma_cfds, sigma_key = _sigma_state(sigma)
+            projection = set(view.projection)
             verdicts = [
-                find_counterexample(
-                    sigma,
-                    view,
-                    phi,
-                    max_instantiations=self.max_instantiations,
-                    assume_infinite=self.assume_infinite,
-                    cache=cache,
+                search_violation(
+                    sigma_cfds,
+                    sigma_key,
+                    cache.branches,
+                    conjuncts(CFD.from_fd(p) if isinstance(p, FD) else p, projection),
+                    self.max_instantiations,
+                    self.assume_infinite,
+                    cache,
                 )
                 is None
-                for phi in phis
+                for p in phis
             ]
             self._read_closure_window()
             return verdicts
@@ -668,6 +673,8 @@ class PropagationEngine:
         if not all(key in memory for key in keys):
             return None
         answers = [memory.get(key) for key in keys]
+        if None in answers:  # evicted by a pool thread since the check
+            return None
         if phis is None:
             self.stats.cover_queries += 1
             self.stats.cover_hits += 1
@@ -712,13 +719,14 @@ class PropagationEngine:
                 verdict = program_verdict(cache, program, phi_cfd)
             if verdict is None:
                 verdict = (
-                    find_counterexample(
+                    search_violation(
                         scoped,
-                        view,
-                        phi_cfd,
-                        max_instantiations=self.max_instantiations,
-                        assume_infinite=self.assume_infinite,
-                        cache=cache,
+                        sigma_key,
+                        cache.branches,
+                        conjuncts(phi_cfd, set(view.projection)),
+                        self.max_instantiations,
+                        self.assume_infinite,
+                        cache,
                         kernel=self.kernel,
                     )
                     is None
@@ -780,30 +788,25 @@ class PropagationEngine:
     ) -> bool:
         """One multi-branch SPCU miss, unit by unit through the pair memo.
 
-        Mirrors :func:`~repro.propagation.check.find_counterexample`'s
-        loop exactly — normalized conjuncts in order (trivial ones
-        skipped, unprojected attributes a ``KeyError``), the ``k^2``
-        pairs row-major for pattern conjuncts and the diagonal branches
-        for equality conjuncts, early exit on the first violating unit —
-        but consults a per-unit verdict memo before launching the
-        pair-restricted chase.  Each unit's memo key scopes Sigma to the
-        *pair's* provenance (the relations branches ``i`` and ``j``
-        read; CFDs elsewhere are vacuous for that pair), so a
-        ``delta_sigma`` edit leaves every unit missing the edited
-        relation warm — that is the delta-aware recomputation.  The
-        chase itself still receives the full view-scoped Sigma and the
-        shared tableau cache, so verdicts, chased-layer keys and chase
-        order are byte-identical to the unrestricted sweep.
+        A verdict path (no witness database; a kernel-named pair is
+        still confirmed by the baseline chase) walking
+        :func:`~repro.propagation.check.search_violation`'s loop exactly
+        — ``conjuncts`` in order, the ``k^2`` pairs row-major for pattern
+        conjuncts and the diagonal branches for equality conjuncts, early
+        exit on the first violating unit — but consulting a per-unit
+        verdict memo before searching that one unit.  Each unit's memo
+        key scopes Sigma to the *pair's* provenance (the relations
+        branches ``i`` and ``j`` read; CFDs elsewhere are vacuous for
+        that pair), so a ``delta_sigma`` edit leaves every unit missing
+        the edited relation warm.  The search still receives the full
+        view-scoped Sigma and the shared tableau cache, so verdicts,
+        chased-layer keys and chase order equal the unrestricted sweep.
         """
         branches = list(view.branches)
         k = len(branches)
-        projection = set(branches[0].projection)
         per_branch, pair_unions = self._branch_provenance(view, token)
         settings = (self.max_instantiations, self.assume_infinite)
-        for normal in phi_cfd.normalize():
-            if normal.is_trivial():
-                continue
-            _require_projected(normal, projection)
+        for normal in conjuncts(phi_cfd, set(branches[0].projection)):
             if normal.is_equality:
                 units = [(i, i) for i in range(k)]
             else:
@@ -826,15 +829,16 @@ class PropagationEngine:
                 if clean is None:
                     self.stats.pair_chases += 1
                     clean = (
-                        find_counterexample(
+                        search_violation(
                             scoped,
-                            view,
-                            normal,
-                            max_instantiations=self.max_instantiations,
-                            assume_infinite=self.assume_infinite,
-                            cache=cache,
-                            pairs=[(i, j)],
-                            kernel=self.kernel,
+                            sigma_key,
+                            branches,
+                            [normal],
+                            self.max_instantiations,
+                            self.assume_infinite,
+                            cache,
+                            [(i, j)],
+                            self.kernel,
                         )
                         is None
                     )

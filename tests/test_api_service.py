@@ -495,6 +495,26 @@ class TestPeek:
         uncached.check_many(sigma, view, phis)
         assert uncached.peek(sigma, view, phis) is None
 
+    def test_engine_peek_misses_on_a_line_evicted_after_its_residency_check(self):
+        """A pool thread may evict a line between peek's residency check
+        and its read: that is a miss, never a ``None`` verdict or cover."""
+        from collections import OrderedDict
+
+        class Vanishing(OrderedDict):
+            def __contains__(self, key):
+                return True  # resident at the check, gone by the read
+
+        sigma, view, phis = _projection_workload(defeat_fast_path=True)
+        engine = PropagationEngine()
+        engine.check_many(sigma, view, phis)
+        engine.cover(sigma, view)
+        engine._verdict_tier.memory._data = Vanishing()
+        engine._cover_tier.memory._data = Vanishing()
+        before = vars(engine.stats).copy()
+        assert engine.peek(sigma, view, phis) is None
+        assert engine.peek(sigma, view) is None
+        assert vars(engine.stats) == before
+
     def test_service_peek_equals_the_full_path_on_hits_only(self, service):
         schema, sigma, view, phis = union_shard_workload()
         service.workspace.add_schema("default", schema)

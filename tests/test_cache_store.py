@@ -16,6 +16,8 @@ Four obligations:
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 
 from repro import CFD, FD
@@ -288,6 +290,55 @@ def test_lru_evicts_least_recently_used_not_inserted():
     assert lru.keys() == ["a", "c"]  # eviction order: a before c
     assert lru.get("b", "gone") == "gone"
     assert (lru.hits, lru.misses) == (1, 1)
+
+
+class _RacingDict(OrderedDict):
+    """An LRU's backing map that runs *racer* once, right after the next
+    read (``on="get"``) or write (``on="set"``) of a key: another thread's
+    ``put`` landing between two steps of ``get``/``put``."""
+
+    racer = None
+    on = "get"
+
+    def _race(self, on: str) -> None:
+        racer, self.racer = self.racer, None
+        if racer is not None and on == self.on:
+            racer()
+        elif racer is not None:
+            self.racer = racer
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self._race("get")
+        return value
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self._race("set")
+
+
+def _racing_lru(on: str) -> LRUCache:
+    lru = LRUCache(capacity=1)
+    lru._data = data = _RacingDict()
+    lru.put("a", 1)
+    data.on = on
+    data.racer = lambda: lru.put("b", 2)  # evicts "a"
+    return lru
+
+
+def test_lru_get_survives_a_concurrent_eviction():
+    lru = _racing_lru("get")
+    assert lru.get("a") == 1  # read before the eviction: still a hit
+    assert (lru.hits, lru.misses, lru.evictions) == (1, 0, 1)
+    assert lru.keys() == ["b"]
+    assert lru.get("a", "gone") == "gone"  # and a miss from then on
+
+
+def test_lru_refresh_survives_a_concurrent_eviction():
+    lru = _racing_lru("set")
+    lru.put("a", 3)  # the refresh is evicted before its recency bump
+    assert lru.evictions == 1 and lru.keys() == ["b"]
+    assert lru.get("a", "gone") == "gone"
 
 
 def test_lru_unbounded_and_validation():
