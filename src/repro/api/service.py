@@ -31,8 +31,9 @@ in every response)::
 The labels classify which family *answers a miss*; hits short-circuit in
 the engine's memo tiers regardless of route, and the per-request
 :class:`~repro.api.requests.RequestStats` delta records what actually
-ran.  Emptiness verdicts are memoized service-side (they bypass the
-engine), keyed by view token like the engine's own memo keys.
+ran.  The service keeps no memo or key: the engine owns the one view
+interner and every line (emptiness too), returns the route capabilities
+with a check's verdicts, and ``invalidate_relations`` is the one sweep.
 
 Errors are normalized at this boundary: anything a procedure raises
 reaches the caller as an :class:`~repro.api.ApiError` from the stable
@@ -43,23 +44,15 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from ..algebra.spcu import SPCUView
 from ..core.cfd import CFD
 from ..core.fd import FD
 from ..kernel.config import resolve_kernel
-from ..propagation.cache import LRUCache
 from ..propagation.check import DependencyLike, ViewLike, _as_cfds, _branches
-from ..propagation.emptiness import nonempty_witness
-from ..propagation.engine import (
-    EngineStats,
-    PropagationEngine,
-    make_stale_predicate,
-    scoped_sigma,
-)
-from ..propagation.engine.core import _all_wildcard, _FastPathContext
-from ..propagation.engine.keys import ViewTokens, sweep_stale
+from ..propagation.engine import EngineStats, PropagationEngine
+from ..propagation.engine.core import _all_wildcard
 from ..store import validate_store_url
 from .errors import ApiError, api_errors
 from .requests import (
@@ -137,16 +130,6 @@ class PropagationService:
         # requests on *different* pool keys to run concurrently, so two
         # executor threads may reach `_engine` at once.
         self._pool_guard = threading.Lock()
-        # Service-side memos, LRU-bounded by the same knob as the engine
-        # tiers: emptiness verdicts (they bypass the engine) and the
-        # route-classification capabilities per (Sigma, view).  Keys are
-        # provenance-scoped like the engine's and lead with
-        # ``(scoped sigma, view token)``; `_views` maps each token to its
-        # touched-relation set so the delta sweep can apply the same
-        # staleness rule the engine does.
-        self._empty_memo = LRUCache(capacity=cache_size)
-        self._route_memo = LRUCache(capacity=cache_size)
-        self._views = ViewTokens()
 
     # ------------------------------------------------------------------
     # Engine pool.
@@ -224,57 +207,31 @@ class PropagationService:
     # Capability routing.
     # ------------------------------------------------------------------
 
+    # An instance method, not a staticmethod: perfbench's tracer wraps it
+    # on the class by name, and a plain-function wrapper would bind self.
     def route_check(
         self,
-        sigma: Iterable[DependencyLike],
         view: ViewLike,
-        targets: Iterable[DependencyLike],
+        targets: list[DependencyLike],
         settings: _Effective,
-        *,
-        peek: bool = False,
-    ) -> str | None:
-        """Classify which procedure family decides this check request.
-
-        The (Sigma, view) capabilities — finite domains present, closure
-        fast path applicable — are memoized structurally, so a warm
-        server classifies repeated requests without rebuilding the fast
-        path context or rescanning Sigma.  ``peek=True`` reads that memo
-        only: an unseen (Sigma, view) gives ``None`` and memoizes nothing.
-        """
-        branches = _branches(view)  # validates the view language
+        finite_domain: bool,
+        fast_path: bool,
+    ) -> str:
+        """Classify which procedure family decides this check request: a
+        pure function of the settings, the targets and the two
+        capabilities the engine returns with the verdicts (a finite-domain
+        attribute present, the closure fast path applicable)."""
         if settings.assume_infinite:
             return "ptime-chase"
-        # Provenance-scoped like the engine's own keys: Sigma enters the
-        # memo restricted to the view's touched relations, so route
-        # classifications survive delta_sigma edits on other relations.
-        token = self._views.lookup(view) if peek else self._views.intern(view)
-        if token is None:
-            return None
-        scoped = scoped_sigma(_as_cfds(sigma), self._views.touched(token))
-        memo_key = (frozenset(scoped), token)
-        capabilities = self._route_memo.get(memo_key)
-        if capabilities is None:
-            if peek:
-                return None
-            capabilities = (
-                any(b.has_finite_domain_attribute() for b in branches),
-                _FastPathContext.of(view, scoped) is not None,
-            )
-            self._route_memo.put(memo_key, capabilities)
-        has_finite_domain, fast_path_capable = capabilities
-        if has_finite_domain:
+        if finite_domain:
             return "general"
-        if settings.use_cache and fast_path_capable:
-            targets = list(targets)
-            if targets and all(
-                isinstance(phi, FD)
-                or (isinstance(phi, CFD) and not phi.is_equality and _all_wildcard(phi))
-                for phi in targets
-            ):
-                return "closure"
-        if isinstance(view, SPCUView) and len(view.branches) > 1:
-            return "spcu"
-        return "spc"
+        if settings.use_cache and fast_path and targets and all(
+            isinstance(phi, FD)
+            or (isinstance(phi, CFD) and not phi.is_equality and _all_wildcard(phi))
+            for phi in targets
+        ):
+            return "closure"
+        return self.route_cover(view)  # "spcu" for a multi-branch union
 
     @staticmethod
     def route_cover(view: ViewLike) -> str:
@@ -310,10 +267,10 @@ class PropagationService:
         ``"default"`` registration) is diffed in place: dependencies
         whose normalized CFDs are covered by ``remove`` drop out,
         ``add`` appends.  The *affected relations* are those mentioned
-        by the diff; every pooled engine (and the service-side route and
-        emptiness memos) drops only the lines whose provenance meets
-        them.  Because all keys are provenance-scoped, the surviving
-        lines are immediately reachable under the updated Sigma —
+        by the diff; every pooled engine drops only the lines whose
+        provenance meets them (the service keeps no memo of its own).
+        Because all keys are provenance-scoped, the surviving lines are
+        immediately reachable under the updated Sigma —
         queries on untouched relations keep answering with zero chases,
         from the memory tiers and the persistent store alike
         (``tests/test_incremental.py`` / ``benchmarks/bench_incremental.py``).
@@ -322,10 +279,8 @@ class PropagationService:
             started = time.perf_counter()
             name = request.name if request.name is not None else DEFAULT_NAME
             current = list(self.workspace.sigma(name))
-            # Each registered dependency is normalized exactly once per
-            # edit; `old_cfds` is `_as_cfds(current)`, concatenated.
+            # Each registered dependency is normalized exactly once per edit.
             normals = [_normalized(dep) for dep in current]
-            old_cfds = [phi for normal in normals for phi in normal]
             remove_cfds = set(_as_cfds(request.remove))
             removed: list[DependencyLike] = []
             kept: list[DependencyLike] = []
@@ -364,12 +319,6 @@ class PropagationService:
                 out = engine.invalidate_relations(affected, sigma=current)
                 invalidated += out["invalidated"]
                 retained += out["retained"]
-            # Same staleness rule as the engine sweep (one shared
-            # predicate — the two can never diverge): drop only lines
-            # derived from the edited registration's old value.
-            stale = make_stale_predicate(frozenset(affected), old_cfds)
-            for memo in (self._route_memo, self._empty_memo):
-                sweep_stale(memo, stale, self._views.touched)
             stats = RequestStats(
                 elapsed_ms=(time.perf_counter() - started) * 1000.0
             )
@@ -384,7 +333,7 @@ class PropagationService:
 
     def peek(self, request: Request) -> Verdict | CoverResult | None:
         """:meth:`check`/:meth:`cover`'s answer, ticking the same counters, if
-        route memo, engine pool and memory tier (only read) all hold it;
+        the engine pool and the engine's memory lines (only read) hold it;
         else ``None`` (a witness or another op too).  The event-loop path."""
         if isinstance(request, CheckRequest) and not request.witness:
             return self._check(request, peek=True)
@@ -401,15 +350,16 @@ class PropagationService:
             sigma = self.workspace.sigma(request.sigma)
             targets = list(request.targets)
             settings = self._effective(vars(request))
-            route = self.route_check(sigma, view, targets, settings, peek=peek)
+            _branches(view)  # validates the view language
             engine = self._engine(settings, create=not peek)
-            if route is None or engine is None:
+            if engine is None:
                 return None
             before, started = vars(engine.stats).copy(), time.perf_counter()
-            decide = engine.peek if peek else engine.check_many
-            verdicts = decide(sigma, view, targets)
-            if verdicts is None:
+            decided = engine._decide(sigma, view, targets, peek=peek)
+            if decided is None:
                 return None
+            verdicts, finite_domain, fast_path = decided
+            route = self.route_check(view, targets, settings, finite_domain, fast_path)
             witnesses = None
             if request.witness:
                 witnesses = [
@@ -446,24 +396,7 @@ class PropagationService:
             settings = self._effective(vars(request))
             started = time.perf_counter()
             _branches(view)  # same validation as every other route
-            memo_key = None
-            line = None
-            if settings.use_cache:
-                # Scoped like every other key: emptiness is a function of
-                # Sigma restricted to the view's relations, so warm lines
-                # survive delta_sigma edits elsewhere.
-                token = self._views.intern(view)
-                scoped = scoped_sigma(_as_cfds(sigma), self._views.touched(token))
-                memo_key = (frozenset(scoped), token, settings.max_instantiations)
-                line = self._empty_memo.get(memo_key)
-            if line is None:
-                witness = nonempty_witness(
-                    sigma, view, max_instantiations=settings.max_instantiations
-                )
-                line = (witness is None, witness)
-                if memo_key is not None:
-                    self._empty_memo.put(memo_key, line)
-            empty, witness = line
+            empty, witness = self._engine(settings)._emptiness(sigma, view)
             stats = RequestStats(
                 elapsed_ms=(time.perf_counter() - started) * 1000.0, queries=1
             )

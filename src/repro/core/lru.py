@@ -61,16 +61,20 @@ class LRUCache:
         return value
 
     def put(self, key: Any, value: Any) -> None:
-        if key in self._data:
-            self._data[key] = value
+        refresh = key in self._data
+        self._data[key] = value
+        if refresh:
             try:
                 self._data.move_to_end(key)
             except KeyError:  # evicted by another thread meanwhile
                 pass
-            return
-        self._data[key] = value
-        if self.capacity is not None and len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        # Checked on refreshes too: another thread may evict *key* between
+        # the membership test and the store, which then re-inserts it.
+        while self.capacity is not None and len(self._data) > self.capacity:
+            try:
+                self._data.popitem(last=False)
+            except KeyError:  # emptied by another thread meanwhile
+                break
             self.evictions += 1
             if self._on_evict is not None:
                 self._on_evict()

@@ -1,8 +1,7 @@
 """The layered propagation engine package (facade).
 
-PR 1-3 grew ``repro/propagation/engine.py`` into an 800-line monolith
-mixing three concerns; this package splits them into explicit layers
-(``docs/incremental.md`` and ``docs/architecture.md`` tell the story):
+The engine is split into explicit layers (``docs/incremental.md`` and
+``docs/architecture.md`` tell the story):
 
 - :mod:`.keys` — the **provenance/keyspace layer**: per-relation Sigma
   fingerprints, the touched-relation sets recorded from the view's
@@ -19,11 +18,9 @@ from ..cache import EngineStats
 from .core import PropagationEngine
 from .keys import (
     cover_key,
-    make_stale_predicate,
     provenance_doc,
     provenance_fingerprint,
     relation_fingerprints,
-    scoped_sigma,
     structural_view_key,
     touched_relations,
     verdict_key,
@@ -33,11 +30,9 @@ __all__ = [
     "EngineStats",
     "PropagationEngine",
     "cover_key",
-    "make_stale_predicate",
     "provenance_doc",
     "provenance_fingerprint",
     "relation_fingerprints",
-    "scoped_sigma",
     "structural_view_key",
     "touched_relations",
     "verdict_key",

@@ -64,6 +64,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
+from ...algebra.instance import DatabaseInstance
 from ...algebra.spc import SPCView
 from ...algebra.spcu import SPCUView
 from ...core.cfd import CFD
@@ -80,6 +81,7 @@ from ..check import (
     DependencyLike,
     ViewLike,
     _as_cfds,
+    _branches,
     _sigma_state,
     conjuncts,
     find_counterexample,
@@ -87,6 +89,7 @@ from ..check import (
     search_violation,
 )
 from ..cover import prop_cfd_spc, prop_cfd_spc_report
+from ..emptiness import nonempty_witness
 from ..spcu_cover import prop_cfd_spcu
 from ...store import DEFAULT_LEASE_TTL, BlobStore, SqliteStore, open_store
 from .keys import (
@@ -236,8 +239,11 @@ class PropagationEngine:
         # its minimal cover (see _minimized_sigma).
         self._min_covers = LRUCache(capacity=cache_size)
         # Keyed ``(scoped sigma frozenset, view token)``, like the
-        # verdict and cover tiers (whose keys add phi and settings).
+        # verdict and cover tiers (whose keys add phi and settings): the
+        # closure fast-path contexts (also the ``closure`` route's
+        # capability) and the ``(empty, witness)`` emptiness lines.
         self._fast_contexts = LRUCache(capacity=cache_size)
+        self._empty_memo = LRUCache(capacity=cache_size)
         # The delta-path memo layers (streaming Sigma).  Every key leads
         # with ``(scoped sigma frozenset, touched relations)`` so the
         # shared stale predicate sweeps them like every other tier:
@@ -279,6 +285,7 @@ class PropagationEngine:
         self._cover_tier.clear_memory()
         self._min_covers.clear()
         self._fast_contexts.clear()
+        self._empty_memo.clear()
         self._pair_verdicts.clear()
         self._branch_covers.clear()
         self._pair_sigma_intern.clear()
@@ -333,7 +340,10 @@ class PropagationEngine:
             dropped, kept = sweep_stale(tier.memory, stale, touched_of)
             invalidated += dropped
             retained += kept
-        sweep_stale(self._fast_contexts, stale, touched_of)
+        # Same rule for the fast-path (route capability) and emptiness
+        # lines; they are not memo-tier lines, so neither count sees them.
+        for memo in (self._fast_contexts, self._empty_memo):
+            sweep_stale(memo, stale, touched_of)
         # The delta-path layers carry their own provenance in the key
         # (``(scoped sigma, touched, ...)``), so the shared predicate
         # applies directly.  They are internal work-sharing state, not
@@ -552,11 +562,69 @@ class PropagationEngine:
         fast path — answered inline) and misses, which are decided
         sequentially and written back through both cache tiers.
         """
-        sigma = list(sigma)
+        return self._decide(sigma, view, phis)[0]
+
+    def peek(
+        self,
+        sigma: Iterable[DependencyLike],
+        view: ViewLike,
+        phis: Sequence[DependencyLike] | None = None,
+    ) -> list | None:
+        """:meth:`check_many`'s verdicts (or, without *phis*, :meth:`cover`)
+        if the memory tier holds every line, with the same counters
+        ticked; else ``None``, having ticked, created and leased nothing
+        and never touched the persistent store."""
+        if phis is not None:
+            decided = self._decide(sigma, view, phis, peek=True)
+            return None if decided is None else decided[0]
+        scope = self.use_cache and self._keyspace(_as_cfds(sigma), view, intern=False)
+        return self._memory_answers(scope[3], scope[0]) if scope else None
+
+    def _memory_answers(
+        self, sigma_key: frozenset, token: int, phis: Sequence | None = None
+    ) -> list | None:
+        """:meth:`peek`'s read of the memory tier under one keyspace."""
+        if phis is None:
+            memory, lines = self._cover_tier.memory, [()]
+        else:
+            memory = self._verdict_tier.memory
+            lines = [(CFD.from_fd(p) if isinstance(p, FD) else p,) for p in phis]
+        keys = [self._memo_key(sigma_key, token, *line) for line in lines]
+        if not all(key in memory for key in keys):
+            return None
+        answers = [memory.get(key) for key in keys]
+        if None in answers:  # evicted by a pool thread since the check
+            return None
+        if phis is None:
+            self.stats.cover_queries += 1
+            self.stats.cover_hits += 1
+            answers = list(answers[0])
+        else:
+            self.stats.check_queries += len(keys)
+            self.stats.verdict_hits += len(keys)
+        self._read_closure_window()
+        return answers
+
+    def _decide(
+        self,
+        sigma: Iterable[DependencyLike],
+        view: ViewLike,
+        phis: Sequence[DependencyLike],
+        *,
+        peek: bool = False,
+    ) -> tuple[list[bool], bool, bool] | None:
+        """``(verdicts, finite-domain attribute present, closure fast path
+        applies)`` from one keyspace: the service's check path, routed on
+        the token's record and the ``_fast_contexts`` line.  ``peek=True``
+        is :meth:`peek`, ``None`` unless memory holds every verdict *and*
+        the fast-path line.  The uncached engine reads the finite-domain
+        flag off the view and never takes the fast path."""
         if not self.use_cache:
+            if peek:
+                return None
             self.stats.check_queries += len(phis)
             cache = BranchPairCache(view, enabled=False, stats=self.stats)
-            sigma_cfds, sigma_key = _sigma_state(sigma)
+            sigma_cfds, sigma_key = _sigma_state(list(sigma))
             projection = set(view.projection)
             verdicts = [
                 search_violation(
@@ -572,9 +640,20 @@ class PropagationEngine:
                 for p in phis
             ]
             self._read_closure_window()
-            return verdicts
+            return verdicts, view.has_finite_domain_attribute(), False
 
-        token, touched, scoped, sigma_key = self._keyspace(_as_cfds(sigma), view)
+        scope = self._keyspace(_as_cfds(sigma), view, intern=not peek)
+        if scope is None:
+            return None
+        token, touched, scoped, sigma_key = scope
+        finite = self._views.finite_domain(token)
+        if peek:
+            fast = self._fast_contexts.get((sigma_key, token), _NO_CONTEXT)
+            if fast is _NO_CONTEXT:
+                return None
+            verdicts = self._memory_answers(sigma_key, token, phis)
+            return None if verdicts is None else (verdicts, finite, fast is not None)
+
         fast = self._fast_context(view, token, scoped, sigma_key)
         cache = self._pair_cache(view, token)
         fps = self._persist_fps(sigma_key, scoped, touched, token, view)
@@ -648,42 +727,7 @@ class PropagationEngine:
                     verdicts[idx] = verdict
 
         self._read_closure_window()
-        return verdicts
-
-    def peek(
-        self,
-        sigma: Iterable[DependencyLike],
-        view: ViewLike,
-        phis: Sequence[DependencyLike] | None = None,
-    ) -> list | None:
-        """:meth:`check_many`'s verdicts (or, without *phis*, :meth:`cover`)
-        if the memory tier holds every line, with the same counters
-        ticked; else ``None``, having ticked, created and leased nothing
-        and never touched the persistent store."""
-        scope = self.use_cache and self._keyspace(_as_cfds(sigma), view, intern=False)
-        if not scope:
-            return None
-        token, sigma_key = scope[0], scope[3]
-        if phis is None:
-            memory, lines = self._cover_tier.memory, [()]
-        else:
-            memory = self._verdict_tier.memory
-            lines = [(CFD.from_fd(p) if isinstance(p, FD) else p,) for p in phis]
-        keys = [self._memo_key(sigma_key, token, *line) for line in lines]
-        if not all(key in memory for key in keys):
-            return None
-        answers = [memory.get(key) for key in keys]
-        if None in answers:  # evicted by a pool thread since the check
-            return None
-        if phis is None:
-            self.stats.cover_queries += 1
-            self.stats.cover_hits += 1
-            answers = list(answers[0])
-        else:
-            self.stats.check_queries += len(keys)
-            self.stats.verdict_hits += len(keys)
-        self._read_closure_window()
-        return answers
+        return verdicts, finite, fast is not None
 
     def _resolve_check_misses(
         self,
@@ -846,6 +890,25 @@ class PropagationEngine:
                 if not clean:
                     return False
         return True
+
+    def _emptiness(
+        self, sigma: list[DependencyLike], view: ViewLike
+    ) -> tuple[bool, DatabaseInstance | None]:
+        """``(empty, witness)``, the service's emptiness route, memoized
+        under the view's keyspace (the uncached engine recomputes)."""
+        key = line = None
+        if self.use_cache:
+            token, _, _, sigma_key = self._keyspace(_as_cfds(sigma), view)
+            key = (sigma_key, token)
+            line = self._empty_memo.get(key)
+        if line is None:
+            witness = nonempty_witness(
+                sigma, view, max_instantiations=self.max_instantiations
+            )
+            line = (witness is None, witness)
+            if key is not None:
+                self._empty_memo.put(key, line)
+        return line
 
     def find_counterexample(
         self, sigma: Iterable[DependencyLike], view: ViewLike, phi: DependencyLike
@@ -1085,9 +1148,7 @@ class _FastPathContext:
 
     @classmethod
     def of(cls, view: ViewLike, sigma_cfds: list[CFD]) -> "_FastPathContext | None":
-        branches = (
-            list(view.branches) if isinstance(view, SPCUView) else [view]
-        )
+        branches = _branches(view)
         if len(branches) != 1:
             return None
         branch = branches[0]

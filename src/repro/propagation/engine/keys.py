@@ -1,14 +1,9 @@
 """The provenance/keyspace layer: per-relation fingerprints, composite keys.
 
-Through PR 3 the engine keyed every cache line on a *whole-Sigma*
-fingerprint: one sha256 over the entire normalized dependency set.
-Correct, but maximally coarse — editing one CFD on one relation moved
-every query of every view onto a cold key, discarding warm lines for
-relations the edit never mentioned.  In production Sigma evolves
-incrementally (a rule added here, one retired there), so the whole-Sigma
-key made *every* deployment a cold start.
-
-This module replaces it with **provenance-scoped composite keys**:
+A whole-Sigma key would move every query of every view onto a cold key
+whenever one CFD on one relation changes.  This module keys every line
+on **provenance-scoped composite keys** instead, the one keyspace of the
+system (the engine owns every memo line built from it):
 
 - :func:`touched_relations` — the set of source relations a query on a
   view can ever read.  This is exactly the relation set of the chase's
@@ -30,7 +25,7 @@ This module replaces it with **provenance-scoped composite keys**:
 
 Key-schema change = store schema change: the composite keys are
 :data:`~repro.store.sqlite.SCHEMA_VERSION` 2; stores written under
-the PR 2/3 whole-Sigma keys (version 1) are dropped on open — the
+whole-Sigma keys (version 1) are dropped on open — the
 migration-to-cold fallback, never a misread line.
 
 :func:`structural_view_key` (the process-local view key) and
@@ -245,24 +240,28 @@ def structural_view_key(view: ViewLike) -> tuple:
 class ViewTokens:
     """Structural view keys interned to small int tokens.
 
-    Every memory line of an engine (and of the service's route and
-    emptiness memos) is keyed by its view's token instead of the nested
-    :func:`structural_view_key` tuple: the tuple's hash is not cached,
-    so each lookup and each delta-sweep line would re-hash the whole
-    view, where an int hashes for free.  :meth:`intern` pays that hash
-    once per call.
+    Every memory line of an engine is keyed by its view's token instead
+    of the nested :func:`structural_view_key` tuple: the tuple's hash is
+    not cached, so each lookup and each delta-sweep line would re-hash
+    the whole view, where an int hashes for free.  :meth:`intern` pays
+    that hash once per call.  The engine is the only interner: the
+    service routes on the capabilities the engine returns with its
+    verdicts and keeps no token of its own.
 
     A token is allocated from a monotonic counter and never reused, so
     two structurally different views can never share a line; equal
-    views (distinct objects included) get the same token.  Tokens are
-    process-local and owned by one interner: they never enter a
-    persistent key (those use :func:`~repro.propagation.cache.
-    view_fingerprint`).
+    views (distinct objects included) get the same token.  Each token
+    records, once, the view's touched-relation set (the provenance every
+    delta sweep reads) and whether it has a finite-domain attribute (the
+    ``general`` check route).  Tokens are process-local and owned by
+    one interner: they never enter a persistent key (those use
+    :func:`~repro.propagation.cache.view_fingerprint`).
     """
 
     def __init__(self) -> None:
         self._tokens: dict[tuple, int] = {}
         self._touched: dict[int, frozenset[str]] = {}
+        self._finite: dict[int, bool] = {}
         self._counter = itertools.count()
 
     def intern(self, view: ViewLike) -> int:
@@ -270,10 +269,11 @@ class ViewTokens:
         key = structural_view_key(view)
         token = self._tokens.get(key)
         if token is None:
-            # Publish the touched set before the token: a concurrent
-            # caller that loses setdefault keeps a dead, harmless entry.
+            # Publish the token's facts before the token: a concurrent
+            # caller that loses setdefault keeps dead, harmless entries.
             token = next(self._counter)
             self._touched[token] = touched_relations(view)
+            self._finite[token] = view.has_finite_domain_attribute()
             token = self._tokens.setdefault(key, token)
         return token
 
@@ -284,6 +284,10 @@ class ViewTokens:
     def touched(self, token: int) -> frozenset[str] | None:
         """The touched-relation set of the view behind *token*."""
         return self._touched.get(token)
+
+    def finite_domain(self, token: int) -> bool:
+        """Whether the view behind *token* has a finite-domain attribute."""
+        return self._finite[token]
 
 
 def make_stale_predicate(affected: frozenset, old_cfds: list[CFD] | None):
@@ -296,13 +300,13 @@ def make_stale_predicate(affected: frozenset, old_cfds: list[CFD] | None):
     sweep conservatively) on the *affected* relations.  A line survives
     iff its provenance misses the affected relations, or it was derived
     from some *other* Sigma (its key never moved, so it stays reachable
-    and correct).  The engine's :meth:`~repro.propagation.engine.core.
-    PropagationEngine.invalidate_relations` and the service's
-    route/emptiness-memo sweep both apply it through
-    :func:`sweep_stale`, so the two can never diverge.  The verdict is a
-    function of its two arguments, so a sweep tests each provenance
-    group once, not each line; scoped old-Sigma sets are memoized per
-    touched set.
+    and correct).  It has one call site, the engine's
+    :meth:`~repro.propagation.engine.core.PropagationEngine.
+    invalidate_relations`, which applies it through :func:`sweep_stale`
+    to every memo the engine keeps; the service keeps none, so there is
+    one sweep site.  The verdict is a function of its two arguments, so
+    a sweep tests each provenance group once, not each line; scoped
+    old-Sigma sets are memoized per touched set.
     """
     old_scoped: dict[frozenset, frozenset] = {}
 

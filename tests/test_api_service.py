@@ -252,9 +252,9 @@ class TestEmptinessRouting:
         sigma, view = empty_view_workload
         first = service.emptiness(EmptinessRequest(view=view, sigma=sigma))
         # Same inputs as a fresh, structurally equal view object: served
-        # from the service-side memo (observable as identical output and
-        # no engine involvement either way; we assert the memo is keyed
-        # structurally by rebuilding the view).
+        # from the engine's emptiness memo (observable as identical
+        # output; we assert the memo is keyed structurally by rebuilding
+        # the view).
         db = DatabaseSchema([RelationSchema("R", ["A", "B", "C"])])
         rebuilt = SPCView(
             "V",
@@ -264,7 +264,7 @@ class TestEmptinessRouting:
         )
         second = service.emptiness(EmptinessRequest(view=rebuilt, sigma=sigma))
         assert second.empty is first.empty
-        assert len(service._empty_memo) == 1
+        assert len(service.engine._empty_memo) == 1
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +377,8 @@ class TestWorkspace:
             with pytest.raises(ApiError) as err:
                 service.submit(request)
             assert err.value.kind == "bad-request"
-        # Rejected before any route was classified or engine pooled.
-        assert len(service._route_memo) == 0 and service._engines == {}
+        # Rejected before any engine (which owns every memo) was pooled.
+        assert service._engines == {}
 
     def test_malformed_documents_raise_format(self):
         workspace = Workspace()

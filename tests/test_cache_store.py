@@ -294,8 +294,9 @@ def test_lru_evicts_least_recently_used_not_inserted():
 
 class _RacingDict(OrderedDict):
     """An LRU's backing map that runs *racer* once, right after the next
-    read (``on="get"``) or write (``on="set"``) of a key: another thread's
-    ``put`` landing between two steps of ``get``/``put``."""
+    read (``on="get"``), write (``on="set"``) or membership test
+    (``on="contains"``) of a key: another thread's ``put`` landing
+    between two steps of ``get``/``put``."""
 
     racer = None
     on = "get"
@@ -315,6 +316,11 @@ class _RacingDict(OrderedDict):
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
         self._race("set")
+
+    def __contains__(self, key):
+        present = super().__contains__(key)
+        self._race("contains")
+        return present
 
 
 def _racing_lru(on: str) -> LRUCache:
@@ -339,6 +345,15 @@ def test_lru_refresh_survives_a_concurrent_eviction():
     lru.put("a", 3)  # the refresh is evicted before its recency bump
     assert lru.evictions == 1 and lru.keys() == ["b"]
     assert lru.get("a", "gone") == "gone"
+
+
+def test_lru_refresh_of_a_concurrently_evicted_key_stays_bounded():
+    lru = _racing_lru("contains")
+    lru.put("a", 3)  # "a" is evicted between the membership test and the store
+    assert len(lru) == 1 and lru.keys() == ["a"]
+    assert lru.evictions == 2 and lru.get("a") == 3
+    lru.put("c", 4)
+    assert len(lru) == 1 and lru.keys() == ["c"]
 
 
 def test_lru_unbounded_and_validation():

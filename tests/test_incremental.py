@@ -35,9 +35,9 @@ from repro.propagation.engine import (
     PropagationEngine,
     provenance_fingerprint,
     relation_fingerprints,
-    scoped_sigma,
     touched_relations,
 )
+from repro.propagation.engine.keys import scoped_sigma
 
 ATTRS = ["A", "B", "C", "D"]
 
@@ -256,9 +256,9 @@ def test_delta_sigma_spares_other_registered_sigmas():
 
 
 def test_delta_sigma_spares_other_sigmas_emptiness_memo():
-    """The service-side emptiness memo follows the same precise
-    staleness rule as the engine tiers: a line warmed under an unedited
-    registration survives a delta on another registration."""
+    """The engine's emptiness memo follows the same precise staleness
+    rule as its memo tiers: a line warmed under an unedited registration
+    survives a delta on another registration."""
     schema = _schema(("R1",))
     workspace = Workspace()
     workspace.add_schema("default", schema)
@@ -270,13 +270,15 @@ def test_delta_sigma_spares_other_sigmas_emptiness_memo():
     service = PropagationService(workspace)
 
     before = service.emptiness(EmptinessRequest(view="VR1", sigma="b"))
+    lines = service.engine._empty_memo.keys()
+    assert len(lines) == 1
     service.delta_sigma(
         UpdateSigmaRequest(name="a", remove=[CFD("R1", {"A": "_"}, {"B": "3"})])
     )
     # "b"'s memo line survived: the repeat answers without recomputing
     # (memoized emptiness is near-instant; mainly we pin the verdict and
     # that the memo entry still exists).
-    assert len(service._empty_memo) == 1
+    assert service.engine._empty_memo.keys() == lines
     after = service.emptiness(EmptinessRequest(view="VR1", sigma="b"))
     assert after.empty == before.empty
 

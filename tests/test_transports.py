@@ -1262,10 +1262,11 @@ def test_a_defect_on_the_inline_path_is_reported_not_hidden(
                 _register_named(client, docs, "V")
                 assert client.call(dict(check))["ok"]
 
-                def broken(self, *args):
+                def broken(self, *args, **kwargs):
                     raise RuntimeError("peek is broken")
 
-                monkeypatch.setattr(PropagationEngine, "peek", broken)
+                # The loop-side check peek is the engine's `_decide`.
+                monkeypatch.setattr(PropagationEngine, "_decide", broken)
                 reply, hops = _hops(client, executor_jobs, check)
                 assert hops == 0
                 assert reply["error"]["kind"] == "internal"

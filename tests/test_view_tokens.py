@@ -1,4 +1,4 @@
-"""Interned view tokens: the int every engine and service memo line is keyed by.
+"""Interned view tokens: the int every engine memo line is keyed by.
 
 The obligations (see ``docs/caching.md``, "Cache keys", and step 3 of
 the delta path in ``docs/incremental.md``):
@@ -10,7 +10,7 @@ the delta path in ``docs/incremental.md``):
 2. *The grouped sweep equals the line-by-line rule* — replaying a
    generated edit trace, every ``delta_sigma`` reports the same
    ``invalidated``/``retained`` counts and leaves the same surviving
-   keys in every engine and service memo as a reference sweep that
+   keys in every engine memo as a reference sweep that
    applies :func:`make_stale_predicate` to each line on its own.
 3. *Tokens stay process-local* — a fresh engine whose tokens differ
    from the warm engine's answers from the shared persistent store with
@@ -32,10 +32,11 @@ from repro.api import (
     UpdateSigmaRequest,
     Workspace,
 )
-from repro.core.schema import DatabaseSchema, RelationSchema
+from repro.core.domains import BOOL
+from repro.core.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.propagation.check import _as_cfds
-from repro.propagation.engine import PropagationEngine, make_stale_predicate
-from repro.propagation.engine.keys import ViewTokens
+from repro.propagation.engine import PropagationEngine
+from repro.propagation.engine.keys import ViewTokens, make_stale_predicate
 from repro.streaming import StreamingSession, generate_trace, parse_trace
 
 ATTRS = ["A", "B", "C", "D"]
@@ -90,6 +91,13 @@ def test_view_tokens_are_monotonic_and_structural():
     assert tokens.touched(w) == frozenset({"R2"})
     assert tokens.touched(u) == frozenset({"R1", "R2", "R3"})
     assert tokens.touched(99) is None
+    # The finite-domain flag (the `general` route) is recorded once too.
+    assert not any(tokens.finite_domain(t) for t in (v, w, u))
+    finite = DatabaseSchema([RelationSchema("R1", [Attribute("A", BOOL), "B"])])
+    f = tokens.intern(
+        SPCView("V", finite, [RelationAtom("R1", {"A": "A", "B": "B"})])
+    )
+    assert tokens.finite_domain(f) and tokens.touched(f) == frozenset({"R1"})
 
 
 def test_distinct_views_never_share_a_line_across_clear_and_delta():
@@ -134,14 +142,12 @@ def test_distinct_views_never_share_a_line_across_clear_and_delta():
 
 def _memo_lines(service: PropagationService) -> dict:
     """Every sweepable memo's keys, in LRU order."""
-    lines: dict = {
-        "route": service._route_memo.keys(),
-        "empty": service._empty_memo.keys(),
-    }
+    lines: dict = {}
     for index, engine in enumerate(service._engines.values()):
         lines[index, "verdicts"] = engine._verdict_tier.memory.keys()
         lines[index, "covers"] = engine._cover_tier.memory.keys()
         lines[index, "fast"] = engine._fast_contexts.keys()
+        lines[index, "empty"] = engine._empty_memo.keys()
         lines[index, "pairs"] = engine._pair_verdicts.keys()
         lines[index, "branch_covers"] = engine._branch_covers.keys()
         lines[index, "prov_fps"] = engine._prov_fps.keys()
@@ -162,34 +168,30 @@ def _reference_sweep(service, lines: dict, affected: frozenset, old_cfds):
     survivors: dict = {}
     invalidated = retained = 0
     for memo, keys in lines.items():
-        if memo in ("route", "empty"):
-            touched = service._views.touched
+        index, layer = memo
+        touched = engines[index]._views.touched
+        if layer in ("verdicts", "covers", "fast", "empty"):
             keep = [k for k in keys if not stale(k[0], touched(k[1]))]
-        else:
-            index, layer = memo
-            touched = engines[index]._views.touched
-            if layer in ("verdicts", "covers", "fast"):
-                keep = [k for k in keys if not stale(k[0], touched(k[1]))]
-                if layer != "fast":
-                    invalidated += len(keys) - len(keep)
-                    retained += len(keep)
-            elif layer in ("pairs", "branch_covers", "prov_fps"):
-                keep = [k for k in keys if not stale(k[0], k[1])]
-            elif layer == "min_covers":
-                keep = [
-                    k
-                    for k in keys
-                    if not stale(k, frozenset({next(iter(k)).relation}))
-                ]
-            elif layer == "pair_sigma":
-                keep = [
-                    k
-                    for k in keys
-                    if not (k[1] & affected)
-                    and not any(phi.relation in affected for phi in k[0])
-                ]
-            else:  # pair caches: the precise sweep keeps every one
-                keep = list(keys)
+            if layer in ("verdicts", "covers"):
+                invalidated += len(keys) - len(keep)
+                retained += len(keep)
+        elif layer in ("pairs", "branch_covers", "prov_fps"):
+            keep = [k for k in keys if not stale(k[0], k[1])]
+        elif layer == "min_covers":
+            keep = [
+                k
+                for k in keys
+                if not stale(k, frozenset({next(iter(k)).relation}))
+            ]
+        elif layer == "pair_sigma":
+            keep = [
+                k
+                for k in keys
+                if not (k[1] & affected)
+                and not any(phi.relation in affected for phi in k[0])
+            ]
+        else:  # pair caches: the precise sweep keeps every one
+            keep = list(keys)
         survivors[memo] = keep
     return survivors, (invalidated, retained)
 
