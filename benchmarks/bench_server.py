@@ -31,12 +31,12 @@ Env knobs (``docs/caching.md`` documents the shared ones):
   the set must fail over to the survivors and keep matching a single
   endpoint; recovery latency and the degraded-fleet throughput are
   recorded to ``BENCH_server.json``;
-- ``REPRO_SHARED_STORE`` — ``--smoke`` only: the fleet-shared cache
-  experiment (PR 8) — a ``repro store-serve`` blob-store server plus a
-  worker answering the cold batch through ``--store-url``, then a
-  *second, freshly started* worker on the same store whose very first
-  batch must be chase-free (it joins a warm fleet); the cold/join
-  latencies land in ``BENCH_server.json`` as ``store-shared-w2``.
+- ``REPRO_SHARED_STORE`` — ``--smoke`` only: the shared-store
+  experiment — a worker answering the cold batch through
+  ``--store-url sqlite://DIR``, then a *second, freshly started* worker
+  on the same directory whose very first batch must be chase-free (it
+  joins a warm fleet); the cold/join latencies land in
+  ``BENCH_server.json`` as ``store-shared-w2``.
 
 Series recorded per ``n`` (the Example 4.1 parameter; one batch is the
 ``2^n`` eta-combination queries):
@@ -251,51 +251,32 @@ def _single_server_smoke(transport: str, workdir: Path, n: int = 3) -> None:
     )
 
 
-def _launch_store_server():
-    """Start ``repro store-serve`` on an ephemeral socket: (proc, url)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "store-serve", "--port", "0"],
-        stdin=subprocess.DEVNULL,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=env,
-    )
-    line = proc.stderr.readline()
-    assert "listening on" in line, f"store server failed to start: {line!r}"
-    return proc, f"store://{line.strip().removeprefix('listening on ')}"
-
-
 def _shared_store_smoke(transport: str, workdir: Path, n: int = 3) -> None:
     """A cold worker joining a warm fleet must answer with zero chases.
 
-    One ``repro store-serve`` blob-store server; worker A pays the cold
-    batch and writes every verdict through the shared store; worker B —
-    a *new process* whose engine has never seen the workload — then
-    answers its very first batch purely from the store.
+    Two ``repro serve`` worker processes share one ``sqlite://``
+    directory.  Worker A pays the cold batch and writes every verdict
+    through the shared store; worker B — a *new process* whose engine
+    has never seen the workload, started while A is still serving —
+    then answers its very first batch purely from the store.
     """
     from repro.api import connect
 
     args, phis = _serve_args(n, workdir)
-    store_proc, store_url = _launch_store_server()
     batch = {"op": "check", "view": "V", "phis": phis}
-    store_args = [*args, "--store-url", store_url]
+    store_args = [*args, "--store-url", f"sqlite://{workdir / 'shared-store'}"]
+    procs = []
     try:
         proc_a, url_a = _launch_endpoint(store_args, transport)
+        procs.append(proc_a)
         client_a = connect(url_a)
         started = time.perf_counter()
         cold = client_a.result(dict(batch))
         cold_s = time.perf_counter() - started
         assert cold["stats"]["chases"] > 0, "worker A must pay the cold batch"
-        client_a.shutdown()
-        client_a.close()
-        assert proc_a.wait(timeout=60) == 0
 
         proc_b, url_b = _launch_endpoint(store_args, transport)
+        procs.append(proc_b)
         client_b = connect(url_b)
         started = time.perf_counter()
         joined = client_b.result(dict(batch))
@@ -303,18 +284,19 @@ def _shared_store_smoke(transport: str, workdir: Path, n: int = 3) -> None:
         join_chases = joined["stats"]["chases"]
         assert joined["propagated"] == cold["propagated"]
         assert join_chases == 0, (
-            f"joining worker must answer from the fleet store, "
+            f"joining worker must answer from the shared store, "
             f"chased {join_chases}x"
         )
         assert joined["stats"]["persistent_hits"] > 0
-        client_b.shutdown()
-        client_b.close()
-        assert proc_b.wait(timeout=60) == 0
+        for client in (client_a, client_b):
+            client.shutdown()
+            client.close()
+        for proc in procs:
+            assert proc.wait(timeout=60) == 0
     except BaseException:
-        store_proc.kill()
+        for proc in procs:
+            proc.kill()
         raise
-    store_proc.terminate()
-    store_proc.wait(timeout=60)
     _record_bench(
         "store-shared-w2",
         {
@@ -322,7 +304,7 @@ def _shared_store_smoke(transport: str, workdir: Path, n: int = 3) -> None:
             "workers": 2,
             "n": n,
             "queries_per_batch": len(phis),
-            "store": "store-serve",
+            "store": "sqlite",
             "cold_s": round(cold_s, 4),
             "join_warm_s": round(join_s, 4),
             "join_chases": join_chases,

@@ -8,7 +8,6 @@ Drives the library from JSON files (formats in :mod:`repro.io`):
     repro empty   --schema s.json --sigma deps.json --view v.json
     repro serve   [--schema ... --sigma ... --view ...] [--transport ndjson|http]
                   [--port N]
-    repro store-serve [--port N] [--cache-dir DIR | --quota-entries N --quota-ttl S]
     repro validate --schema s.json --rules deps.json --data db.json
     repro repair  --schema s.json --rules deps.json --data db.json [--out fixed.json]
     repro fuzz    --cases N --seed S [--matrix baseline,cache,...]
@@ -46,10 +45,10 @@ Engine knobs (shared by check / propagate-batch / cover / empty / serve):
 - ``--stats`` prints the endpoint's engine counters to stderr;
 - ``--cache-dir DIR`` persists verdicts/covers in a schema-versioned
   sqlite store under ``DIR``, shared across processes (warm restarts);
-- ``--store-url URL`` (or ``REPRO_STORE_URL``) generalizes it to any
-  registered blob-store backend — ``sqlite://DIR``, ``memory://`` or
-  ``store://host:port`` (a ``repro store-serve`` server shared by a
-  worker *fleet*, with cross-process single-flight stampede control);
+- ``--store-url URL`` (or ``REPRO_STORE_URL``) names the persistent
+  tier as a URL — ``sqlite://DIR`` (the ``--cache-dir`` store; every
+  process pointed at one directory shares its warmth, with
+  cross-process single-flight stampede control) or ``memory://``;
   takes precedence over ``--cache-dir``;
 - ``--cache-size N`` bounds each in-memory memo tier (and each tableau
   cache layer) to an N-entry LRU;
@@ -398,33 +397,6 @@ def _cmd_serve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_store_serve(args) -> int:
-    # Imported here: the blob-store server is asyncio machinery the
-    # data-file subcommands never need (and repro.store deliberately
-    # keeps it out of its package init).
-    from .store import MemoryStore, SqliteStore
-    from .store.server import serve_store
-
-    if args.cache_dir and (args.quota_entries or args.quota_ttl):
-        raise ApiError(
-            "bad-request",
-            "--quota-entries/--quota-ttl configure the in-memory backing "
-            "and do not apply to --cache-dir (sqlite quotas are the "
-            "filesystem's); pick one backing",
-        )
-    if args.cache_dir:
-        store = SqliteStore.open_dir(args.cache_dir)
-    else:
-        store = MemoryStore(
-            max_entries=args.quota_entries, ttl_s=args.quota_ttl
-        )
-    try:
-        serve_store(store, args.host, args.port or 0)
-    except KeyboardInterrupt:  # pragma: no cover - interactive escape
-        pass
-    return EXIT_OK
-
-
 def _reject_remote_endpoint(args, command: str) -> None:
     # Only an *explicit* --endpoint is rejected: an ambient
     # REPRO_ENDPOINT set for the service-routed subcommands must not
@@ -561,10 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--store-url",
             help="persistent-tier store URL: sqlite://DIR (same as "
-            "--cache-dir), memory:// or store://host:port (a `repro "
-            "store-serve` server shared by a worker fleet); "
-            "takes precedence over --cache-dir; REPRO_STORE_URL sets "
-            "the default (local:// endpoints and serve)",
+            "--cache-dir; processes sharing DIR share warmth) or "
+            "memory://; takes precedence over --cache-dir; "
+            "REPRO_STORE_URL sets the default (local:// endpoints and "
+            "serve)",
         )
         p.add_argument(
             "--kernel",
@@ -733,40 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--host", default="127.0.0.1", help="TCP bind address (default loopback)"
     )
     serve.set_defaults(func=_cmd_serve)
-
-    store_serve = sub.add_parser(
-        "store-serve",
-        help="long-lived blob-store server (NDJSON over TCP) sharing one "
-        "persistent cache tier across a worker fleet; point workers at "
-        "it with --store-url store://host:port",
-    )
-    store_serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP listen port (default 0: ephemeral, announced on stderr)",
-    )
-    store_serve.add_argument(
-        "--host", default="127.0.0.1", help="TCP bind address (default loopback)"
-    )
-    store_serve.add_argument(
-        "--cache-dir",
-        help="back the server with the schema-versioned sqlite store "
-        "under this directory (default: in-memory)",
-    )
-    store_serve.add_argument(
-        "--quota-entries",
-        type=int,
-        help="in-memory backing only: LRU-evict beyond this many entries "
-        "per table",
-    )
-    store_serve.add_argument(
-        "--quota-ttl",
-        type=float,
-        help="in-memory backing only: expire entries after this many "
-        "seconds",
-    )
-    store_serve.set_defaults(func=_cmd_store_serve)
 
     validate = sub.add_parser("validate", help="detect CFD violations in data")
     validate.add_argument("--schema", required=True)

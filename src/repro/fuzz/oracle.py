@@ -24,6 +24,7 @@ only up to FD-theory equality.
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -322,16 +323,12 @@ class MatrixHarness:
             # the packed side of the differential).
             runners["kernel"] = _ServiceRunner(use_cache=True, kernel="bitset")
         if "store" in wanted:
-            # A fleet-shared network store behind the cached service: the
-            # persistent tier answers over the store:// wire, so payload
-            # encode/decode and single-flight promotion are in the loop.
-            from ..store.memory import MemoryStore
-            from ..store.server import background_store_server
-
-            context = background_store_server(MemoryStore())
-            store_url = context.__enter__()
-            self._contexts.append(context)
-            runners["store"] = _ServiceRunner(store_url=store_url)
+            # The shared sqlite tier behind the cached service, in a
+            # directory the harness owns: payload encode/decode and
+            # single-flight lease promotion are in the loop.
+            store_dir = tempfile.TemporaryDirectory(prefix="repro-fuzz-store-")
+            self._contexts.append(store_dir)
+            runners["store"] = _ServiceRunner(store_url=f"sqlite://{store_dir.name}")
         if "delta" in wanted:
             runners["delta"] = _DeltaRunner()
         tcp_url = http_url = None

@@ -16,13 +16,7 @@ tiers:
    persistent hit is decoded, *promoted* into the memory tier and
    served.  Writes go through both tiers, so warm lines survive
    restarts and are shared across worker processes pointing at one
-   ``--cache-dir`` (or worker *fleets* pointing at one network store).
-
-   A network store can die mid-run; the tier degrades rather than
-   fails: a store operation raising the ``unavailable``
-   :class:`~repro.api.ApiError` kind counts a ``store_errors`` and is
-   served as a plain cache miss (reads) or skipped (writes) — the
-   request still answers from the engine.
+   ``--cache-dir``.
 
 :class:`EngineStats` is the one declaration of the engine's counters.
 Every producer — the tiered caches here, the per-view
@@ -135,7 +129,6 @@ class EngineStats:
     evictions: int = 0
     tableau_evictions: int = 0
     single_flight_waits: int = 0
-    store_errors: int = 0
     pair_chases: int = 0
     rbr: RBRStats = field(default_factory=RBRStats)
 
@@ -173,31 +166,12 @@ class TieredCache:
         self._encode = encode
         self._decode = decode
 
-    def _degradable(self, exc: Exception) -> bool:
-        """Is *exc* a dead-store condition we absorb as a miss?
-
-        Duck-typed on the ``unavailable`` :class:`~repro.api.ApiError`
-        kind (this module sits below :mod:`repro.api` in the layer map,
-        so it must not import the error type): connectivity failures of
-        a network store degrade; anything else — a programming error,
-        an unknown table, a server-side ``bad-request`` — still raises.
-        """
-        if getattr(exc, "kind", None) != "unavailable":
-            return False
-        self.stats.store_errors += 1
-        return True
-
     def get(self, key: Any, persist_key: str | None = None) -> tuple[Any, str | None]:
         value = self.memory.get(key, _MISSING)
         if value is not _MISSING:
             return value, "memory"
         if self.store is not None and persist_key is not None:
-            try:
-                payload = self.store.get(self.table, persist_key)
-            except Exception as exc:
-                if not self._degradable(exc):
-                    raise
-                payload = None
+            payload = self.store.get(self.table, persist_key)
             if payload is not None:
                 self.stats.persistent_hits += 1
                 value = self._decode(payload)
@@ -209,12 +183,7 @@ class TieredCache:
     def put(self, key: Any, value: Any, persist_key: str | None = None) -> None:
         self.memory.put(key, value)
         if self.store is not None and persist_key is not None:
-            try:
-                self.store.put(self.table, persist_key, self._encode(value))
-            except Exception as exc:
-                if not self._degradable(exc):
-                    raise
-                return
+            self.store.put(self.table, persist_key, self._encode(value))
             self.stats.persistent_writes += 1
 
     def wait_promote(
@@ -226,16 +195,11 @@ class TieredCache:
         for the lease owner's payload; on arrival decodes it, promotes
         it into the memory tier and returns ``(value, True)`` (counted
         as a persistent hit — the store served it).  ``(None, False)``
-        on timeout or a dead store — the caller computes locally.
+        on timeout — the caller computes locally.
         """
         if self.store is None or persist_key is None:
             return None, False
-        try:
-            payload = self.store.wait_for(self.table, persist_key, timeout_s)
-        except Exception as exc:
-            if not self._degradable(exc):
-                raise
-            payload = None
+        payload = self.store.wait_for(self.table, persist_key, timeout_s)
         if payload is None:
             return None, False
         self.stats.persistent_hits += 1

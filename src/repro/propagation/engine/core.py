@@ -145,15 +145,14 @@ class PropagationEngine:
         additionally written to — and served from — a schema-versioned
         sqlite store under this directory, shared across processes.
     store_url:
-        The persistent tier as a URL (``sqlite://DIR``,
-        ``store://host:port``, ``memory://`` — see
-        :mod:`repro.store`); takes precedence over ``cache_dir``.  A
-        network store that dies mid-run degrades to cache misses
-        (counted in :attr:`EngineStats.store_errors`), never request
-        failures.
+        The persistent tier as a URL (``sqlite://DIR`` or ``memory://``
+        — see :mod:`repro.store`); takes precedence over ``cache_dir``.
+        Engines in many processes pointed at one ``sqlite://`` directory
+        share its warmth.  Store errors raise; they are never absorbed
+        as cache misses.
     lease_ttl:
-        Single-flight lease lifetime in seconds.  On a lease-capable
-        store, each persistent-tier miss first tries to acquire the
+        Single-flight lease lifetime in seconds.  With a store attached,
+        each persistent-tier miss first tries to acquire the
         key's lease: the winner computes (and writes, and releases),
         the losers wait up to this long for the winner's payload
         (counted in :attr:`EngineStats.single_flight_waits`) before
@@ -462,7 +461,7 @@ class PropagationEngine:
         self.stats.closure_misses = info.misses - self._closure_base[1]
 
     # ------------------------------------------------------------------
-    # Cross-process single-flight (lease-capable stores).
+    # Cross-process single-flight (store leases).
     # ------------------------------------------------------------------
 
     def _lease_partition(
@@ -473,15 +472,12 @@ class PropagationEngine:
         For each persistable miss, try to acquire its single-flight
         lease on the shared store: winners compute (the *owned* list),
         losers wait for the winner's payload (the *waiters* list).
-        Misses without a persist key (no store) and every miss on a
-        lease-less store are owned: no coordination, today's
-        compute-locally behavior.  A store that
-        fails the lease call degrades the same way (compute locally) —
-        lease state is an optimization, never a correctness gate.
+        Misses without a persist key (no store) are owned: no
+        coordination, compute locally.
         """
         keys = list(pending)
         store = self._store
-        if store is None or not getattr(store, "supports_leases", False):
+        if store is None:
             return keys, []
         owned, waiters = [], []
         for memo_key in keys:
@@ -489,33 +485,19 @@ class PropagationEngine:
             if pkey is None:
                 owned.append(memo_key)
                 continue
-            try:
-                acquired = store.acquire_lease(tier.table, pkey, self.lease_ttl)
-                # A flight that landed between the caller's miss and this
-                # acquire leaves a free lease beside its payload: wait on
-                # that payload instead of computing it again.
-                if acquired and store.get(tier.table, pkey) is not None:
-                    store.release_lease(tier.table, pkey)
-                    acquired = False
-            except Exception as exc:
-                if getattr(exc, "kind", None) != "unavailable":
-                    raise
-                self.stats.store_errors += 1
-                acquired = True
+            acquired = store.acquire_lease(tier.table, pkey, self.lease_ttl)
+            # A flight that landed between the caller's miss and this
+            # acquire leaves a free lease beside its payload: wait on
+            # that payload instead of computing it again.
+            if acquired and store.get(tier.table, pkey) is not None:
+                store.release_lease(tier.table, pkey)
+                acquired = False
             (owned if acquired else waiters).append(memo_key)
         return owned, waiters
 
     def _release_lease(self, tier: TieredCache, pkey: str | None) -> None:
-        if pkey is None or self._store is None:
-            return
-        if not getattr(self._store, "supports_leases", False):
-            return
-        try:
+        if pkey is not None and self._store is not None:
             self._store.release_lease(tier.table, pkey)
-        except Exception as exc:
-            if getattr(exc, "kind", None) != "unavailable":
-                raise
-            self.stats.store_errors += 1
 
     def _await_flights(
         self, tier: TieredCache, waiters: list, pending: dict, resolved: dict
@@ -524,8 +506,8 @@ class PropagationEngine:
 
         Each waiter polls the store for the lease owner's payload (up to
         ``lease_ttl``); arrivals are promoted into the memory tier and
-        counted as ``single_flight_waits``.  Keys whose owner died (or
-        whose store did) come back for a local compute.
+        counted as ``single_flight_waits``.  Keys whose owner died come
+        back for a local compute.
         """
         leftovers = []
         for memo_key in waiters:
@@ -717,9 +699,9 @@ class PropagationEngine:
             if waiting:
                 leftovers = self._await_flights(tier, waiting, pending, resolved_map)
                 if leftovers:
-                    # The lease owner (or the store) died mid-flight;
-                    # compute locally.  These leases were never ours, so
-                    # there is nothing to release.
+                    # The lease owner died mid-flight; compute locally.
+                    # These leases were never ours, so there is nothing
+                    # to release.
                     compute(leftovers, release=False)
             for memo_key, (_, _, indices) in pending.items():
                 verdict = resolved_map[memo_key]

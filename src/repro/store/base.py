@@ -1,33 +1,27 @@
-"""The abstract blob-store surface and its URL scheme registry.
+"""The abstract blob-store surface and its two URL schemes.
 
-:class:`BlobStore` is the ``get/put/count/close`` surface extracted from
-the PR 2 sqlite store (:mod:`repro.store.sqlite`), now one interface with
-several backings:
+:class:`BlobStore` is the ``get/put/count/close`` surface of the
+engine's persistent memo tier, with two backings:
 
 ==============================  ========================================
 URL scheme                      backend
 ==============================  ========================================
 ``sqlite://DIR``                :class:`~repro.store.sqlite.SqliteStore`
                                 under ``DIR`` — exactly the
-                                ``--cache-dir`` store, addressable by URL.
-``store://host:port``           :class:`~repro.store.remote.RemoteStore`
-                                — NDJSON client of ``repro store-serve``
-                                (:mod:`repro.store.server`), the
-                                fleet-shared network tier.
+                                ``--cache-dir`` store, addressable by URL;
+                                every process pointed at one ``DIR``
+                                shares its warmth.
 ``memory://``                   :class:`~repro.store.memory.MemoryStore`
-                                — in-process, quota-enforcing (tests,
-                                and the default backing of the server).
+                                — in-process (tests, single runs).
 ==============================  ========================================
 
-:func:`open_store` resolves a URL through the registry
-(:func:`register_store_scheme` adds schemes, mirroring
-:func:`repro.api.transport.register_scheme`); an unknown or malformed
-scheme raises a typed :class:`~repro.api.ApiError` of the **format**
-kind (exit code 2) — a store URL is configuration, like an input file,
-not a request.
+:func:`open_store` resolves a URL by that fixed lookup; an unknown or
+malformed scheme raises a typed :class:`~repro.api.ApiError` of the
+**format** kind (exit code 2) — a store URL is configuration, like an
+input file, not a request.
 
-Beyond the blob surface, a store may support **single-flight leases** —
-the cross-process generalization of the engine's in-batch miss dedup.
+Beyond the blob surface, every store supports **single-flight leases**
+— the cross-process generalization of the engine's in-batch miss dedup.
 ``acquire_lease(table, key, ttl_s)`` grants at most one caller per key
 until the lease expires or is released; losers :meth:`~BlobStore.wait_for`
 the winner's payload instead of redoing the chase.  Lease state is
@@ -37,22 +31,20 @@ work but never wedge correctness.
 
 This module deliberately imports nothing from :mod:`repro.api` at module
 level (it loads during ``repro.propagation`` package init, below the api
-layer); error types are resolved lazily and the network backends are
-imported only when their scheme is opened.
+layer); error types are resolved lazily, and so are the backends (they
+subclass :class:`BlobStore`).
 """
 
 from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import Callable
 from urllib.parse import urlsplit
 
 __all__ = [
     "BlobStore",
     "DEFAULT_LEASE_TTL",
     "open_store",
-    "register_store_scheme",
     "validate_store_url",
 ]
 
@@ -84,14 +76,8 @@ class BlobStore(ABC):
     before it reaches a query string.
     """
 
-    #: The URL this store was opened from (set by :func:`open_store`).
-    url: str = ""
     #: True when opening found (and discarded) an incompatible store.
     reset_on_open: bool = False
-    #: Whether :meth:`acquire_lease` coordinates across clients.  A
-    #: backend without real leases leaves this False and every caller
-    #: computes locally — correct, just without stampede suppression.
-    supports_leases: bool = False
 
     @abstractmethod
     def get(self, table: str, key: str) -> str | None:
@@ -110,20 +96,20 @@ class BlobStore(ABC):
         """Release the backing resource (idempotent)."""
 
     # ------------------------------------------------------------------
-    # Single-flight leases (optional; default = no coordination).
+    # Single-flight leases.
     # ------------------------------------------------------------------
 
+    @abstractmethod
     def acquire_lease(self, table: str, key: str, ttl_s: float) -> bool:
         """Try to become the single flight for *key*.
 
         ``True`` means this caller owns the computation and must
         :meth:`put` the payload then :meth:`release_lease`; ``False``
         means another flight is in progress — :meth:`wait_for` its
-        payload.  The default (no lease support) grants everyone, which
-        degrades to today's compute-everywhere behavior.
+        payload.
         """
-        return True
 
+    @abstractmethod
     def release_lease(self, table: str, key: str) -> None:
         """Drop a held lease so late waiters stop polling early."""
 
@@ -156,23 +142,11 @@ class BlobStore(ABC):
 
 
 # ----------------------------------------------------------------------
-# The store scheme registry.
+# The two URL schemes.
 # ----------------------------------------------------------------------
 
-_STORE_SCHEMES: dict[str, Callable[..., BlobStore]] = {}
 
-
-def register_store_scheme(scheme: str, factory: Callable[..., BlobStore]) -> None:
-    """Register ``factory(parts, **options) -> BlobStore`` for *scheme*.
-
-    ``parts`` is the :func:`urllib.parse.urlsplit` of the store URL.
-    Registering an existing scheme replaces it (tests and downstream
-    deployments can wrap the built-ins).
-    """
-    _STORE_SCHEMES[scheme] = factory
-
-
-def _sqlite_factory(parts, **options) -> BlobStore:
+def _open_sqlite(parts) -> BlobStore:
     from .sqlite import SqliteStore
 
     # Both spellings address a directory: ``sqlite:///abs/dir`` (empty
@@ -183,58 +157,36 @@ def _sqlite_factory(parts, **options) -> BlobStore:
             f"sqlite store URL {parts.geturl()!r} names no directory; "
             "use sqlite:///abs/path or sqlite://relative/path"
         )
-    return SqliteStore.open_dir(cache_dir, **options)
+    return SqliteStore.open_dir(cache_dir)
 
 
-def _store_host_port(parts) -> tuple[str, int]:
-    try:
-        port = parts.port
-    except ValueError as exc:
-        raise _format_error(f"bad store URL port: {exc}") from None
-    if not parts.hostname or port is None:
-        raise _format_error(
-            f"store URL {parts.geturl()!r} needs the host:port form"
-        )
-    return parts.hostname, port
-
-
-def _remote_factory(parts, **options) -> BlobStore:
-    from .remote import RemoteStore
-
-    host, port = _store_host_port(parts)
-    return RemoteStore(host, port, **options)
-
-
-def _memory_factory(parts, **options) -> BlobStore:
+def _open_memory(parts) -> BlobStore:
     from .memory import MemoryStore
 
-    return MemoryStore(**options)
+    return MemoryStore()
 
 
-register_store_scheme("sqlite", _sqlite_factory)
-register_store_scheme("store", _remote_factory)
-register_store_scheme("memory", _memory_factory)
+_SCHEMES = {"sqlite": _open_sqlite, "memory": _open_memory}
 
 
 def _split(url: str):
     parts = urlsplit(url)
+    known = ", ".join(sorted(_SCHEMES))
     if not parts.scheme:
         raise _format_error(
-            f"malformed store URL {url!r}: no scheme; known schemes: "
-            + ", ".join(sorted(_STORE_SCHEMES))
+            f"malformed store URL {url!r}: no scheme; known schemes: {known}"
         )
-    factory = _STORE_SCHEMES.get(parts.scheme)
-    if factory is None:
-        known = ", ".join(sorted(_STORE_SCHEMES))
+    opener = _SCHEMES.get(parts.scheme)
+    if opener is None:
         raise _format_error(
             f"unknown store scheme {parts.scheme!r} in {url!r}; "
-            f"registered schemes: {known}"
+            f"known schemes: {known}"
         )
-    return parts, factory
+    return parts, opener
 
 
 def validate_store_url(url: str) -> str:
-    """Check *url* parses to a registered scheme, without opening it.
+    """Check *url* names a known scheme, without opening it.
 
     Configuration surfaces (the service constructor, ``--store-url``)
     call this so a typo fails fast with a typed **format** error instead
@@ -244,22 +196,11 @@ def validate_store_url(url: str) -> str:
     return url
 
 
-def open_store(url: str, **options) -> BlobStore:
+def open_store(url: str) -> BlobStore:
     """Resolve a store URL into a live :class:`BlobStore`.
 
-    ``options`` are forwarded to the scheme factory (``timeout`` and
-    ``retry`` for the network schemes, quota knobs for ``memory://``).
     Unknown or malformed URLs raise the typed **format**
-    :class:`~repro.api.ApiError` — never a traceback.  Network stores
-    connect lazily: opening a URL whose server is down succeeds, and the
-    engine degrades each miss on the dead store to a cache miss.
+    :class:`~repro.api.ApiError` — never a traceback.
     """
-    parts, factory = _split(url)
-    try:
-        store = factory(parts, **options)
-    except TypeError as exc:
-        raise _format_error(
-            f"bad options for {parts.scheme!r} store: {exc}"
-        ) from exc
-    store.url = url
-    return store
+    parts, opener = _split(url)
+    return opener(parts)

@@ -1,32 +1,20 @@
-"""An in-process blob store with per-scope TTL and size quotas.
+"""An in-process blob store: the ``memory://`` scheme.
 
-:class:`MemoryStore` is two things:
+:class:`MemoryStore` is a zero-setup store for tests and for
+single-process runs: the persistent-tier surface (and its single-flight
+leases) without a file.  Nothing outlives the process.
 
-1. the ``memory://`` scheme — a zero-setup store for tests and for
-   single-process runs that want quota semantics without a file; and
-2. the default backing of the blob-store server
-   (:mod:`repro.store.server`), where its quotas become the *server-side*
-   resource policy of the fleet-shared tier: each scope (table) is
-   bounded to ``max_entries`` rows evicted LRU, and every payload
-   expires ``ttl_s`` seconds after its write.  Clients cannot opt out —
-   the server enforces, which is what keeps one misbehaving worker from
-   pinning the fleet's memory.
-
-Counters (``hits``/``misses``/``writes``/``evictions``/``expirations``
-and the lease grant/deny pair) feed the server's ``stats`` op.
-
-Thread-safe: the server handles connections concurrently and the tests
-hammer it from thread pools, so every operation takes the store lock.
-TTL and lease expiry use the monotonic clock — wall-clock steps must not
-mass-expire a tier (unlike :class:`~repro.store.sqlite.SqliteStore`
-leases, which cross processes and must use wall time).
+Thread-safe: engines in one process may share it from thread pools, so
+every operation takes the store lock.  Lease expiry uses the monotonic
+clock — a wall-clock step must not expire leases early (unlike
+:class:`~repro.store.sqlite.SqliteStore` leases, which cross processes
+and must use wall time).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 
 from .base import BlobStore
 
@@ -36,45 +24,14 @@ _TABLES = ("verdicts", "covers")
 
 
 class MemoryStore(BlobStore):
-    """A quota-enforcing, thread-safe, in-process blob store.
+    """A thread-safe, in-process blob store."""
 
-    Parameters
-    ----------
-    max_entries:
-        Per-scope row bound; the least recently *used* row is evicted
-        beyond it.  ``None`` = unbounded.
-    ttl_s:
-        Per-scope payload lifetime in seconds from the write; an expired
-        row reads as a miss and is purged lazily.  ``None`` = forever.
-    """
-
-    supports_leases = True
-
-    def __init__(
-        self, *, max_entries: int | None = None, ttl_s: float | None = None
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError(f"ttl_s must be positive, got {ttl_s}")
-        self.max_entries = max_entries
-        self.ttl_s = ttl_s
-        # table -> key -> (payload, expires_at | None); OrderedDict is the
-        # LRU order (most recently used last), exactly like LRUCache.
-        self._tables: dict[str, OrderedDict[str, tuple[str, float | None]]] = {
-            table: OrderedDict() for table in _TABLES
-        }
+    def __init__(self) -> None:
+        self._tables: dict[str, dict[str, str]] = {table: {} for table in _TABLES}
         self._leases: dict[str, float] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-        self.evictions = 0
-        self.expirations = 0
-        self.leases_granted = 0
-        self.leases_denied = 0
 
-    def _rows(self, table: str) -> OrderedDict:
+    def _rows(self, table: str) -> dict[str, str]:
         try:
             return self._tables[table]
         except KeyError:
@@ -88,41 +45,15 @@ class MemoryStore(BlobStore):
 
     def get(self, table: str, key: str) -> str | None:
         with self._lock:
-            rows = self._rows(table)
-            entry = rows.get(key)
-            if entry is not None:
-                payload, expires = entry
-                if expires is not None and time.monotonic() >= expires:
-                    del rows[key]
-                    self.expirations += 1
-                else:
-                    rows.move_to_end(key)
-                    self.hits += 1
-                    return payload
-            self.misses += 1
-            return None
+            return self._rows(table).get(key)
 
     def put(self, table: str, key: str, payload: str) -> None:
         with self._lock:
-            rows = self._rows(table)
-            expires = None if self.ttl_s is None else time.monotonic() + self.ttl_s
-            rows[key] = (payload, expires)
-            rows.move_to_end(key)
-            self.writes += 1
-            if self.max_entries is not None:
-                while len(rows) > self.max_entries:
-                    rows.popitem(last=False)
-                    self.evictions += 1
+            self._rows(table)[key] = payload
 
     def count(self, table: str) -> int:
         with self._lock:
-            rows = self._rows(table)
-            now = time.monotonic()
-            return sum(
-                1
-                for payload, expires in rows.values()
-                if expires is None or now < expires
-            )
+            return len(self._rows(table))
 
     def close(self) -> None:
         pass
@@ -137,10 +68,8 @@ class MemoryStore(BlobStore):
         with self._lock:
             expires = self._leases.get(f"{table}:{key}")
             if expires is not None and now < expires:
-                self.leases_denied += 1
                 return False
             self._leases[f"{table}:{key}"] = now + ttl_s
-            self.leases_granted += 1
             return True
 
     def release_lease(self, table: str, key: str) -> None:
@@ -148,21 +77,6 @@ class MemoryStore(BlobStore):
         with self._lock:
             self._leases.pop(f"{table}:{key}", None)
 
-    def counters(self) -> dict[str, int]:
-        """A snapshot of the telemetry counters (the server's ``stats``)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "writes": self.writes,
-                "evictions": self.evictions,
-                "expirations": self.expirations,
-                "leases_granted": self.leases_granted,
-                "leases_denied": self.leases_denied,
-            }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        cap = "inf" if self.max_entries is None else self.max_entries
-        ttl = "inf" if self.ttl_s is None else self.ttl_s
         sizes = {table: len(rows) for table, rows in self._tables.items()}
-        return f"MemoryStore({sizes}, max_entries={cap}, ttl_s={ttl})"
+        return f"MemoryStore({sizes})"

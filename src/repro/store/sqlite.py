@@ -43,8 +43,8 @@ several processes against one store to hold this under contention.
 Single-flight leases (:meth:`~SqliteStore.acquire_lease`) live in a
 separate ``leases`` table keyed ``table:key`` with a wall-clock expiry,
 granted atomically by an upsert whose ``WHERE`` clause only steals
-expired rows — so N worker *processes* sharing one ``--cache-dir`` also
-get stampede control, not just N workers behind one network store.
+expired rows — so N worker *processes* sharing one ``--cache-dir`` get
+stampede control: N workers missing one fingerprint run one chase.
 """
 
 from __future__ import annotations
@@ -79,6 +79,26 @@ STORE_FILENAME = "propagation.sqlite"
 _BUSY_TIMEOUT_MS = 30_000
 
 
+def _enable_wal(conn, timeout_s: float = _BUSY_TIMEOUT_MS / 1000) -> None:
+    """Switch *conn*'s database file to WAL, retrying lock collisions.
+
+    Two processes opening one fresh (rollback-journal) file can each hold
+    a shared lock while both need the exclusive lock the switch takes;
+    sqlite breaks that deadlock by failing one of them with ``database is
+    locked`` at once, without waiting out the busy timeout.  The winner
+    leaves the file in WAL mode, so the loser's retry is a plain read.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.01)
+
+
 class SqliteStore(BlobStore):
     """A string-keyed persistent memo store shared across processes.
 
@@ -92,8 +112,6 @@ class SqliteStore(BlobStore):
         :data:`SCHEMA_VERSION`, read at call time).
     """
 
-    supports_leases = True
-
     def __init__(self, path: str | Path, schema_version: int | None = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -105,7 +123,7 @@ class SqliteStore(BlobStore):
         self._conn = sqlite3.connect(
             str(self.path), timeout=30.0, check_same_thread=False
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        _enable_wal(self._conn)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         self._ensure_schema()

@@ -445,7 +445,7 @@ class TestEndpoints:
 
 
 class TestStoreUrl:
-    """--store-url / REPRO_STORE_URL: the fleet-shared persistent tier."""
+    """--store-url / REPRO_STORE_URL: the shared persistent tier."""
 
     def _phi(self, workspace):
         return _write(
@@ -493,35 +493,20 @@ class TestStoreUrl:
         assert "error[format]" in capsys.readouterr().err
 
     def test_two_invocations_share_warmth_through_store(
-        self, workspace, capsys
+        self, workspace, capsys, tmp_path
     ):
-        from repro.store import MemoryStore
-        from repro.store.server import background_store_server
-
-        with background_store_server(MemoryStore()) as url:
-            base = self._base(workspace)
-            assert main(
-                ["propagate-batch", *base, "--stats", "--store-url", url]
-            ) == 0
-            cold = capsys.readouterr().err
-            assert main(
-                ["propagate-batch", *base, "--stats", "--store-url", url]
-            ) == 0
-            warm = capsys.readouterr().err
+        url = f"sqlite://{tmp_path / 'shared'}"
+        base = self._base(workspace)
+        assert main(
+            ["propagate-batch", *base, "--stats", "--store-url", url]
+        ) == 0
+        cold = capsys.readouterr().err
+        assert main(
+            ["propagate-batch", *base, "--stats", "--store-url", url]
+        ) == 0
+        warm = capsys.readouterr().err
         assert "chase_invocations=0" not in cold
-        assert "chase_invocations=0" in warm  # answered from the fleet store
-
-    def test_store_serve_parser_and_backing_conflict(self, capsys):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["store-serve"])
-        assert args.command == "store-serve"
-        assert args.port == 0 and args.cache_dir is None
-        code = main(
-            ["store-serve", "--cache-dir", "/tmp/x", "--quota-entries", "5"]
-        )
-        assert code == 2
-        assert "error[bad-request]" in capsys.readouterr().err
+        assert "chase_invocations=0" in warm  # answered from the shared store
 
 
 class TestServeParser:
