@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..core.cfd import CFD
+from ..core.cfd import CFD, as_cfd
 from ..core.fd import FD
 from ..core.schema import DatabaseSchema, RelationSchema
 
@@ -63,8 +63,7 @@ class Relation:
 
     def satisfies(self, dependency: CFD | FD) -> bool:
         """Whether this relation satisfies a CFD or FD."""
-        if isinstance(dependency, FD):
-            dependency = CFD.from_fd(dependency)
+        dependency = as_cfd(dependency)
         if dependency.relation != self.schema.name:
             raise ValueError(
                 f"dependency on {dependency.relation!r} checked against "

@@ -47,7 +47,7 @@ import time
 from typing import Mapping, NamedTuple
 
 from ..algebra.spcu import SPCUView
-from ..core.cfd import CFD
+from ..core.cfd import as_cfd
 from ..core.fd import FD
 from ..kernel.config import resolve_kernel
 from ..propagation.check import DependencyLike, ViewLike, _as_cfds, _branches
@@ -84,11 +84,6 @@ class _Effective(NamedTuple):
     max_instantiations: int | None
     assume_infinite: bool
     kernel: str | None = None
-
-
-def _normalized(dep: DependencyLike) -> list[CFD]:
-    """One dependency's normal-form CFDs (``_as_cfds`` of ``[dep]``)."""
-    return (CFD.from_fd(dep) if isinstance(dep, FD) else dep).normalize()
 
 
 class PropagationService:
@@ -226,9 +221,7 @@ class PropagationService:
         if finite_domain:
             return "general"
         if settings.use_cache and fast_path and targets and all(
-            isinstance(phi, FD)
-            or (isinstance(phi, CFD) and not phi.is_equality and _all_wildcard(phi))
-            for phi in targets
+            isinstance(phi, FD) or _all_wildcard(phi) for phi in targets
         ):
             return "closure"
         return self.route_cover(view)  # "spcu" for a multi-branch union
@@ -280,7 +273,7 @@ class PropagationService:
             name = request.name if request.name is not None else DEFAULT_NAME
             current = list(self.workspace.sigma(name))
             # Each registered dependency is normalized exactly once per edit.
-            normals = [_normalized(dep) for dep in current]
+            normals = [as_cfd(dep).normalize() for dep in current]
             remove_cfds = set(_as_cfds(request.remove))
             removed: list[DependencyLike] = []
             kept: list[DependencyLike] = []
@@ -300,7 +293,7 @@ class PropagationService:
                     present.add(normalized)
             added: list[DependencyLike] = []
             for dep in request.add:
-                normal = _normalized(dep)
+                normal = as_cfd(dep).normalize()
                 normalized = frozenset(normal)
                 if normalized in present:
                     continue

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
 from ..algebra.instance import DatabaseInstance
-from ..core.cfd import CFD
+from ..core.cfd import CFD, normal_forms
 from ..core.fd import FD
 from ..core.values import is_const, value_matches
-from .violations import _as_cfds, detect
+from .violations import detect
 
 
 @dataclass
@@ -54,7 +54,7 @@ def repair(
     The input database is not modified.  The result satisfies every rule
     (verified before returning).
     """
-    normalized = _as_cfds(rules)
+    normalized = normal_forms(rules)
     rows_by_relation: dict[str, list[dict[str, Any]]] = {
         name: [dict(row) for row in rel.rows]
         for name, rel in database.relations.items()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..algebra.instance import DatabaseInstance, Relation
-from ..core.cfd import CFD
+from ..core.cfd import CFD, normal_forms
 from ..core.fd import FD
 
 
@@ -43,21 +43,12 @@ class Violation:
         return f"Violation({self.kind}, rule={self.rule}, tuples={len(self.tuples)})"
 
 
-def _as_cfds(rules: Iterable[CFD | FD]) -> list[CFD]:
-    out: list[CFD] = []
-    for rule in rules:
-        if isinstance(rule, FD):
-            rule = CFD.from_fd(rule)
-        out.extend(rule.normalize())
-    return out
-
-
 def detect_in_rows(
     rules: Iterable[CFD | FD], rows: Sequence[Mapping[str, Any]]
 ) -> list[Violation]:
     """All violations of *rules* over a single collection of rows."""
     violations: list[Violation] = []
-    for rule in _as_cfds(rules):
+    for rule in normal_forms(rules):
         for witness in rule.violations(rows):
             if rule.is_equality:
                 kind = "equality"
@@ -85,7 +76,7 @@ def detect(
             name: rel.rows for name, rel in database.relations.items()
         }
     violations: list[Violation] = []
-    for rule in _as_cfds(rules):
+    for rule in normal_forms(rules):
         if rule.relation not in rows_by_relation:
             raise KeyError(
                 f"rule {rule} names relation {rule.relation!r}, which the "

@@ -22,7 +22,8 @@ constant underscore use ``Const("_")`` explicitly.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Iterable
 
@@ -36,7 +37,6 @@ from .values import (
     is_const,
     is_special,
     is_wildcard,
-    matches,
     meet,
     value_matches,
 )
@@ -64,7 +64,7 @@ def _as_items(pattern: Mapping[str, Any] | Iterable[tuple[str, Any]]) -> Pattern
     return tuple(sorted(items, key=itemgetter(0)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CFD:
     """A conditional functional dependency in general or normal form.
 
@@ -77,11 +77,21 @@ class CFD:
     rhs:
         Sorted ``(attribute, pattern entry)`` pairs for ``Y``; normal form
         has exactly one pair.
+
+    The other fields are derived once, at construction (reasoning code
+    reads them millions of times), and take no part in equality.
     """
 
     relation: str
     lhs: PatternItems
     rhs: PatternItems
+    lhs_attrs: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    rhs_attrs: tuple[str, ...] = field(init=False, compare=False, repr=False)
+    #: Whether this is the special ``(x || x)`` equality form.
+    is_equality: bool = field(init=False, compare=False, repr=False)
+    _rhs_attr: str | None = field(init=False, compare=False, repr=False)
+    _rhs_entry: PatternValue | None = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __init__(
         self,
@@ -104,27 +114,23 @@ class CFD:
         self._init(relation, lhs, rhs, bool(special_r))
 
     def _init(
-        self, relation: str, lhs: PatternItems, rhs: PatternItems, equality: bool
+        self, relation: str, lhs: PatternItems, rhs: PatternItems, equality: bool,
+        lhs_attrs: tuple[str, ...] = (), rhs_attrs: tuple[str, ...] = (),
     ) -> None:
-        """Set the fields from validated, sorted items, plus the hot-path
-        caches (reasoning code touches these millions of times)."""
+        """Set every field from validated, sorted items; *lhs_attrs* and
+        *rhs_attrs* are the items' names when the caller has them."""
+        lhs_attrs = lhs_attrs or tuple([n for n, _ in lhs])
+        rhs_attrs = rhs_attrs or tuple([n for n, _ in rhs])
         setattr_ = object.__setattr__
         setattr_(self, "relation", relation)
         setattr_(self, "lhs", lhs)
         setattr_(self, "rhs", rhs)
-        lhs_attrs = tuple(n for n, _ in lhs)
-        rhs_attrs = tuple(n for n, _ in rhs)
-        setattr_(self, "_lhs_attrs", lhs_attrs)
-        setattr_(self, "_rhs_attrs", rhs_attrs)
-        setattr_(self, "_attributes", frozenset(lhs_attrs) | frozenset(rhs_attrs))
-        setattr_(self, "_lhs_map", dict(lhs))
-        setattr_(self, "_is_equality", equality)
-        if len(rhs) == 1:
-            setattr_(self, "_rhs_attr", rhs[0][0])
-            setattr_(self, "_rhs_entry", rhs[0][1])
-        else:
-            setattr_(self, "_rhs_attr", None)
-            setattr_(self, "_rhs_entry", None)
+        setattr_(self, "lhs_attrs", lhs_attrs)
+        setattr_(self, "rhs_attrs", rhs_attrs)
+        setattr_(self, "is_equality", equality)
+        single = len(rhs) == 1
+        setattr_(self, "_rhs_attr", rhs[0][0] if single else None)
+        setattr_(self, "_rhs_entry", rhs[0][1] if single else None)
         setattr_(self, "_hash", hash((relation, lhs, rhs)))
 
     def __hash__(self) -> int:
@@ -132,6 +138,10 @@ class CFD:
         # fields, but precomputed: CFDs live inside frozenset cache keys
         # that the engine hashes millions of times.
         return self._hash
+
+    def __reduce__(self):
+        # Rebuilt, not restored: the hash of a string is per process.
+        return CFD._from_items, (self.relation, self.lhs, self.rhs, self.is_equality)
 
     # ------------------------------------------------------------------
     # Constructors for the common shapes.
@@ -162,39 +172,37 @@ class CFD:
 
         The FD's attribute tuples are already sorted and duplicate-free.
         """
-        return cls._from_items(
+        cfd = cls.__new__(cls)
+        cfd._init(
             fd.relation,
-            tuple((a, WILDCARD) for a in fd.lhs),
-            tuple((b, WILDCARD) for b in fd.rhs),
+            tuple(zip(fd.lhs, repeat(WILDCARD))),
+            tuple(zip(fd.rhs, repeat(WILDCARD))),
             False,
+            fd.lhs,
+            fd.rhs,
         )
+        return cfd
 
     # ------------------------------------------------------------------
     # Accessors.
     # ------------------------------------------------------------------
 
     @property
-    def lhs_attrs(self) -> tuple[str, ...]:
-        return self._lhs_attrs  # type: ignore[attr-defined]
-
-    @property
-    def rhs_attrs(self) -> tuple[str, ...]:
-        return self._rhs_attrs  # type: ignore[attr-defined]
-
-    @property
     def attributes(self) -> frozenset[str]:
-        return self._attributes  # type: ignore[attr-defined]
+        """``X ∪ Y``, built per call: stored, these sets took a quarter of
+        a Fig. 5 cover's peak memory.  Hot loops test the name tuples."""
+        return frozenset(self.lhs_attrs).union(self.rhs_attrs)
 
     def lhs_entry(self, attribute: str) -> PatternValue:
-        try:
-            return self._lhs_map[attribute]  # type: ignore[attr-defined]
-        except KeyError:
-            raise KeyError(attribute) from None
+        for name, entry in self.lhs:
+            if name == attribute:
+                return entry
+        raise KeyError(attribute)
 
     @property
     def rhs_attr(self) -> str:
         """The single RHS attribute; requires normal form."""
-        attr = self._rhs_attr  # type: ignore[attr-defined]
+        attr = self._rhs_attr
         if attr is None:
             raise ValueError(f"CFD {self} is not in normal form")
         return attr
@@ -202,15 +210,10 @@ class CFD:
     @property
     def rhs_entry(self) -> PatternValue:
         """The single RHS pattern entry; requires normal form."""
-        entry = self._rhs_entry  # type: ignore[attr-defined]
+        entry = self._rhs_entry
         if entry is None:
             raise ValueError(f"CFD {self} is not in normal form")
         return entry
-
-    @property
-    def is_equality(self) -> bool:
-        """Whether this is the special ``(x || x)`` equality form."""
-        return self._is_equality  # type: ignore[attr-defined]
 
     @property
     def is_normal_form(self) -> bool:
@@ -387,18 +390,19 @@ class CFD:
 
     # ------------------------------------------------------------------
 
-    def matches_lhs_pattern(self, other: "CFD") -> bool:
-        """Whether the LHS patterns of two same-LHS CFDs are compatible."""
-        if self.lhs_attrs != other.lhs_attrs:
-            return False
-        return all(
-            matches(e1, e2)
-            for (_, e1), (_, e2) in zip(self.lhs, other.lhs)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lhs_names = ",".join(n for n, _ in self.lhs) or "()"
         rhs_names = ",".join(n for n, _ in self.rhs)
         lhs_pat = ",".join(repr(e) for _, e in self.lhs) or "()"
         rhs_pat = ",".join(repr(e) for _, e in self.rhs)
         return f"{self.relation}([{lhs_names}] -> [{rhs_names}], ({lhs_pat} || {rhs_pat}))"
+
+
+def as_cfd(dep: CFD | FD) -> CFD:
+    """*dep* as a CFD: a plain FD embeds with an all-wildcard pattern."""
+    return CFD.from_fd(dep) if isinstance(dep, FD) else dep
+
+
+def normal_forms(deps: Iterable[CFD | FD]) -> list[CFD]:
+    """The normal-form CFDs of *deps*, in order."""
+    return [normal for dep in deps for normal in as_cfd(dep).normalize()]

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .cfd import CFD
-from .fd import FD
+from .cfd import CFD, as_cfd, normal_forms
 from .chase import (
     ChaseStatus,
     SymbolicInstance,
@@ -139,16 +138,8 @@ def implies(
     Plain FDs are accepted on either side (embedded as all-wildcard
     CFDs), mirroring ``propagates``.
     """
-    if isinstance(phi, FD):
-        phi = CFD.from_fd(phi)
-    sigma = [
-        normal
-        for dep in sigma
-        if dep.relation == phi.relation
-        for normal in (
-            CFD.from_fd(dep) if isinstance(dep, FD) else dep
-        ).normalize()
-    ]
+    phi = as_cfd(phi)
+    sigma = normal_forms(dep for dep in sigma if dep.relation == phi.relation)
     fast_paths = schema is None or not schema.has_finite_domain_attribute()
 
     for normal_phi in phi.normalize():

@@ -43,26 +43,42 @@ class Const:
         return repr(self.value)
 
 
-@dataclass(frozen=True, slots=True)
 class Wildcard:
-    """The unnamed variable ``'_'``; all instances are interchangeable."""
+    """The unnamed variable ``'_'``.  A singleton (``Wildcard() is
+    WILDCARD``): hash and equality are the C-level identity defaults, and
+    pickle and ``deepcopy`` return the module global."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Wildcard":
+        return WILDCARD
+
+    def __reduce__(self) -> str:
+        return "WILDCARD"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "_"
 
 
-@dataclass(frozen=True, slots=True)
 class SpecialVar:
-    """The special variable ``x`` of view CFDs ``(A -> B, (x || x))``."""
+    """The special variable ``x`` of view CFDs ``(A -> B, (x || x))``: a
+    singleton like :class:`Wildcard`, ``SpecialVar() is SPECIAL``."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "SpecialVar":
+        return SPECIAL
+
+    def __reduce__(self) -> str:
+        return "SPECIAL"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "x"
 
 
-#: Canonical singletons.  Pattern code should use these rather than
-#: constructing new instances, although equality works either way.
-WILDCARD = Wildcard()
-SPECIAL = SpecialVar()
+#: The two singletons; entries compare by identity (``entry is WILDCARD``).
+WILDCARD: Wildcard = object.__new__(Wildcard)
+SPECIAL: SpecialVar = object.__new__(SpecialVar)
 
 PatternValue = Union[Const, Wildcard, SpecialVar]
 
@@ -101,12 +117,12 @@ def is_const(entry: PatternValue) -> bool:
 
 def is_wildcard(entry: PatternValue) -> bool:
     """True iff *entry* is the unnamed variable ``'_'``."""
-    return isinstance(entry, Wildcard)
+    return entry is WILDCARD
 
 
 def is_special(entry: PatternValue) -> bool:
     """True iff *entry* is the special variable ``x``."""
-    return isinstance(entry, SpecialVar)
+    return entry is SPECIAL
 
 
 def matches(a: PatternValue, b: PatternValue) -> bool:

@@ -20,7 +20,7 @@ import random
 from typing import Any, Iterable, Sequence
 
 from ..algebra.instance import DatabaseInstance
-from ..core.cfd import CFD
+from ..core.cfd import CFD, normal_forms
 from ..core.domains import Domain
 from ..core.fd import FD
 from ..core.schema import DatabaseSchema
@@ -53,11 +53,7 @@ def random_satisfying_instance(
     rng = resolve_rng(rng, seed)
     if schema is None:
         raise TypeError("random_satisfying_instance needs a schema")
-    normalized: list[CFD] = []
-    for dep in sigma:
-        if isinstance(dep, FD):
-            dep = CFD.from_fd(dep)
-        normalized.extend(dep.normalize())
+    normalized = normal_forms(sigma)
 
     rows_by_relation: dict[str, list[dict[str, Any]]] = {}
     for relation in schema:

@@ -214,18 +214,35 @@ class ImplicationProgram:
             a = -1 if a is None else a[0]
             b = -2 if b is None else b[0]
             return self._implies_equality(a, b)
+        # Wildcard items only set ``agreed`` bits, which no clash check
+        # reads, so they fold into one mask; constant items keep theirs.
         literals = self._literals
+        wildcards = 0
+        coupling = []
         try:
-            _, coupling, goal = _rule(
-                lhs, rhs_attr, rhs_entry, slots, lambda g, v: literals[g, v]
-            )
+            for name, want in lhs:
+                slot = slots.get(name)
+                if slot is None:
+                    continue  # a cell no rule touches couples nothing
+                if isinstance(want, Const):
+                    group, agreed, held = slot
+                    coupling.append((agreed | held | literals[group, want.value], held))
+                else:
+                    wildcards |= slot[1]
+            slot = slots.get(rhs_attr)
+            if slot is None:
+                goal = 0  # phi holds only vacuously
+            elif isinstance(rhs_entry, Const):
+                goal = literals[slot[0], rhs_entry.value]
+            else:
+                goal = slot[1]
         except KeyError:
             # phi carries a literal Sigma lacks: it gets a bit past every
             # Sigma literal, in a copy of the table (no rule reads or
-            # writes it).
+            # writes it).  The coupling repeats any wildcards folded so far.
             literal = _literal_table(dict(literals), len(self._groups))
             _, coupling, goal = _rule(lhs, rhs_attr, rhs_entry, slots, literal)
-        return self._implies(coupling, -1, goal)
+        return self._implies(coupling, -1, goal, wildcards)
 
     def implies_rule(self, rule: int, keep: int = -1) -> bool:
         """Whether the alive rules imply rule *rule* with only the LHS
@@ -238,10 +255,11 @@ class ImplicationProgram:
             return self._implies_equality(*self._couplings[rule])
         return self._implies(self._couplings[rule], keep, self._goals[rule])
 
-    def _implies(self, coupling, keep: int, goal: int) -> bool:
+    def _implies(self, coupling, keep: int, goal: int, wildcards: int = 0) -> bool:
         state, pending = self._base or self._prepared()
         if state is None:
             return True  # Sigma is unsatisfiable on any two tuples
+        state |= wildcards
         for adds, held in coupling:
             if keep & 1 and adds & ~state:
                 if state & held:
@@ -334,7 +352,7 @@ def _chase(state: int, rules: list, goal: int) -> int | None:
 
     Returns the state reached, or ``None`` when the chase is undefined.
     Every round rescans *rules*; one that already fired re-checks as a
-    no-op.  This loop is the whole cost of a test.
+    no-op.  A cold check spends more on building its target than here.
     """
     missing = ~state
     fired = True

@@ -47,7 +47,7 @@ from ..algebra.instance import DatabaseInstance
 from ..algebra.ops import AttrEq
 from ..algebra.spc import SPCView
 from ..algebra.spcu import SPCUView
-from ..core.cfd import CFD
+from ..core.cfd import CFD, as_cfd, normal_forms
 from ..core.chase import (
     ChaseStatus,
     SymbolicInstance,
@@ -97,11 +97,7 @@ def _sigma_state(
         if cached is not _MISSING:
             return cached
         key = deps
-    out: list[CFD] = []
-    for dep in deps:
-        if isinstance(dep, FD):
-            dep = CFD.from_fd(dep)
-        out.extend(dep.normalize())
+    out = normal_forms(deps)
     try:
         state = (out, frozenset(out))
     except TypeError:
@@ -376,30 +372,40 @@ def _view_sigma(view: SPCView, sigma: list[CFD]) -> list[CFD]:
     return rules
 
 
-def program_verdict(cache: BranchPairCache, program, phi: CFD) -> bool | None:
-    """``Sigma |=_V phi`` on *cache*'s compiled implication program.
+def program_verdicts(
+    cache: BranchPairCache, program, phis: Iterable[CFD]
+) -> list[bool | None]:
+    """``Sigma |=_V phi`` for every *phi* on *cache*'s compiled
+    implication program, in one pass.
 
-    Tests phi's :func:`conjuncts` (trivial ones skipped, unprojected
-    attributes a ``KeyError``) and ticks one chase
-    per conjunct tested.  ``None`` when phi carries a constant the
-    program cannot key: the caller then runs the pair loop, and the
-    conjuncts tested before it are not counted.
+    Tests each phi's :func:`conjuncts` (trivial ones skipped, unprojected
+    attributes a ``KeyError``) and ticks one chase per conjunct tested.
+    A verdict is ``None`` when its phi carries a constant the program
+    cannot key: the caller then runs the pair loop, and the conjuncts
+    tested before it are not counted.
     """
     branch = cache.branches[0]
-    tested = 0
-    holds = True
-    for normal in conjuncts(phi, set(branch.projection)):
-        if branch.unsatisfiable:
-            continue  # the view is empty: every conjunct holds
-        try:
-            holds = program.implies(normal.lhs, normal.rhs_attr, normal.rhs_entry)
-        except ValueError:
-            return None
-        tested += 1
-        if not holds:
-            break
-    cache.stats.chase_invocations += tested
-    return holds
+    projection = set(branch.projection)
+    empty = branch.unsatisfiable  # every conjunct holds on an empty view
+    implies = program.implies
+    verdicts: list[bool | None] = []
+    for phi in phis:
+        holds: bool | None = True
+        tested = 0
+        for normal in conjuncts(phi, projection):
+            if empty:
+                continue
+            try:
+                holds = implies(normal.lhs, normal.rhs_attr, normal.rhs_entry)
+            except ValueError:
+                holds, tested = None, 0
+                break
+            tested += 1
+            if not holds:
+                break
+        cache.stats.chase_invocations += tested
+        verdicts.append(holds)
+    return verdicts
 
 
 def conjuncts(phi: CFD, projection: set[str]):
@@ -409,10 +415,10 @@ def conjuncts(phi: CFD, projection: set[str]):
     for normal in phi.normalize():
         if normal.is_trivial():
             continue
-        missing = normal.attributes - projection
-        if missing:
+        if not projection.issuperset(normal.attributes):
+            missing = sorted(normal.attributes - projection)
             raise KeyError(
-                f"view dependency references attributes {sorted(missing)} "
+                f"view dependency references attributes {missing} "
                 "that the view does not project"
             )
         yield normal
@@ -493,8 +499,7 @@ def _search(
 ) -> _Hit | None:
     """Normalize Sigma and phi, then :func:`search_violation`."""
     sigma_cfds, sigma_key = _sigma_state(sigma)
-    if isinstance(phi, FD):
-        phi = CFD.from_fd(phi)
+    phi = as_cfd(phi)
     if cache is not None and cache.view is not view:
         raise ValueError("cache was built for a different view")
     branches = _branches(view)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from ..algebra.spc import SPCView
-from ..core.cfd import CFD
+from ..core.cfd import CFD, normal_forms
 from ..core.fd import FD
 from ..core.mincover import min_cover
 from ..core.values import is_const, is_wildcard
@@ -128,11 +128,7 @@ def prop_cfd_spc_report(
     """
     timer = time.perf_counter
 
-    sigma_cfds: list[CFD] = []
-    for dep in sigma:
-        if isinstance(dep, FD):
-            dep = CFD.from_fd(dep)
-        sigma_cfds.extend(dep.normalize())
+    sigma_cfds = normal_forms(sigma)
 
     start = timer()
     if minimize_input:
@@ -239,7 +235,7 @@ def _apply_domain_constraints(
         for old, new in substitution.items():
             if candidate is None:
                 break
-            if old in candidate.attributes:
+            if old in candidate.lhs_attrs or old in candidate.rhs_attrs:
                 candidate = candidate.substitute(old, new)
         if candidate is None:
             continue

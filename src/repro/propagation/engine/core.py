@@ -62,17 +62,18 @@ live either way, which is what the perf-regression tests assert on.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Sequence
 
 from ...algebra.instance import DatabaseInstance
 from ...algebra.spc import SPCView
 from ...algebra.spcu import SPCUView
-from ...core.cfd import CFD
+from ...core.cfd import CFD, as_cfd
 from ...core.fd import FD, attribute_closure, closure_cache_info
 from ...core.lru import LRUCache
 from ...core.mincover import min_cover
 from ...kernel.config import resolve_kernel
-from ...core.values import is_wildcard
+from ...core.values import WILDCARD
 from ...io import dependencies_to_json, dependency_from_json
 from ..cache import EngineStats, TieredCache, view_fingerprint
 from ..check import (
@@ -85,7 +86,7 @@ from ..check import (
     _sigma_state,
     conjuncts,
     find_counterexample,
-    program_verdict,
+    program_verdicts,
     search_violation,
 )
 from ..cover import prop_cfd_spc, prop_cfd_spc_report
@@ -112,9 +113,7 @@ _NO_CONTEXT = object()
 
 
 def _all_wildcard(phi: CFD) -> bool:
-    return all(is_wildcard(e) for _, e in phi.lhs) and all(
-        is_wildcard(e) for _, e in phi.rhs
-    )
+    return all(e is WILDCARD for _, e in chain(phi.lhs, phi.rhs))
 
 
 def _encode_cover(cover: list[CFD]) -> str:
@@ -570,7 +569,7 @@ class PropagationEngine:
             memory, lines = self._cover_tier.memory, [()]
         else:
             memory = self._verdict_tier.memory
-            lines = [(CFD.from_fd(p) if isinstance(p, FD) else p,) for p in phis]
+            lines = [(as_cfd(p),) for p in phis]
         keys = [self._memo_key(sigma_key, token, *line) for line in lines]
         if not all(key in memory for key in keys):
             return None
@@ -613,7 +612,7 @@ class PropagationEngine:
                     sigma_cfds,
                     sigma_key,
                     cache.branches,
-                    conjuncts(CFD.from_fd(p) if isinstance(p, FD) else p, projection),
+                    conjuncts(as_cfd(p), projection),
                     self.max_instantiations,
                     self.assume_infinite,
                     cache,
@@ -651,7 +650,7 @@ class PropagationEngine:
         pending: dict[tuple, tuple[CFD, str | None, list[int]]] = {}
         for idx, phi in enumerate(phis):
             self.stats.check_queries += 1
-            phi_cfd = CFD.from_fd(phi) if isinstance(phi, FD) else phi
+            phi_cfd = as_cfd(phi)
             memo_key = self._memo_key(sigma_key, token, phi_cfd)
             if memo_key in pending:
                 # Duplicate of an in-flight miss: answered from the memo
@@ -738,18 +737,18 @@ class PropagationEngine:
         program = None
         if self.kernel == "bitset" and self.max_instantiations is None:
             program = cache.implication_program(scoped, sigma_key)
-        verdicts = []
-        for phi_cfd in miss_phis:
-            verdict = None
-            if program is not None:
-                verdict = program_verdict(cache, program, phi_cfd)
+        if program is None:
+            verdicts: list[bool | None] = [None] * len(miss_phis)
+        else:
+            verdicts = program_verdicts(cache, program, miss_phis)
+        for idx, verdict in enumerate(verdicts):
             if verdict is None:
-                verdict = (
+                verdicts[idx] = (
                     search_violation(
                         scoped,
                         sigma_key,
                         cache.branches,
-                        conjuncts(phi_cfd, set(view.projection)),
+                        conjuncts(miss_phis[idx], set(view.projection)),
                         self.max_instantiations,
                         self.assume_infinite,
                         cache,
@@ -757,7 +756,6 @@ class PropagationEngine:
                     )
                     is None
                 )
-            verdicts.append(verdict)
         return verdicts
 
     def _branch_provenance(
@@ -1146,21 +1144,12 @@ class _FastPathContext:
 
     def decide(self, phi: CFD) -> bool | None:
         """The fast-path verdict, or ``None`` when *phi* is out of scope."""
-        if phi.is_equality or not _all_wildcard(phi):
+        if not _all_wildcard(phi):  # the equality form has no wildcard
             return None
         lhs = set(phi.lhs_attrs)
-        for normal in phi.normalize():
-            if normal.is_trivial():
-                continue
-            missing = normal.attributes - self._projection
-            if missing:
-                # Mirror the decision procedure's contract exactly: only a
-                # nontrivial conjunct referencing unprojected attributes
-                # is an error.
-                raise KeyError(
-                    f"view dependency references attributes {sorted(missing)} "
-                    "that the view does not project"
-                )
+        # The decision procedure's contract exactly: only a nontrivial
+        # conjunct referencing unprojected attributes is an error.
+        for normal in conjuncts(phi, self._projection):
             rhs_attr = normal.rhs_attr
             if rhs_attr in lhs:
                 continue

@@ -127,7 +127,7 @@ def drop(
     gamma: Sequence[CFD], attribute: str, stats: RBRStats | None = None
 ) -> list[CFD]:
     """``Drop(Gamma, A) = Res(Gamma, A) ∪ Gamma[U - {A}]`` (one attribute)."""
-    kept = [phi for phi in gamma if attribute not in phi.attributes]
+    kept = [phi for phi in gamma if attribute not in phi.lhs_attrs + phi.rhs_attrs]
     if stats is not None:
         stats.drops += 1
     return kept + resolvents(gamma, attribute, stats=stats)

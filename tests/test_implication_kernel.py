@@ -19,7 +19,9 @@ reproduce:
 - ``min_cover`` output byte for byte under both kernels;
 - the fallbacks: a finite-domain schema, ``kernel="baseline"``,
   ``REPRO_KERNEL=baseline``, an uncached engine and an uninternable
-  constant all run the baseline tests.
+  constant all run the baseline tests;
+- ``implies``' folded wildcard path on FD-shaped targets, and the
+  engine's one-pass ``program_verdicts`` against the uncached engine.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from repro.core.domains import BOOL
 from repro.core.values import Const
 from repro.core.schema import Attribute, RelationSchema
 from repro.generators import random_cfds, random_schema
-from repro.kernel.implication import ImplicationProgram
+from repro.kernel.implication import ImplicationProgram, _literal_table, _rule
+from repro.propagation.engine import core as engine_core
 from repro.propagation.closure_baseline import example_41_workload
 from repro.propagation.engine import PropagationEngine
 
@@ -342,6 +345,130 @@ def test_phi_only_literal_leaves_sigma_table_alone():
     known = CFD(R, {"A": "a", "C": "_"}, {"B": "b"})
     assert program.implies(known.lhs, known.rhs_attr, known.rhs_entry)
     assert program._literals == table
+
+
+# ----------------------------------------------------------------------
+# The folded wildcard path of ``implies``.
+# ----------------------------------------------------------------------
+
+#: Attributes no Sigma rule mentions (no slot), and a constant Sigma lacks.
+UNTOUCHED = ["X", "Y"]
+FOREIGN = "zz"
+
+
+def _fd_shaped_target(rng: random.Random) -> CFD:
+    """A normal-form target shaped like a check batch's FDs: a mostly
+    wildcard LHS over Sigma's and untouched attributes, some constants
+    (Sigma's or a foreign one), and an RHS that may have no slot."""
+    names = rng.sample(ATTRS + UNTOUCHED, rng.randint(1, 5))
+    pool = CONSTANTS + [FOREIGN]
+    lhs = {n: rng.choice(pool) if rng.random() < 0.3 else "_" for n in names}
+    rhs_name = rng.choice(ATTRS + UNTOUCHED)
+    return CFD(R, lhs, {rhs_name: rng.choice(pool) if rng.random() < 0.25 else "_"})
+
+
+def _unfolded(program: ImplicationProgram, phi: CFD) -> bool:
+    """The per-item coupling of ``_rule``: what ``implies`` folds."""
+    literal = _literal_table(dict(program._literals), len(program._groups))
+    _, coupling, goal = _rule(
+        phi.lhs, phi.rhs_attr, phi.rhs_entry, program._slots, literal
+    )
+    return program._implies(coupling, -1, goal)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_folded_wildcards_match_baseline(seed):
+    rng = random.Random(7400 + seed)
+    shapes, verdicts = set(), set()
+    for _ in range(40):
+        sigma = _random_sigma(rng, rng.randint(1, 8))
+        program = ImplicationProgram([n for dep in sigma for n in dep.normalize()])
+        slots = program._slots
+        for _ in range(8):
+            phi = _fd_shaped_target(rng)
+            if phi.is_trivial():
+                continue
+            expected = implies(sigma, phi)
+            got = program.implies(phi.lhs, phi.rhs_attr, phi.rhs_entry)
+            assert got == expected == _unfolded(program, phi), (sigma, phi)
+            verdicts.add(expected)
+            kinds = {isinstance(e, Const) for n, e in phi.lhs if n in slots}
+            shapes.update(
+                name
+                for name, hit in [
+                    ("untouched-lhs", any(n not in slots for n in phi.lhs_attrs)),
+                    ("vacuous-rhs", phi.rhs_attr not in slots),
+                    ("mixed-lhs", kinds == {True, False}),
+                    ("foreign-literal", any(
+                        isinstance(e, Const) and e.value == FOREIGN
+                        for _, e in phi.lhs + phi.rhs
+                    )),
+                ]
+                if hit
+            )
+    assert verdicts == {True, False}
+    assert shapes == {"untouched-lhs", "vacuous-rhs", "mixed-lhs", "foreign-literal"}
+
+
+# ----------------------------------------------------------------------
+# The engine's one-pass program verdicts.
+# ----------------------------------------------------------------------
+
+
+def _spy_pair_loop(monkeypatch) -> list:
+    """Record each phi the engine hands to the pair loop."""
+    calls = []
+    original = engine_core.search_violation
+
+    def spy(sigma, sigma_key, branches, normal_phis, *args, **kwargs):
+        normal_phis = list(normal_phis)
+        calls.append(normal_phis)
+        return original(sigma, sigma_key, branches, normal_phis, *args, **kwargs)
+
+    monkeypatch.setattr(engine_core, "search_violation", spy)
+    return calls
+
+
+def test_unprojected_attribute_raises_the_pair_loops_key_error(monkeypatch):
+    view, sigma, queries = example_41_workload(3, defeat_fast_path=True)
+    bad = FD("V", ("A1",), ("C1",))  # C1 is projected away
+    with pytest.raises(KeyError) as uncached:
+        PropagationEngine(use_cache=False).check_many(sigma, view, [bad])
+    calls = _spy_pair_loop(monkeypatch)
+    with pytest.raises(KeyError) as compiled:
+        PropagationEngine(kernel="bitset").check_many(sigma, view, queries[:2] + [bad])
+    assert str(compiled.value) == str(uncached.value)
+    assert "C1" in str(compiled.value) and calls == []
+
+
+def test_nan_constant_falls_back_to_the_pair_loop(monkeypatch):
+    view, sigma, queries = example_41_workload(3, defeat_fast_path=True)
+    nan_phi = CFD("V", {"A1": float("nan"), "A2": "_"}, {"D": "_"})
+    phis = [queries[0], nan_phi, queries[1]]
+    expected = PropagationEngine(use_cache=False).check_many(sigma, view, phis)
+    alone = PropagationEngine(kernel="bitset")
+    assert alone.check_many(sigma, view, [nan_phi]) == expected[1:2]
+    calls = _spy_pair_loop(monkeypatch)
+    engine = PropagationEngine(kernel="bitset")
+    assert engine.check_many(sigma, view, phis) == expected
+    # Only the nan target reaches the pair loop; the other two are one
+    # program test each, and the fallback counts only its own chases.
+    assert [[phi.lhs for phi in call] for call in calls] == [[nan_phi.lhs]]
+    assert engine.stats.chase_invocations == 2 + alone.stats.chase_invocations
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_example_41_batch_matches_uncached_and_per_target_counts(n, monkeypatch):
+    view, sigma, queries = example_41_workload(n, defeat_fast_path=True)
+    phis = queries + [FD("V", ("A1",), ("A1",))]  # a trivial target: no test
+    expected = PropagationEngine(use_cache=False).check_many(sigma, view, phis)
+    single = PropagationEngine(kernel="bitset")
+    one_by_one = [single.check_many(sigma, view, [phi])[0] for phi in phis]
+    calls = _spy_pair_loop(monkeypatch)
+    engine = PropagationEngine(kernel="bitset")
+    assert engine.check_many(sigma, view, phis) == expected == one_by_one
+    assert calls == []
+    assert engine.stats.chase_invocations == single.stats.chase_invocations == 2**n
 
 
 # ----------------------------------------------------------------------
