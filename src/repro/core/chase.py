@@ -178,12 +178,6 @@ class SymbolicInstance:
     def finite_domain_variables(self) -> list[SymVar]:
         return [v for v in self.variables() if v.domain.is_finite]
 
-    def apply_assignment(self, assignment: Mapping[SymVar, Any]) -> None:
-        for var, value in assignment.items():
-            resolved = self.resolve(var)
-            if isinstance(resolved, SymVar):
-                self.bind(resolved, value)
-
     def instantiate(self, factory_prefix: str = "fresh") -> "SymbolicInstance":
         """Replace surviving variables by pairwise distinct fresh constants.
 

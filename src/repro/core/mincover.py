@@ -76,9 +76,11 @@ def min_cover(
 def _min_cover_relation(
     sigma: list[CFD], schema: RelationSchema | None, packed: bool
 ) -> list[CFD]:
-    current = sorted(set(sigma), key=repr)
+    current = list(set(sigma))
+    keys = {id(phi): repr(phi) for phi in current}  # sort keys, built once
+    current.sort(key=lambda phi: keys[id(phi)])
     if packed:
-        cover = _min_cover_packed(current)
+        cover = _min_cover_packed(current, keys)
         if cover is not None:
             return cover
 
@@ -118,13 +120,15 @@ def _trim_lhs(
     return trimmed
 
 
-def _min_cover_packed(current: list[CFD]) -> list[CFD] | None:
+def _min_cover_packed(current: list[CFD], keys: dict[int, str]) -> list[CFD] | None:
     """Both MinCover passes on one compiled program (same cover as baseline).
 
     Trimming tests each candidate as a kept-items mask of its rule against
     the full Sigma; redundancy removal re-masks the trimmed rules, retires
     copies of earlier ones and tests each in ``repr`` order with itself
-    retired from the alive mask.  ``None`` when a constant cannot be keyed.
+    retired from the alive mask, reusing *keys* (``repr`` by object id:
+    ``Const(1) == Const(1.0)``, but their ``repr`` differs) for every rule
+    trimming left as it was.  ``None`` when a constant cannot be keyed.
     """
     # Imported on use, like the other kernel seams below core.
     from ..kernel.implication import ImplicationProgram
@@ -139,7 +143,9 @@ def _min_cover_packed(current: list[CFD]) -> list[CFD] | None:
             program.replace(rule, phi)
         if first.setdefault(phi, rule) != rule:
             program.retire(rule)  # a duplicate of an earlier rule
-    order = sorted(first.values(), key=lambda rule: repr(trimmed[rule]))
+    order = sorted(
+        first.values(), key=lambda rule: keys.get(id(trimmed[rule])) or repr(trimmed[rule])
+    )
     for rule in order:
         program.retire(rule)
         if not program.implies_rule(rule):

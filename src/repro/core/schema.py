@@ -13,7 +13,7 @@ with ``RelationSchema.renamed``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .domains import Domain, STRING
 
@@ -150,10 +150,3 @@ class DatabaseSchema:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DatabaseSchema({list(self.relations.values())!r})"
-
-
-def attributes_of(schema: RelationSchema | Mapping[str, Domain]) -> dict[str, Domain]:
-    """Normalize a schema-ish object to a name -> domain mapping."""
-    if isinstance(schema, RelationSchema):
-        return {a.name: a.domain for a in schema.attributes}
-    return dict(schema)

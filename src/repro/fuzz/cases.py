@@ -238,11 +238,6 @@ def run_digest(fingerprints: Iterable[str]) -> str:
     return hashlib.sha256(joined.encode()).hexdigest()
 
 
-def is_union_case(case: dict) -> bool:
-    """Whether the case's view document is an SPCU branch list."""
-    return "branches" in case["view"]
-
-
 def is_fd_projection_case(case: dict) -> bool:
     """Whether the independent closure-baseline oracle decides this case.
 

@@ -24,9 +24,11 @@ equality-generating consequences, so its result is the least fixpoint of
 a closure operator — order-independent, and ``closure(base ∪ coupling) =
 closure(closure(base) ∪ coupling)``.  The packed verdict (same class /
 class constant) therefore coincides with the baseline's resolved-cell
-comparison; when a violation *is* found, the caller confirms the flagged
-pair through the baseline machinery, whose chased instance is the
-witness's, so even counterexamples are byte-identical.  ``tests/test_kernel.py`` and the
+comparison.  A violation found is then proven from Sigma's CFD objects
+by :meth:`PackedPairRunner.certify`, not from the compiled rules; the
+witness path instead re-chases the flagged pair on the baseline, whose
+chased instance is the witness's, so counterexamples are byte-identical.
+``tests/test_kernel.py``, ``tests/test_pair_certificate.py`` and the
 fuzz matrix enforce all of this differentially.
 
 The kernel covers exactly the shared-single-chase setting
@@ -38,8 +40,10 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
+from operator import itemgetter
 from typing import Any, Iterable
 
+from ..algebra.ops import AttrEq
 from ..core.chase import SymVar
 from ..core.lru import LRUCache
 from ..core.values import is_const, is_wildcard
@@ -71,6 +75,7 @@ class _Template:
         "pair_rules",
         "cells1",
         "cells2",
+        "rows",
         "base_state",
         "outcomes",
     )
@@ -88,6 +93,7 @@ class _Template:
         ] = []
         self.cells1: dict[str, int] = {}
         self.cells2: dict[str, int] = {}
+        self.rows: dict[str, list[dict[str, int]]] = {}  # relation -> packed rows
         self.base_state: Any = None  # lazy: (parent, cnode) | UNDEFINED
         self.outcomes: LRUCache | None = None  # lhs -> (parent, cnode) | UNDEFINED
 
@@ -132,12 +138,13 @@ class PackedPairRunner:
 
     Built (and cached) per ``(view cache, sigma_key)``; ``find_violation``
     answers the Case-1/Case-2 half of ``check._pair_violation`` — it
-    returns the first violating ordered pair, or ``None``.  The caller
-    owns the pair's confirmation and the decision of when this kernel
-    applies (single-chase setting, cache enabled); after a run it must
-    consult :attr:`usable` — a ``False`` means the runner met a construct
-    it cannot intern (e.g. an unhashable constant) and the whole query
-    must be re-answered on the baseline path.
+    returns the first violating ordered pair with its chased state, or
+    ``None``, and :meth:`certify` proves such a hit.  The caller owns the
+    decision of when this kernel applies (single-chase setting, cache
+    enabled); after a run it must consult :attr:`usable` — a ``False``
+    means the runner met a construct it cannot intern (e.g. an
+    unhashable constant, or ``nan``) and the whole query must be
+    re-answered on the baseline path.
     """
 
     def __init__(self, sigma: list, cache, capacity: int | None = None) -> None:
@@ -153,6 +160,7 @@ class PackedPairRunner:
         self._templates: dict[tuple, _Template] = {}
         self._packs: dict[tuple[int, int], _Template | None] = {}
         self.usable = True
+        self._checks: dict[str, tuple[list, list]] | None = None
 
     # ------------------------------------------------------------------
     # Packing: pair -> template (+ structural dedup).
@@ -180,6 +188,9 @@ class PackedPairRunner:
         def intern_const(value: Any) -> int:
             node = const_ids.get(value)
             if node is None:
+                if value != value:
+                    # nan: a dict key matches itself, a chase compare never does.
+                    raise TypeError(f"constant {value!r} is not equal to itself")
                 node = len(const_values)
                 const_ids[value] = node
                 const_values.append(value)
@@ -237,7 +248,7 @@ class PackedPairRunner:
             c1 = {attr: node_of(value) for attr, value in rc1.items()}
             c2 = {attr: node_of(value) for attr, value in rc2.items()}
         except TypeError:
-            # Unhashable constant — the runner cannot intern this
+            # Unhashable constant, or nan — the runner cannot intern this
             # instance; the whole query falls back to the baseline.
             self.usable = False
             self._packs[(i, j)] = None
@@ -266,6 +277,7 @@ class PackedPairRunner:
         template.node_count = node_count
         template.cells1 = c1
         template.cells2 = c2
+        template.rows = packed_rows
         template.outcomes = LRUCache(self._capacity, on_evict=self._evicted)
 
         for cfd in self._sigma:
@@ -525,16 +537,16 @@ class PackedPairRunner:
     # The pair loop.
     # ------------------------------------------------------------------
 
-    def find_violation(
-        self, phi, pairs: Iterable[tuple[int, int]]
-    ) -> tuple[int, int] | None:
+    def find_violation(self, phi, pairs: Iterable[tuple[int, int]]):
         """First ordered pair on which *phi* is violated, else ``None``.
 
-        *phi* must be normal form, non-equality, non-trivial; *pairs*
-        must iterate in the baseline loop's order so the flagged pair —
-        and hence the reconstructed witness — is identical.  A ``None``
-        with :attr:`usable` now ``False`` is *not* an answer: rerun the
-        query on the baseline.
+        A hit is ``((i, j), template, chased (parent, cnode) state)``.
+        *phi* must be normal form, non-equality, non-trivial, its
+        constants equal to themselves; *pairs* must iterate in the
+        baseline loop's order so the flagged pair — and hence the
+        reconstructed witness — is identical.  A ``None`` with
+        :attr:`usable` now ``False`` is *not* an answer: rerun the query
+        on the baseline.
         """
         rhs_attr = phi.rhs_attr
         rhs_entry = phi.rhs_entry
@@ -556,5 +568,87 @@ class PackedPairRunner:
                 want = template.const_ids.get(rhs_entry.value, -2)
                 violated = cnode[r1] != want
             if violated:
-                return (i, j)
+                return (i, j), template, state
         return None
+
+    # ------------------------------------------------------------------
+    # The certificate.
+    # ------------------------------------------------------------------
+
+    def _sigma_checks(self) -> dict[str, tuple[list, list]]:
+        """Sigma by relation, read off the CFD objects once: equality
+        forms as ``(a, b)``, the rest as ``(match, want, key, rhs_attr,
+        target)`` — getters of the LHS constant items and of the LHS,
+        the constants matched, the RHS constant (or :data:`_MISSING`)."""
+        checks = self._checks
+        if checks is None:
+            checks = {}  # published only once complete: checks run on threads
+            for cfd in self._sigma:
+                equalities, rules = checks.setdefault(cfd.relation, ([], []))
+                if cfd.is_equality:
+                    equalities.append((cfd.lhs[0][0], cfd.rhs[0][0]))
+                    continue
+                consts = [(attr, e.value) for attr, e in cfd.lhs if is_const(e)]
+                rules.append((
+                    itemgetter(*[attr for attr, _ in consts]) if consts else None,
+                    consts[0][1] if len(consts) == 1 else tuple(v for _, v in consts),
+                    itemgetter(*cfd.lhs_attrs) if cfd.lhs else (lambda t: ()),
+                    cfd.rhs_attr,
+                    cfd.rhs_entry.value if is_const(cfd.rhs_entry) else _MISSING,
+                ))
+            self._checks = checks
+        return checks
+
+    def certify(self, phi, hit) -> bool:
+        """Whether *hit*'s chased state alone proves ``Sigma |/=_V phi``.
+
+        Instantiated — a class holding a constant carries it, any other
+        class a fresh value equal to nothing else — the state is a source
+        instance D.  ``True`` iff D |= Sigma by Definition 2.1 (read off
+        the CFD objects, never the compiled rules), both summary tuples
+        pass their branch's selection and ``Rc`` constants, and they
+        agree on *phi*'s LHS and violate its RHS.  The state is only
+        read: no path compression into the cached arrays.
+        """
+        (i, j), template, (parent, cnode) = hit
+        constants = {node: value for value, node in template.const_ids.items()}
+        fresh: dict[int, object] = {}
+
+        def instantiate(cells: dict[str, int]) -> dict[str, Any]:
+            out = {}
+            for attr, node in cells.items():
+                while parent[node] != node:
+                    node = parent[node]
+                c = cnode[node]
+                out[attr] = constants[c] if c >= 0 else fresh.setdefault(node, object())
+            return out
+
+        for relation, rows in template.rows.items():
+            equalities, rules = self._sigma_checks().get(relation, ((), ()))
+            tuples = [instantiate(row) for row in rows]
+            if any(t[a] != t[b] for a, b in equalities for t in tuples):
+                return False
+            for match, want, key, rhs_attr, target in rules:
+                groups: dict[Any, Any] = {}
+                for t in tuples:
+                    if match is None or match(t) == want:
+                        rhs = t[rhs_attr]
+                        if (target is not _MISSING and rhs != target) or (
+                            groups.setdefault(key(t), rhs) != rhs
+                        ):
+                            return False
+        t1, t2 = instantiate(template.cells1), instantiate(template.cells2)
+        branches = self._cache().branches
+        for branch, t in ((branches[i], t1), (branches[j], t2)):
+            if any(
+                t[sel.left] != t[sel.right]
+                if isinstance(sel, AttrEq)
+                else t[sel.attr] != sel.value
+                for sel in branch.selection
+            ) or any(t[attr] != value for attr, value in branch.constants.items()):
+                return False
+        for attr, entry in phi.lhs:
+            if t1[attr] != t2[attr] or (is_const(entry) and t1[attr] != entry.value):
+                return False
+        rhs, entry = phi.rhs_attr, phi.rhs_entry
+        return t1[rhs] != t2[rhs] or (is_const(entry) and t1[rhs] != entry.value)

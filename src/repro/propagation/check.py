@@ -67,7 +67,7 @@ _MISSING = object()
 
 ViewLike = Union[SPCView, SPCUView]
 DependencyLike = Union[CFD, FD]
-_Hit = tuple[tuple[int, int], SymbolicInstance, SPCView]
+_Hit = tuple[tuple[int, int], SymbolicInstance | None, SPCView]
 
 
 class UnsupportedViewError(ValueError):
@@ -444,7 +444,8 @@ def propagates(
     witness database.
     """
     hit = _search(
-        sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel
+        sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel,
+        witness=False,
     )
     return hit is None
 
@@ -480,13 +481,15 @@ def find_counterexample(
     *kernel* — ``"bitset"`` routes eligible pair sweeps through the
     packed runner of :mod:`repro.kernel.chase` (cached single-chase
     setting only; identical answers, differential-tested).  The baseline
-    confirms the pair the runner names, so the witness is the baseline's.
+    re-chases the pair the runner names, so the witness is the
+    baseline's; the verdict path certifies the runner's state instead.
     The default ``None`` keeps the baseline everywhere, so library
     callers and the fuzz oracle are untouched by the engine's kernel
     selection.
     """
     hit = _search(
-        sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel
+        sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel,
+        witness=True,
     )
     if hit is None:
         return None
@@ -495,7 +498,8 @@ def find_counterexample(
 
 
 def _search(
-    sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel
+    sigma, view, phi, max_instantiations, assume_infinite, cache, pairs, kernel,
+    *, witness: bool,
 ) -> _Hit | None:
     """Normalize Sigma and phi, then :func:`search_violation`."""
     sigma_cfds, sigma_key = _sigma_state(sigma)
@@ -513,6 +517,7 @@ def _search(
         cache,
         None if pairs is None else list(pairs),
         kernel,
+        witness,
     )
 
 
@@ -526,20 +531,24 @@ def search_violation(
     cache: BranchPairCache | None = None,
     pairs: list[tuple[int, int]] | None = None,
     kernel: str | None = None,
+    witness: bool = False,
 ) -> _Hit | None:
     """The first violation of *normal_phis* (:func:`conjuncts` output),
     in order: ``(branch pair, chased instance, branch)``, the branch
     supplying a witness database's schema.  ``None`` means propagated.
 
     *sigma* is normal-form CFDs and *sigma_key* their frozenset.  Nothing
-    is instantiated: this is the verdict path.
+    is instantiated: this is the verdict path, where a hit the packed
+    runner certified has no chased instance, unless ``witness=True``.
     """
     settings = (max_instantiations, assume_infinite, cache, pairs)
     for phi in normal_phis:
         if phi.is_equality:
             hit = _equality_violation(sigma, sigma_key, branches, phi, *settings)
         else:
-            hit = _pair_violation(sigma, sigma_key, branches, phi, *settings, kernel)
+            hit = _pair_violation(
+                sigma, sigma_key, branches, phi, *settings, kernel, witness
+            )
         if hit is not None:
             return hit
     return None
@@ -581,6 +590,7 @@ def _pair_violation(
     cache: BranchPairCache | None,
     pairs: list[tuple[int, int]] | None,
     kernel: str | None,
+    witness: bool,
 ) -> _Hit | None:
     rhs_attr = phi.rhs_attr
     rhs_entry = phi.rhs_entry
@@ -594,19 +604,27 @@ def _pair_violation(
             (i, j) for i in range(len(branches)) for j in range(len(branches))
         ]
 
-    if kernel == "bitset" and share_chase and cache.enabled:
+    # The runner interns constants by value, so it would match a constant
+    # not equal to itself (nan) where the baseline's compare never does.
+    if (
+        kernel == "bitset" and share_chase and cache.enabled
+        and all(not is_const(e) or e.value == e.value for _, e in phi.lhs + phi.rhs)
+    ):
         runner = cache.kernel_runner(sigma, sigma_key)
         if runner.usable:
             hit = runner.find_violation(phi, pairs)
             if runner.usable:
                 if hit is None:
                     return None
-                # The runner only names the pair; the baseline loop confirms
-                # it (coupled skeleton, shared chase, RHS compare), and a
-                # disagreement (a kernel bug) falls through to the full sweep.
+                # A certified state is the verdict.  Else the baseline loop
+                # confirms the pair (coupled skeleton, shared chase, RHS
+                # compare) — the witness path's instance — and a refusal
+                # (a kernel bug) falls through to the full sweep.
+                if not witness and runner.certify(phi, hit):
+                    return hit[0], None, branches[0]
                 confirmed = _pair_violation(
                     sigma, sigma_key, branches, phi, max_instantiations,
-                    assume_infinite, cache, [hit], None,
+                    assume_infinite, cache, [hit[0]], None, witness,
                 )
                 if confirmed is not None:
                     return confirmed

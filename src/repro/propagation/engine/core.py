@@ -813,7 +813,7 @@ class PropagationEngine:
         """One multi-branch SPCU miss, unit by unit through the pair memo.
 
         A verdict path (no witness database; a kernel-named pair is
-        still confirmed by the baseline chase) walking
+        answered by its certified chased state) walking
         :func:`~repro.propagation.check.search_violation`'s loop exactly
         — ``conjuncts`` in order, the ``k^2`` pairs row-major for pattern
         conjuncts and the diagonal branches for equality conjuncts, early

@@ -517,6 +517,42 @@ def test_min_cover_byte_identical_with_equality_rules():
     ])
 
 
+def test_min_cover_sort_keys_follow_identity_not_equality():
+    """The packed pass reuses each input rule's ``repr`` key only for a
+    rule trimming left as the same object: ``Const(1) == Const(1.0)``,
+    but the two print (and so sort) differently."""
+    sigma = [
+        CFD(R, {"A": 1.0, "B": "_"}, {"C": "_"}),
+        CFD(R, {"A": 1}, {"B": "_"}),
+        CFD(R, {"A": True, "E": "_"}, {"C": "_"}),
+        CFD(R, {"D": 1}, {"E": 2.0}),
+        CFD(R, {"D": 1.0, "A": "_"}, {"E": 2}),
+    ]
+    _assert_same_cover(sigma)
+    assert [repr(phi) for phi in min_cover(sigma, kernel="bitset")] == [
+        "R([A] -> [B], (1 || _))",
+        "R([A] -> [C], (1.0 || _))",
+        "R([D] -> [E], (1.0 || 2))",
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_min_cover_byte_identical_on_the_fig5_smoke_pool(index):
+    """The Fig. 5 schema with the benchmark's smoke pool of Sigmas
+    (|Sigma| = 60, LHS 3..9, var% 40/50 alternating)."""
+    paper_seed = 20080824
+    schema = random_schema(random.Random(paper_seed), num_relations=10)
+    sigma = random_cfds(
+        random.Random(paper_seed + 1000 * 60 + index),
+        schema,
+        60,
+        max_lhs=9,
+        min_lhs=3,
+        var_pct=(0.4, 0.5)[index % 2],
+    )
+    _assert_same_cover(sigma)
+
+
 # ----------------------------------------------------------------------
 # One program per MinCover: the redundancy pass re-masks the trimmed
 # rules on the trimming program instead of compiling them again.

@@ -75,6 +75,14 @@ def _digest(databases) -> str:
 # ----------------------------------------------------------------------
 
 
+def _named(runner, pair):
+    """A runner hit naming *pair* with its real, uncoupled chased state:
+    a model of Sigma on which *phi* need not be violated, so the
+    certificate must refuse it."""
+    template = runner._pack(*pair)
+    return pair, template, runner._base_state(template)
+
+
 def test_cross_check_overrules_a_kernel_pair_that_does_not_violate(monkeypatch):
     sigma, view, phis = _shard()
     phi = phis[1]  # a pattern conjunct the baseline propagates
@@ -84,7 +92,7 @@ def test_cross_check_overrules_a_kernel_pair_that_does_not_violate(monkeypatch):
     def lying(self, phi, pairs):
         pair = list(pairs)[0]
         named.append(pair)
-        return pair
+        return _named(self, pair)
 
     monkeypatch.setattr(PackedPairRunner, "find_violation", lying)
     assert PropagationEngine(kernel="bitset").check(sigma, view, phi) is True
@@ -99,7 +107,7 @@ def test_cross_check_falls_back_to_the_full_baseline_sweep(monkeypatch):
     phi = phis[0]  # violated on every off-diagonal pair, never on (2, 2)
     want = find_counterexample(sigma, view, phi)
     monkeypatch.setattr(
-        PackedPairRunner, "find_violation", lambda self, phi, pairs: (2, 2)
+        PackedPairRunner, "find_violation", lambda self, phi, pairs: _named(self, (2, 2))
     )
     got = find_counterexample(
         sigma, view, phi, cache=BranchPairCache(view), kernel="bitset"
