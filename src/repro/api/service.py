@@ -47,10 +47,9 @@ import time
 from typing import Mapping, NamedTuple
 
 from ..algebra.spcu import SPCUView
-from ..core.cfd import as_cfd
 from ..core.fd import FD
 from ..kernel.config import resolve_kernel
-from ..propagation.check import DependencyLike, ViewLike, _as_cfds, _branches
+from ..propagation.check import DependencyLike, ViewLike, _branches
 from ..propagation.engine import EngineStats, PropagationEngine
 from ..propagation.engine.core import _all_wildcard
 from ..store import validate_store_url
@@ -257,51 +256,28 @@ class PropagationService:
         """Apply a Sigma diff and selectively invalidate warm state.
 
         The registered set named by ``request.name`` (``None`` = the
-        ``"default"`` registration) is diffed in place: dependencies
-        whose normalized CFDs are covered by ``remove`` drop out,
-        ``add`` appends.  The *affected relations* are those mentioned
-        by the diff; every pooled engine drops only the lines whose
-        provenance meets them (the service keeps no memo of its own).
-        Because all keys are provenance-scoped, the surviving lines are
-        immediately reachable under the updated Sigma —
-        queries on untouched relations keep answering with zero chases,
-        from the memory tiers and the persistent store alike
-        (``tests/test_incremental.py`` / ``benchmarks/bench_incremental.py``).
+        ``"default"`` registration) is diffed in place by
+        :meth:`Workspace.edit_sigma <repro.api.Workspace.edit_sigma>`:
+        dependencies whose normalized CFDs are covered by ``remove`` drop
+        out, ``add`` appends.  Each registered dependency was normalized
+        once, when it was registered or added, so the edit normalizes only
+        its own diff and hands the engines the prepared Sigma.  The
+        *affected relations* are those mentioned by the diff; every pooled
+        engine drops only the lines whose provenance meets them (the
+        service keeps no memo of its own), and an engine none of whose
+        views reads them returns without visiting a line.  Because all
+        keys are provenance-scoped, the surviving lines are immediately
+        reachable under the updated Sigma — queries on untouched
+        relations keep answering with zero chases, from the memory tiers
+        and the persistent store alike (``tests/test_incremental.py`` /
+        ``benchmarks/bench_incremental.py``).
         """
         with api_errors():
             started = time.perf_counter()
             name = request.name if request.name is not None else DEFAULT_NAME
-            current = list(self.workspace.sigma(name))
-            # Each registered dependency is normalized exactly once per edit.
-            normals = [as_cfd(dep).normalize() for dep in current]
-            remove_cfds = set(_as_cfds(request.remove))
-            removed: list[DependencyLike] = []
-            kept: list[DependencyLike] = []
-            affected: set[str] = set()
-            # Dedupe adds against what survives, so re-applying the same
-            # diff (a wire retry after a dropped response) is a no-op:
-            # nothing grows, `affected` comes out empty, and no warm
-            # line is needlessly re-invalidated.
-            present: set[frozenset] = set()
-            for dep, normal in zip(current, normals):
-                normalized = frozenset(normal)
-                if normalized and remove_cfds and normalized <= remove_cfds:
-                    removed.append(dep)
-                    affected.update(phi.relation for phi in normal)
-                else:
-                    kept.append(dep)
-                    present.add(normalized)
-            added: list[DependencyLike] = []
-            for dep in request.add:
-                normal = as_cfd(dep).normalize()
-                normalized = frozenset(normal)
-                if normalized in present:
-                    continue
-                present.add(normalized)
-                added.append(dep)
-                affected.update(phi.relation for phi in normal)
-            updated = kept + added
-            self.workspace.add_sigma(name, updated)
+            current, updated, affected = self.workspace.edit_sigma(
+                name, request.add, request.remove
+            )
             invalidated = retained = 0
             with self._pool_guard:
                 engines = list(self._engines.values())

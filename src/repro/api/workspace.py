@@ -20,10 +20,10 @@ from typing import Any, Mapping, Sequence, Union
 from .. import io as repro_io
 from ..algebra.spc import SPCView
 from ..algebra.spcu import SPCUView
-from ..core.cfd import CFD
+from ..core.cfd import CFD, as_cfd
 from ..core.fd import FD
 from ..core.schema import DatabaseSchema
-from ..propagation.check import DependencyLike, ViewLike
+from ..propagation.check import DependencyLike, PreparedSigma, ViewLike, _as_cfds
 from .errors import ApiError, api_errors
 
 __all__ = ["DEFAULT_NAME", "Workspace"]
@@ -36,7 +36,7 @@ class Workspace:
 
     def __init__(self) -> None:
         self._schemas: dict[str, DatabaseSchema] = {}
-        self._sigmas: dict[str, list[DependencyLike]] = {}
+        self._sigmas: dict[str, PreparedSigma] = {}
         self._views: dict[str, ViewLike] = {}
 
     # ------------------------------------------------------------------
@@ -55,8 +55,14 @@ class Workspace:
 
     def add_sigma(
         self, name: str, sigma: Sequence[Union[DependencyLike, Mapping[str, Any]]]
-    ) -> list[DependencyLike]:
-        """Register a dependency list (objects or JSON documents)."""
+    ) -> PreparedSigma:
+        """Register a dependency list (objects or JSON documents).
+
+        Each dependency is normalized here, once, into the registered
+        :class:`~repro.propagation.check.PreparedSigma`.  It is a copy:
+        mutating *sigma* afterwards does not change it.  Never mutate the
+        list :meth:`sigma` returns: it is the registration itself.
+        """
         with api_errors():
             deps = [
                 dep
@@ -64,8 +70,46 @@ class Workspace:
                 else repro_io.dependency_from_json(dep)
                 for dep in sigma
             ]
-        self._sigmas[name] = deps
-        return deps
+            prepared = PreparedSigma(deps, [as_cfd(dep).normalize() for dep in deps])
+        self._sigmas[name] = prepared
+        return prepared
+
+    def edit_sigma(
+        self,
+        name: str,
+        add: Sequence[DependencyLike] = (),
+        remove: Sequence[DependencyLike] = (),
+    ) -> tuple[PreparedSigma, PreparedSigma, set[str]]:
+        """Apply a diff to the Sigma registered as *name*:
+        ``(before, after, affected relations)``.
+
+        A dependency whose normal forms *remove* covers drops out; *add*
+        appends what is not already present, so a re-applied diff (a wire
+        retry) is a no-op.  Only *add* and *remove* are normalized: the
+        kept dependencies' stored forms and keys are reused, in order.
+        """
+        before = self.sigma(name)
+        remove_cfds = set(_as_cfds(remove))
+        deps, forms, keys, affected = [], [], [], set()
+        for dep, form, key in zip(before, before.forms, before.keys):
+            if key and remove_cfds and key <= remove_cfds:
+                affected.update(phi.relation for phi in form)
+            else:
+                deps.append(dep)
+                forms.append(form)
+                keys.append(key)
+        present = set(keys)
+        for dep in add:
+            form = as_cfd(dep).normalize()
+            key = frozenset(form)
+            if key not in present:
+                present.add(key)
+                deps.append(dep)
+                forms.append(form)
+                keys.append(key)
+                affected.update(phi.relation for phi in form)
+        after = self._sigmas[name] = PreparedSigma(deps, forms, keys)
+        return before, after, affected
 
     def add_view(
         self,

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Iterable, Union
 
 from ..algebra.instance import DatabaseInstance
@@ -85,9 +86,31 @@ class UnsupportedViewError(ValueError):
 _SIGMA_MEMO: LRUCache = LRUCache(512)
 
 
+class PreparedSigma(list):
+    """A dependency list carrying its normal forms, computed once.
+
+    ``forms[i]`` is ``as_cfd(self[i]).normalize()``, ``keys[i]`` its
+    frozenset, and ``state`` the list's :func:`_sigma_state`, merged
+    from ``keys`` without rehashing a CFD.  Never mutate one in place.
+    """
+
+    __slots__ = ("forms", "keys", "state")
+
+    def __init__(self, deps: Iterable[DependencyLike], forms: list, keys=None) -> None:
+        super().__init__(deps)
+        self.forms = forms
+        self.keys = [frozenset(form) for form in forms] if keys is None else keys
+        self.state = (list(chain.from_iterable(forms)), frozenset().union(*self.keys))
+
+
 def _sigma_state(
     dependencies: Iterable[DependencyLike],
 ) -> tuple[list[CFD], frozenset | None]:
+    """``(normal-form CFDs in order, their frozenset)`` of *dependencies*:
+    read off a :class:`PreparedSigma`, else memoized by the dependency
+    tuple (skipped for an unhashable dependency)."""
+    if isinstance(dependencies, PreparedSigma):
+        return dependencies.state
     deps = tuple(dependencies)
     try:
         cached = _SIGMA_MEMO.get(deps, _MISSING)

@@ -327,9 +327,16 @@ class PropagationEngine:
         happen to mention the affected relations survive (they remain
         reachable — their keys never moved).  Without it every
         provenance-meeting line goes (the conservative sweep).
+
+        An edit missing :attr:`ViewTokens.relations` (every line's
+        provenance lies within it) returns without visiting a line, with
+        the walk's counts: nothing invalidated, both tiers retained.
         """
         affected = frozenset(relations)
-        old_cfds = None if sigma is None else _as_cfds(list(sigma))
+        if affected.isdisjoint(self._views.relations):
+            retained = len(self._verdict_tier.memory) + len(self._cover_tier.memory)
+            return {"invalidated": 0, "retained": retained}
+        old_cfds = None if sigma is None else _as_cfds(sigma)
         stale = make_stale_predicate(affected, old_cfds)
         touched_of = self._views.touched
 
@@ -464,25 +471,25 @@ class PropagationEngine:
     # ------------------------------------------------------------------
 
     def _lease_partition(
-        self, tier: TieredCache, pending: dict
+        self, tier: TieredCache, misses: list
     ) -> tuple[list, list]:
         """Split deduplicated misses into lease owners and waiters.
 
-        For each persistable miss, try to acquire its single-flight
-        lease on the shared store: winners compute (the *owned* list),
-        losers wait for the winner's payload (the *waiters* list).
-        Misses without a persist key (no store) are owned: no
-        coordination, compute locally.
+        Each miss is ``(memo key, [query, persist key, indices, answer])``,
+        the answer filled in by whoever resolves it.  For each persistable
+        miss, try to acquire its single-flight lease on the shared store:
+        winners compute (the *owned* list), losers wait for the winner's
+        payload (the *waiters* list).  Misses without a persist key (no
+        store) are owned: no coordination, compute locally.
         """
-        keys = list(pending)
         store = self._store
         if store is None:
-            return keys, []
+            return misses, []
         owned, waiters = [], []
-        for memo_key in keys:
-            pkey = pending[memo_key][1]
+        for line in misses:
+            pkey = line[1][1]
             if pkey is None:
-                owned.append(memo_key)
+                owned.append(line)
                 continue
             acquired = store.acquire_lease(tier.table, pkey, self.lease_ttl)
             # A flight that landed between the caller's miss and this
@@ -491,32 +498,30 @@ class PropagationEngine:
             if acquired and store.get(tier.table, pkey) is not None:
                 store.release_lease(tier.table, pkey)
                 acquired = False
-            (owned if acquired else waiters).append(memo_key)
+            (owned if acquired else waiters).append(line)
         return owned, waiters
 
     def _release_lease(self, tier: TieredCache, pkey: str | None) -> None:
         if pkey is not None and self._store is not None:
             self._store.release_lease(tier.table, pkey)
 
-    def _await_flights(
-        self, tier: TieredCache, waiters: list, pending: dict, resolved: dict
-    ) -> list:
+    def _await_flights(self, tier: TieredCache, waiters: list) -> list:
         """Wait out other workers' flights; return what still needs computing.
 
         Each waiter polls the store for the lease owner's payload (up to
-        ``lease_ttl``); arrivals are promoted into the memory tier and
-        counted as ``single_flight_waits``.  Keys whose owner died come
-        back for a local compute.
+        ``lease_ttl``); arrivals are promoted into the memory tier, set
+        as their entry's answer and counted as ``single_flight_waits``.
+        Lines whose owner died come back for a local compute.
         """
         leftovers = []
-        for memo_key in waiters:
-            pkey = pending[memo_key][1]
-            value, ok = tier.wait_promote(memo_key, pkey, self.lease_ttl)
+        for line in waiters:
+            memo_key, entry = line
+            value, ok = tier.wait_promote(memo_key, entry[1], self.lease_ttl)
             if ok:
                 self.stats.single_flight_waits += 1
-                resolved[memo_key] = value
+                entry[3] = value
             else:
-                leftovers.append(memo_key)
+                leftovers.append(line)
         return leftovers
 
     # ------------------------------------------------------------------
@@ -605,7 +610,7 @@ class PropagationEngine:
                 return None
             self.stats.check_queries += len(phis)
             cache = BranchPairCache(view, enabled=False, stats=self.stats)
-            sigma_cfds, sigma_key = _sigma_state(list(sigma))
+            sigma_cfds, sigma_key = _sigma_state(sigma)
             projection = set(view.projection)
             verdicts = [
                 search_violation(
@@ -645,68 +650,70 @@ class PropagationEngine:
                 return None
             return verdict_key(fps[0], fps[1], phi_cfd, *settings)
 
-        verdicts: list[bool | None] = [None] * len(phis)
-        # Misses, deduplicated: memo key -> (phi, persist key, indices).
-        pending: dict[tuple, tuple[CFD, str | None, list[int]]] = {}
+        # One line per distinct target, memo key -> [phi, persist key,
+        # indices, verdict]; ``None`` marks a miss.  The key's tuple hash
+        # is not cached, so only this setdefault, the tier get and, for a
+        # miss, the tier put take it: no step looks a line up again.
+        lines: dict[tuple, list] = {}
+        misses = []
         for idx, phi in enumerate(phis):
             self.stats.check_queries += 1
             phi_cfd = as_cfd(phi)
             memo_key = self._memo_key(sigma_key, token, phi_cfd)
-            if memo_key in pending:
-                # Duplicate of an in-flight miss: answered from the memo
-                # once the first occurrence resolves.
+            entry = [phi_cfd, None, [idx], None]
+            line = lines.setdefault(memo_key, entry)
+            if line is not entry:
+                # A duplicate: a memory hit by now, or answered with the
+                # in-flight miss it repeats.
                 self.stats.verdict_hits += 1
-                pending[memo_key][2].append(idx)
+                line[2].append(idx)
                 continue
-            pkey = persist_key(phi_cfd)
+            pkey = entry[1] = persist_key(phi_cfd)
             value, layer = self._verdict_tier.get(memo_key, pkey)
             if layer is not None:
                 if layer == "memory":
                     self.stats.verdict_hits += 1
-                verdicts[idx] = value
+                entry[3] = value
                 continue
             if fast is not None:
                 verdict = fast.decide(phi_cfd)
                 if verdict is not None:
                     self.stats.closure_fast_path += 1
                     self._verdict_tier.put(memo_key, verdict, pkey)
-                    verdicts[idx] = verdict
+                    entry[3] = verdict
                     continue
-            pending[memo_key] = (phi_cfd, pkey, [idx])
+            misses.append((memo_key, entry))
 
-        if pending:
+        if misses:
             tier = self._verdict_tier
-            owned, waiting = self._lease_partition(tier, pending)
-            resolved_map: dict[tuple, bool] = {}
+            owned, waiting = self._lease_partition(tier, misses)
 
-            def compute(keys: list, *, release: bool) -> None:
-                miss_phis = [pending[k][0] for k in keys]
-                for memo_key, verdict in zip(
-                    keys,
+            def compute(keyed: list, *, release: bool) -> None:
+                miss_phis = [entry[0] for _, entry in keyed]
+                for (memo_key, entry), verdict in zip(
+                    keyed,
                     self._resolve_check_misses(
                         scoped, sigma_key, view, token, cache, miss_phis
                     ),
                 ):
-                    pkey = pending[memo_key][1]
-                    tier.put(memo_key, verdict, pkey)
+                    tier.put(memo_key, verdict, entry[1])
                     if release:
-                        self._release_lease(tier, pkey)
-                    resolved_map[memo_key] = verdict
+                        self._release_lease(tier, entry[1])
+                    entry[3] = verdict
 
             if owned:
                 compute(owned, release=True)
             if waiting:
-                leftovers = self._await_flights(tier, waiting, pending, resolved_map)
+                leftovers = self._await_flights(tier, waiting)
                 if leftovers:
                     # The lease owner died mid-flight; compute locally.
                     # These leases were never ours, so there is nothing
                     # to release.
                     compute(leftovers, release=False)
-            for memo_key, (_, _, indices) in pending.items():
-                verdict = resolved_map[memo_key]
-                for idx in indices:
-                    verdicts[idx] = verdict
-
+        verdicts = [None] * len(phis)
+        for _, _, indices, verdict in lines.values():
+            for idx in indices:
+                verdicts[idx] = verdict
         self._read_closure_window()
         return verdicts, finite, fast is not None
 
@@ -940,12 +947,14 @@ class PropagationEngine:
         :meth:`check_many`, the batch partitions into tier hits and
         misses.
         """
-        sigma = list(sigma)
+        if not isinstance(sigma, list):  # keeps a PreparedSigma's forms
+            sigma = list(sigma)
         sigma_cfds = _as_cfds(sigma)
         settings = (self.max_instantiations, self.assume_infinite)
         covers: list[list[CFD] | None] = [None] * len(views)
-        # Misses, deduplicated: memo key -> (view, persist key, indices).
-        pending: dict[tuple, tuple[ViewLike, str | None, list[int]]] = {}
+        # Misses, deduplicated: memo key -> [view, persist key, indices,
+        # cover], as in _decide.
+        pending: dict[tuple, list] = {}
         for idx, view in enumerate(views):
             self.stats.cover_queries += 1
             if not self.use_cache:
@@ -953,9 +962,10 @@ class PropagationEngine:
                 continue
             token, touched, scoped, sigma_key = self._keyspace(sigma_cfds, view)
             memo_key = self._memo_key(sigma_key, token)
-            if memo_key in pending:
+            entry = pending.get(memo_key)
+            if entry is not None:
                 self.stats.cover_hits += 1
-                pending[memo_key][2].append(idx)
+                entry[2].append(idx)
                 continue
             fps = self._persist_fps(sigma_key, scoped, touched, token, view)
             pkey = None if fps is None else cover_key(fps[0], fps[1], *settings)
@@ -965,30 +975,26 @@ class PropagationEngine:
                     self.stats.cover_hits += 1
                 covers[idx] = list(value)
                 continue
-            pending[memo_key] = (view, pkey, [idx])
+            pending[memo_key] = [view, pkey, [idx], None]
 
         if pending:
             tier = self._cover_tier
-            owned, waiting = self._lease_partition(tier, pending)
-            resolved_map: dict[tuple, list[CFD]] = {}
+            owned, waiting = self._lease_partition(tier, list(pending.items()))
 
-            def compute(keys: list, *, release: bool) -> None:
-                for memo_key in keys:
-                    view, pkey, _ = pending[memo_key]
-                    cover = self._compute_cover(sigma, sigma_cfds, view)
-                    self._cover_tier.put(memo_key, cover, pkey)
+            def compute(lines: list, *, release: bool) -> None:
+                for memo_key, entry in lines:
+                    entry[3] = self._compute_cover(sigma, sigma_cfds, entry[0])
+                    tier.put(memo_key, entry[3], entry[1])
                     if release:
-                        self._release_lease(tier, pkey)
-                    resolved_map[memo_key] = cover
+                        self._release_lease(tier, entry[1])
 
             if owned:
                 compute(owned, release=True)
             if waiting:
-                leftovers = self._await_flights(tier, waiting, pending, resolved_map)
+                leftovers = self._await_flights(tier, waiting)
                 if leftovers:
                     compute(leftovers, release=False)
-            for memo_key, (_, _, indices) in pending.items():
-                cover = resolved_map[memo_key]
+            for _, _, indices, cover in pending.values():
                 for idx in indices:
                     covers[idx] = list(cover)
 

@@ -256,6 +256,10 @@ class ViewTokens:
     ``general`` check route).  Tokens are process-local and owned by
     one interner: they never enter a persistent key (those use
     :func:`~repro.propagation.cache.view_fingerprint`).
+
+    :attr:`relations`, the union of every interned touched set, is a
+    superset of any line's provenance because no token is ever freed
+    (an interner that frees tokens must keep it one).
     """
 
     def __init__(self) -> None:
@@ -263,6 +267,7 @@ class ViewTokens:
         self._touched: dict[int, frozenset[str]] = {}
         self._finite: dict[int, bool] = {}
         self._counter = itertools.count()
+        self.relations: set[str] = set()
 
     def intern(self, view: ViewLike) -> int:
         """The token of *view*'s structural key (allocated on first sight)."""
@@ -272,7 +277,8 @@ class ViewTokens:
             # Publish the token's facts before the token: a concurrent
             # caller that loses setdefault keeps dead, harmless entries.
             token = next(self._counter)
-            self._touched[token] = touched_relations(view)
+            touched = self._touched[token] = touched_relations(view)
+            self.relations.update(touched)  # one step: no update is lost
             self._finite[token] = view.has_finite_domain_attribute()
             token = self._tokens.setdefault(key, token)
         return token
@@ -304,7 +310,9 @@ def make_stale_predicate(affected: frozenset, old_cfds: list[CFD] | None):
     :meth:`~repro.propagation.engine.core.PropagationEngine.
     invalidate_relations`, which applies it through :func:`sweep_stale`
     to every memo the engine keeps; the service keeps none, so there is
-    one sweep site.  The verdict is a function of its two arguments, so
+    one sweep site.  That site builds no predicate when *affected* misses
+    :attr:`ViewTokens.relations`: ``stale`` would be ``False`` for every
+    line.  The verdict is a function of its two arguments, so
     a sweep tests each provenance group once, not each line; scoped
     old-Sigma sets are memoized per touched set.
     """
@@ -334,7 +342,8 @@ def sweep_stale(memo, stale, touched_of=None) -> tuple[int, int]:
     *touched_of* maps to one (:meth:`ViewTokens.touched`).  Lines that
     share both — every target of one view under one Sigma — form one
     provenance group, and *stale* runs once per group.  Returns
-    ``(invalidated, retained)`` line counts.
+    ``(invalidated, retained)`` line counts.  An edit that misses every
+    interned view never gets here (see :func:`make_stale_predicate`).
     """
     decided: dict[tuple, bool] = {}
     invalidated = retained = 0

@@ -29,6 +29,7 @@ from repro.api import (
 )
 from repro.core.domains import BOOL
 from repro.core.schema import Attribute, DatabaseSchema, RelationSchema
+from repro.kernel.config import KERNELS, resolve_kernel
 from repro.propagation.check import propagates as raw_propagates
 from repro.propagation.closure_baseline import (
     example_41_workload,
@@ -538,7 +539,10 @@ class TestPeek:
         witness = CheckRequest(view="U", targets=phis, witness=True)
         assert service.peek(witness) is None
         assert service.peek(EmptinessRequest(view="U")) is None
-        other_pool = CheckRequest(view="U", targets=phis, kernel="baseline")
+        # Whichever kernel the default pool does not run (REPRO_KERNEL
+        # may make the default pool the baseline one).
+        other = next(k for k in KERNELS if k != resolve_kernel(None))
+        other_pool = CheckRequest(view="U", targets=phis, kernel=other)
         assert service.peek(other_pool) is None
         assert len(service._engines) == 1
 

@@ -9,9 +9,14 @@ Three soundness obligations of the caching layer:
 3. Interned ``Const`` entries never alias across distinct constants —
    identity is at least as fine as equality, so hash-consing cannot
    merge pattern entries that a comparison would distinguish.
+
+And one cost bound: a cold batch hashes each miss's memo key at most
+five times (the key tuple's hash is not cached), duplicates included.
 """
 
 from __future__ import annotations
+
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +30,7 @@ from repro.core.fd import (
 from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.core.values import Const, const
 from repro.propagation import propagates
+from repro.propagation.closure_baseline import example_41_workload
 from repro.propagation.engine import PropagationEngine
 
 ATTRS = ["A", "B", "C", "D", "E"]
@@ -210,3 +216,35 @@ def test_cfd_patterns_are_interned():
     phi2 = CFD("R", {"A": "20", "C": "_"}, {"B": "ldn"})
     assert phi1.lhs_entry("A") is phi2.lhs_entry("A")
     assert phi1.rhs_entry is phi2.rhs_entry
+
+
+# ----------------------------------------------------------------------
+# 4. Memo-key hashes per cold miss.
+# ----------------------------------------------------------------------
+
+
+def test_a_cold_batch_hashes_each_target_at_most_five_times(monkeypatch):
+    """The Example 4.1 n = 8 batch: 256 cold targets, then duplicates."""
+    view, sigma, queries = example_41_workload(8, defeat_fast_path=True)
+    batch = random.Random(1).sample(queries, len(queries))
+    calls = [0]
+    cfd_hash = CFD.__hash__
+
+    def counting(self):
+        calls[0] += 1
+        return cfd_hash(self)
+
+    engine = PropagationEngine()
+    monkeypatch.setattr(CFD, "__hash__", counting)
+    verdicts = engine.check_many(sigma, view, batch)
+    monkeypatch.undo()
+    assert verdicts == [True] * len(batch)
+    assert calls[0] <= 5 * len(batch)
+
+    # Duplicates of in-flight misses and of hits are memo hits, once each.
+    fresh = PropagationEngine()
+    repeated = batch[:8] + batch[:4] + batch[8:16]
+    assert fresh.check_many(sigma, view, repeated) == [True] * len(repeated)
+    assert fresh.stats.verdict_hits == 4
+    assert fresh.check_many(sigma, view, batch[:2] * 2) == [True] * 4
+    assert fresh.stats.verdict_hits == 8

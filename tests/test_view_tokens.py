@@ -210,6 +210,7 @@ class _Differential:
         self.edits = 0
         self.invalidated = 0
         self.kept_despite_meeting = 0
+        self.missed_every_view = 0
 
     def check(self, request):
         for sigma in (None, "frozen"):
@@ -228,6 +229,12 @@ class _Differential:
         before = _memo_lines(self.service)
         update = self.service.delta_sigma(request)
         affected = frozenset(update.affected_relations)
+        # Such an edit takes the sweep's early return: its report and
+        # survivors must still be the walk's, line by line.
+        self.missed_every_view += all(
+            affected.isdisjoint(engine._views.relations)
+            for engine in self.service._engines.values()
+        )
         expected, report = _reference_sweep(self.service, before, affected, old_cfds)
         assert (update.invalidated, update.retained) == report
         assert _memo_lines(self.service) == expected
@@ -242,18 +249,29 @@ class _Differential:
         return update
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_grouped_sweep_matches_the_line_by_line_rule(seed):
-    trace = generate_trace(seed, 60)
+@pytest.mark.parametrize(
+    "seed, shape",
+    [
+        (0, {}),
+        (1, {}),
+        # Six relations under a two-branch union: most edits miss it.
+        (2, {"num_relations": 6, "num_branches": 2}),
+    ],
+    ids=["0", "1", "2"],
+)
+def test_grouped_sweep_matches_the_line_by_line_rule(seed, shape):
+    trace = generate_trace(seed, 60, **shape)
     with PropagationService() as service:
         service.workspace.add_sigma("frozen", list(parse_trace(trace)[1]))
         proxy = _Differential(service)
         StreamingSession(proxy, trace).run()
     assert proxy.edits == 60
     # Not vacuous: edits dropped lines, and lines derived from the frozen
-    # Sigma survived although their provenance met the edit.
+    # Sigma survived although their provenance met the edit; other edits
+    # missed every view, so the sweep returned without a walk.
     assert proxy.invalidated > 0
     assert proxy.kept_despite_meeting > 0
+    assert 0 < proxy.missed_every_view < proxy.edits
 
 
 # ----------------------------------------------------------------------
