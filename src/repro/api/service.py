@@ -49,7 +49,7 @@ from typing import Mapping, NamedTuple
 from ..algebra.spcu import SPCUView
 from ..core.fd import FD
 from ..kernel.config import resolve_kernel
-from ..propagation.check import DependencyLike, ViewLike, _branches
+from ..propagation.check import DependencyLike, ViewLike
 from ..propagation.engine import EngineStats, PropagationEngine
 from ..propagation.engine.core import _all_wildcard
 from ..store import validate_store_url
@@ -227,7 +227,6 @@ class PropagationService:
 
     @staticmethod
     def route_cover(view: ViewLike) -> str:
-        _branches(view)
         if isinstance(view, SPCUView) and len(view.branches) > 1:
             return "spcu"
         return "spc"
@@ -319,7 +318,6 @@ class PropagationService:
             sigma = self.workspace.sigma(request.sigma)
             targets = list(request.targets)
             settings = self._effective(vars(request))
-            _branches(view)  # validates the view language
             engine = self._engine(settings, create=not peek)
             if engine is None:
                 return None
@@ -364,7 +362,6 @@ class PropagationService:
             sigma = self.workspace.sigma(request.sigma)
             settings = self._effective(vars(request))
             started = time.perf_counter()
-            _branches(view)  # same validation as every other route
             empty, witness = self._engine(settings)._emptiness(sigma, view)
             stats = RequestStats(
                 elapsed_ms=(time.perf_counter() - started) * 1000.0, queries=1

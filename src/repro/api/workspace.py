@@ -20,10 +20,11 @@ from typing import Any, Mapping, Sequence, Union
 from .. import io as repro_io
 from ..algebra.spc import SPCView
 from ..algebra.spcu import SPCUView
-from ..core.cfd import CFD, as_cfd
+from ..core.cfd import CFD, as_cfd, normal_forms
 from ..core.fd import FD
 from ..core.schema import DatabaseSchema
-from ..propagation.check import DependencyLike, PreparedSigma, ViewLike, _as_cfds
+from ..propagation.check import DependencyLike, PreparedSigma, ViewLike, _branches
+from ..propagation.engine.keys import registered_view
 from .errors import ApiError, api_errors
 
 __all__ = ["DEFAULT_NAME", "Workspace"]
@@ -86,18 +87,18 @@ class Workspace:
         A dependency whose normal forms *remove* covers drops out; *add*
         appends what is not already present, so a re-applied diff (a wire
         retry) is a no-op.  Only *add* and *remove* are normalized: the
-        kept dependencies' stored forms and keys are reused, in order.
+        kept dependencies' stored forms and keys are reused, in order,
+        and so is every scope of the old state the edit misses.
         """
         before = self.sigma(name)
-        remove_cfds = set(_as_cfds(remove))
-        deps, forms, keys, affected = [], [], [], set()
-        for dep, form, key in zip(before, before.forms, before.keys):
-            if key and remove_cfds and key <= remove_cfds:
-                affected.update(phi.relation for phi in form)
-            else:
-                deps.append(dep)
-                forms.append(form)
-                keys.append(key)
+        remove_cfds = set(normal_forms(remove))
+        deps, forms, keys = list(before), list(before.forms), list(before.keys)
+        affected = set()
+        if remove_cfds:
+            drop = [i for i, key in enumerate(keys) if key and key <= remove_cfds]
+            for i in reversed(drop):
+                affected.update(phi.relation for phi in forms[i])
+                del deps[i], forms[i], keys[i]
         present = set(keys)
         for dep in add:
             form = as_cfd(dep).normalize()
@@ -108,7 +109,9 @@ class Workspace:
                 forms.append(form)
                 keys.append(key)
                 affected.update(phi.relation for phi in form)
-        after = self._sigmas[name] = PreparedSigma(deps, forms, keys)
+        after = PreparedSigma(deps, forms, keys)
+        after.state.inherit(before.state, affected)
+        self._sigmas[name] = after
         return before, after, affected
 
     def add_view(
@@ -120,13 +123,16 @@ class Workspace:
         """Register a view object or its JSON document under *name*.
 
         A document parses against *schema* — a registered schema name or
-        a schema object.
+        a schema object.  The registration is a copy carrying its key
+        (:func:`~repro.propagation.engine.keys.registered_view`); never
+        mutate the view :meth:`view` returns.
         """
         with api_errors():
             if not isinstance(view, (SPCView, SPCUView)):
                 if isinstance(schema, str):
                     schema = self.schema(schema)
                 view = repro_io.view_from_json(view, schema)
+            view = registered_view(view)
         self._views[name] = view
         return view
 
@@ -156,7 +162,8 @@ class Workspace:
         return list(ref)
 
     def view(self, ref: Union[str, ViewLike]) -> ViewLike:
-        """Resolve a view reference (a registered name or the object)."""
+        """Resolve a view reference (a registered name or the object,
+        whose view language is validated here)."""
         if isinstance(ref, str):
             try:
                 return self._views[ref]
@@ -164,6 +171,8 @@ class Workspace:
                 raise ApiError(
                     "not-found", f"no view registered under {ref!r}"
                 ) from None
+        with api_errors():
+            _branches(ref)
         return ref
 
     def names(self) -> dict[str, list[str]]:

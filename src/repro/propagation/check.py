@@ -75,15 +75,54 @@ class UnsupportedViewError(ValueError):
     """Raised for view languages with no decision procedure (full RA)."""
 
 
-#: Normalized-Sigma memo: deps tuple -> (normal-form CFDs, frozenset).
-#: Batch callers re-send the same dependency list for every query of a
-#: view, and FD→CFD conversion, normalization and the per-query
-#: ``frozenset(sigma)`` hashing dominated the overhead of cold sweeps.
-#: Keyed by the input tuple itself (FDs/CFDs are frozen dataclasses);
-#: callers treat the returned list as immutable — reusing the *same*
-#: frozenset object also means its hash is computed once per Sigma, not
-#: once per query.
+#: Normalized-Sigma memo: deps tuple -> its :class:`SigmaState`.  Batch
+#: callers re-send one dependency list per query, and normalizing and
+#: hashing it dominated cold sweeps; callers treat the state as
+#: immutable, and its one frozenset is hashed once per Sigma.  A plain
+#: list's scopes live in its entry: clearing this memo drops them too.
 _SIGMA_MEMO: LRUCache = LRUCache(512)
+
+
+def scoped_sigma(
+    sigma_cfds: Iterable[CFD], touched: frozenset[str]
+) -> list[CFD]:
+    """*sigma_cfds* restricted to the touched relations (order kept)."""
+    return [phi for phi in sigma_cfds if phi.relation in touched]
+
+
+class SigmaState(tuple):
+    """``(normal-form CFDs in order, their frozenset)`` plus ``scoped``,
+    the restrictions :meth:`scope` has built.  With *parts*, a
+    :class:`PreparedSigma`'s ``(forms, keys)``, a scope merges the
+    dependencies' frozensets instead of rehashing their CFDs."""
+
+    def __new__(cls, cfds: list[CFD], key: frozenset | None, parts=None):
+        state = super().__new__(cls, (cfds, key))
+        state.parts, state.scoped = parts, {}
+        return state
+
+    def scope(self, touched: frozenset[str]) -> tuple[list[CFD], frozenset]:
+        """``(scoped_sigma(cfds, touched), its frozenset)``, built once per
+        touched set: every caller gets the same objects."""
+        entry = self.scoped.get(touched)
+        if entry is None:
+            cfds = scoped_sigma(self[0], touched)
+            if self.parts is None:
+                key = frozenset(cfds)
+            else:
+                forms, keys = self.parts
+                key = frozenset().union(*(
+                    k for f, k in zip(forms, keys) if f and f[0].relation in touched
+                ))
+            entry = self.scoped[touched] = (cfds, key)
+        return entry
+
+    def inherit(self, old: "SigmaState", affected: set[str]) -> None:
+        """Take *old*'s scopes whose touched set misses the *affected*
+        relations: an edit on those leaves them unchanged, in order."""
+        self.scoped.update(
+            item for item in old.scoped.copy().items() if item[0].isdisjoint(affected)
+        )
 
 
 class PreparedSigma(list):
@@ -100,12 +139,14 @@ class PreparedSigma(list):
         super().__init__(deps)
         self.forms = forms
         self.keys = [frozenset(form) for form in forms] if keys is None else keys
-        self.state = (list(chain.from_iterable(forms)), frozenset().union(*self.keys))
+        self.state = SigmaState(
+            list(chain.from_iterable(forms)),
+            frozenset().union(*self.keys),
+            (forms, self.keys),
+        )
 
 
-def _sigma_state(
-    dependencies: Iterable[DependencyLike],
-) -> tuple[list[CFD], frozenset | None]:
+def _sigma_state(dependencies: Iterable[DependencyLike]) -> SigmaState:
     """``(normal-form CFDs in order, their frozenset)`` of *dependencies*:
     read off a :class:`PreparedSigma`, else memoized by the dependency
     tuple (skipped for an unhashable dependency)."""
@@ -122,9 +163,9 @@ def _sigma_state(
         key = deps
     out = normal_forms(deps)
     try:
-        state = (out, frozenset(out))
+        state = SigmaState(out, frozenset(out))
     except TypeError:
-        state = (out, None)
+        state = SigmaState(out, None)
     if key is not None and state[1] is not None:
         _SIGMA_MEMO.put(key, state)
     return state

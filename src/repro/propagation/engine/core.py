@@ -80,8 +80,8 @@ from ..check import (
     BranchPairCache,
     Counterexample,
     DependencyLike,
+    SigmaState,
     ViewLike,
-    _as_cfds,
     _branches,
     _sigma_state,
     conjuncts,
@@ -99,7 +99,6 @@ from .keys import (
     cover_key,
     make_stale_predicate,
     provenance_fingerprint,
-    scoped_sigma,
     sweep_stale,
     touched_relations,
     verdict_key,
@@ -253,9 +252,6 @@ class PropagationEngine:
         #   SPCU candidate pool), Sigma-scoped to the branch's atoms.
         self._pair_verdicts = LRUCache(capacity=cache_size)
         self._branch_covers = LRUCache(capacity=cache_size)
-        # Interned pair-scoped Sigma frozensets (see _pair_scoped_sigma):
-        # derived values, swept alongside the layers they feed.
-        self._pair_sigma_intern = LRUCache(capacity=cache_size)
         # Pure functions of their keys, memoized: the per-branch
         # touched-relation sets per view token (the whole-view set lives
         # in ``_views``) and the stable fingerprints of the persistent
@@ -286,7 +282,6 @@ class PropagationEngine:
         self._empty_memo.clear()
         self._pair_verdicts.clear()
         self._branch_covers.clear()
-        self._pair_sigma_intern.clear()
         self._prov_fps.clear()
 
     def close(self) -> None:
@@ -310,34 +305,25 @@ class PropagationEngine:
     ) -> dict[str, int]:
         """Drop warm state whose provenance meets *relations*.
 
-        The provenance-scoped keys already guarantee that a Sigma edit on
-        *relations* can never be *served* a stale line — the edit moves
-        the keys of every affected query.  This hook is the hygiene and
-        observability half of delta-aware invalidation: it evicts the
-        now-unreachable lines eagerly (instead of waiting for LRU churn)
-        and reports how many lines were invalidated versus retained
-        warm, which is what ``PropagationService.delta_sigma`` surfaces
-        to callers.  Only memory tiers are touched; the persistent store
-        keeps every row (old-provenance rows are unreachable under the
-        new keys and harmless).
+        Provenance-scoped keys already make a stale line unservable (the
+        edit moves every affected key).  This hook evicts the unreachable
+        lines eagerly and reports how many memo-tier lines were
+        invalidated versus retained, which ``delta_sigma`` surfaces.
+        Only memory tiers are touched; old-provenance store rows are
+        unreachable and harmless.
 
-        *sigma* — the *pre-edit* dependency set being replaced — makes
-        the sweep precise: only lines whose key was derived from that
-        set are dropped, so lines warmed under *other* Sigmas that
-        happen to mention the affected relations survive (they remain
-        reachable — their keys never moved).  Without it every
-        provenance-meeting line goes (the conservative sweep).
-
-        An edit missing :attr:`ViewTokens.relations` (every line's
-        provenance lies within it) returns without visiting a line, with
-        the walk's counts: nothing invalidated, both tiers retained.
+        *sigma*, the *pre-edit* dependency set, makes the sweep precise:
+        only lines derived from it go, so lines warmed under *other*
+        Sigmas survive (their keys never moved).  Without it every
+        provenance-meeting line goes.  An edit missing
+        :attr:`ViewTokens.relations` returns without visiting a line,
+        with the walk's counts.
         """
         affected = frozenset(relations)
         if affected.isdisjoint(self._views.relations):
             retained = len(self._verdict_tier.memory) + len(self._cover_tier.memory)
             return {"invalidated": 0, "retained": retained}
-        old_cfds = None if sigma is None else _as_cfds(sigma)
-        stale = make_stale_predicate(affected, old_cfds)
+        stale = make_stale_predicate(affected, sigma)
         touched_of = self._views.touched
 
         invalidated = retained = 0
@@ -356,28 +342,12 @@ class PropagationEngine:
         # invalidated/retained report keeps meaning "memo-tier lines".
         for memo in (self._pair_verdicts, self._branch_covers, self._prov_fps):
             sweep_stale(memo, stale)
-        # The interned pair-scoped sigma sets are pure functions of
-        # their keys — never wrong, only unreachable once the view-
-        # scoped Sigma they were derived under moves.  Drop entries
-        # whose pair or whose sigma component mentions an affected
-        # relation; the rest stay reachable byte-for-byte.
-        for key in self._pair_sigma_intern.keys():
-            if not key[1].isdisjoint(affected) or any(
-                phi.relation in affected for phi in key[0]
-            ):
-                self._pair_sigma_intern.discard(key)
         # Each MinCover line is one relation's CFD group, so its
-        # provenance is that single relation; one singleton set per
-        # relation keeps the predicate's scoped-Sigma memo warm.
-        singletons: dict[str, frozenset[str]] = {}
+        # provenance is that single relation.
         for key in self._min_covers.keys():
-            relation = next(iter(key)).relation
-            touched = singletons.get(relation)
-            if touched is None:
-                touched = singletons[relation] = frozenset((relation,))
-            if stale(key, touched):
+            if stale(key, frozenset((next(iter(key)).relation,))):
                 self._min_covers.discard(key)
-        if old_cfds is None:
+        if sigma is None:
             # Pair-cache skeleton layers are Sigma-independent and the
             # chased layer is Sigma-keyed (stale entries unreachable),
             # so the precise sweep leaves them; only the conservative
@@ -389,18 +359,19 @@ class PropagationEngine:
         return {"invalidated": invalidated, "retained": retained}
 
     def _keyspace(
-        self, sigma_cfds: list[CFD], view: ViewLike, *, intern: bool = True
+        self, state: SigmaState, view: ViewLike, *, intern: bool = True
     ) -> tuple[int, frozenset[str], list[CFD], frozenset] | None:
         """``(view token, touched relations, scoped Sigma, its frozenset)``,
         every memo key's material; ``intern=False`` gives ``None`` for an
-        unseen view instead of allocating its token."""
+        unseen view instead of allocating its token.  A registered view
+        brings its key and *state* its scope, so a warm call builds
+        neither."""
         views = self._views
         token = views.intern(view) if intern else views.lookup(view)
         if token is None:
             return None
         touched = views.touched(token)
-        scoped = scoped_sigma(sigma_cfds, touched)
-        return token, touched, scoped, frozenset(scoped)
+        return (token, touched, *state.scope(touched))
 
     def _memo_key(self, sigma_key: frozenset, token: int, *phi: CFD) -> tuple:
         """The memory-tier key of *phi*'s verdict, or without *phi* the cover's;
@@ -563,7 +534,7 @@ class PropagationEngine:
         if phis is not None:
             decided = self._decide(sigma, view, phis, peek=True)
             return None if decided is None else decided[0]
-        scope = self.use_cache and self._keyspace(_as_cfds(sigma), view, intern=False)
+        scope = self.use_cache and self._keyspace(_sigma_state(sigma), view, intern=False)
         return self._memory_answers(scope[3], scope[0]) if scope else None
 
     def _memory_answers(
@@ -628,7 +599,8 @@ class PropagationEngine:
             self._read_closure_window()
             return verdicts, view.has_finite_domain_attribute(), False
 
-        scope = self._keyspace(_as_cfds(sigma), view, intern=not peek)
+        state = _sigma_state(sigma)
+        scope = self._keyspace(state, view, intern=not peek)
         if scope is None:
             return None
         token, touched, scoped, sigma_key = scope
@@ -693,7 +665,7 @@ class PropagationEngine:
                 for (memo_key, entry), verdict in zip(
                     keyed,
                     self._resolve_check_misses(
-                        scoped, sigma_key, view, token, cache, miss_phis
+                        state, scoped, sigma_key, view, token, cache, miss_phis
                     ),
                 ):
                     tier.put(memo_key, verdict, entry[1])
@@ -719,6 +691,7 @@ class PropagationEngine:
 
     def _resolve_check_misses(
         self,
+        state: SigmaState,
         scoped: list[CFD],
         sigma_key: frozenset,
         view: ViewLike,
@@ -737,7 +710,9 @@ class PropagationEngine:
         """
         if isinstance(view, SPCUView) and len(view.branches) > 1:
             return [
-                self._check_by_pairs(scoped, sigma_key, view, token, cache, phi_cfd)
+                self._check_by_pairs(
+                    state, scoped, sigma_key, view, token, cache, phi_cfd
+                )
                 for phi_cfd in miss_phis
             ]
 
@@ -768,13 +743,8 @@ class PropagationEngine:
     def _branch_provenance(
         self, view: SPCUView, token: int
     ) -> tuple[tuple[frozenset[str], ...], dict]:
-        """Per-branch provenance plus the interned pair-union table.
-
-        The ``(i, j) -> union`` frozensets are built once per view and
-        reused for every unit, so their (cached) hashes make the pair
-        memo lookups cheap — rebuilding the union per unit would re-hash
-        every member on every lookup.
-        """
+        """Per-branch provenance plus the pair-union table, built once per
+        view so every unit's lookups reuse one frozenset (hash cached)."""
         entry = self._branch_touched.get(token)
         if entry is None:
             per_branch = branch_touched_relations(view)
@@ -788,28 +758,9 @@ class PropagationEngine:
             self._branch_touched.put(token, entry)
         return entry
 
-    def _pair_scoped_sigma(
-        self, sigma_key: frozenset, scoped: list[CFD], pair_touched: frozenset
-    ) -> frozenset:
-        """The pair-provenance restriction of *scoped*, interned.
-
-        Keyed by ``(sigma_key, pair_touched)`` so repeated units (every
-        target of a batch, every verification pass of a cover) reuse one
-        frozenset object whose hash is computed exactly once; the
-        interned entries are swept by :meth:`invalidate_relations` under
-        the same staleness predicate as the memo layers they feed.
-        """
-        key = (sigma_key, pair_touched)
-        pair_sigma = self._pair_sigma_intern.get(key)
-        if pair_sigma is None:
-            pair_sigma = frozenset(
-                phi for phi in scoped if phi.relation in pair_touched
-            )
-            self._pair_sigma_intern.put(key, pair_sigma)
-        return pair_sigma
-
     def _check_by_pairs(
         self,
+        state: SigmaState,
         scoped: list[CFD],
         sigma_key: frozenset,
         view: SPCUView,
@@ -819,16 +770,14 @@ class PropagationEngine:
     ) -> bool:
         """One multi-branch SPCU miss, unit by unit through the pair memo.
 
-        A verdict path (no witness database; a kernel-named pair is
-        answered by its certified chased state) walking
+        A verdict path (no witness database) walking
         :func:`~repro.propagation.check.search_violation`'s loop exactly
         — ``conjuncts`` in order, the ``k^2`` pairs row-major for pattern
-        conjuncts and the diagonal branches for equality conjuncts, early
-        exit on the first violating unit — but consulting a per-unit
-        verdict memo before searching that one unit.  Each unit's memo
-        key scopes Sigma to the *pair's* provenance (the relations
-        branches ``i`` and ``j`` read; CFDs elsewhere are vacuous for
-        that pair), so a ``delta_sigma`` edit leaves every unit missing
+        conjuncts and the diagonal for equality conjuncts, early exit on
+        the first violating unit — but consulting a per-unit verdict memo
+        first.  Each unit's memo key scopes Sigma to the *pair's*
+        provenance (*state*'s own scope: CFDs elsewhere are vacuous for
+        the pair), so a ``delta_sigma`` edit leaves every unit missing
         the edited relation warm.  The search still receives the full
         view-scoped Sigma and the shared tableau cache, so verdicts,
         chased-layer keys and chase order equal the unrestricted sweep.
@@ -844,11 +793,8 @@ class PropagationEngine:
                 units = [(i, j) for i in range(k) for j in range(k)]
             for i, j in units:
                 pair_touched = pair_unions[i, j]
-                pair_sigma = self._pair_scoped_sigma(
-                    sigma_key, scoped, pair_touched
-                )
                 memo_key = (
-                    pair_sigma,
+                    state.scope(pair_touched)[1],
                     pair_touched,
                     token,
                     i,
@@ -885,7 +831,7 @@ class PropagationEngine:
         under the view's keyspace (the uncached engine recomputes)."""
         key = line = None
         if self.use_cache:
-            token, _, _, sigma_key = self._keyspace(_as_cfds(sigma), view)
+            token, _, _, sigma_key = self._keyspace(_sigma_state(sigma), view)
             key = (sigma_key, token)
             line = self._empty_memo.get(key)
         if line is None:
@@ -949,7 +895,7 @@ class PropagationEngine:
         """
         if not isinstance(sigma, list):  # keeps a PreparedSigma's forms
             sigma = list(sigma)
-        sigma_cfds = _as_cfds(sigma)
+        state = _sigma_state(sigma)
         settings = (self.max_instantiations, self.assume_infinite)
         covers: list[list[CFD] | None] = [None] * len(views)
         # Misses, deduplicated: memo key -> [view, persist key, indices,
@@ -958,9 +904,9 @@ class PropagationEngine:
         for idx, view in enumerate(views):
             self.stats.cover_queries += 1
             if not self.use_cache:
-                covers[idx] = self._compute_cover(sigma, sigma_cfds, view)
+                covers[idx] = self._compute_cover(sigma, state, view)
                 continue
-            token, touched, scoped, sigma_key = self._keyspace(sigma_cfds, view)
+            token, touched, scoped, sigma_key = self._keyspace(state, view)
             memo_key = self._memo_key(sigma_key, token)
             entry = pending.get(memo_key)
             if entry is not None:
@@ -983,7 +929,7 @@ class PropagationEngine:
 
             def compute(lines: list, *, release: bool) -> None:
                 for memo_key, entry in lines:
-                    entry[3] = self._compute_cover(sigma, sigma_cfds, entry[0])
+                    entry[3] = self._compute_cover(sigma, state, entry[0])
                     tier.put(memo_key, entry[3], entry[1])
                     if release:
                         self._release_lease(tier, entry[1])
@@ -1002,35 +948,33 @@ class PropagationEngine:
         return covers
 
     def _minimized_sigma(
-        self, sigma_cfds: list[CFD], touched: frozenset[str]
+        self, state: SigmaState, touched: frozenset[str]
     ) -> list[CFD]:
-        """``MinCover`` of *sigma_cfds* scoped to the *touched* relations.
+        """``MinCover`` of Sigma (*state*) scoped to the *touched* relations.
 
         ``min_cover`` minimizes each relation alone and emits relations
         in sorted order, so concatenating the memoized per-relation
         covers in that order is exactly ``min_cover`` of the scoped
-        Sigma.  The uncached engine — the fuzz matrix's baseline oracle —
+        Sigma.  Each relation's group is the state's own one-relation
+        scope.  The uncached engine — the fuzz matrix's baseline oracle —
         minimizes the whole Sigma, so the differential matrix checks the
         scoping.
         """
         if not self.use_cache:
-            return min_cover(sigma_cfds)
-        groups: dict[str, list[CFD]] = {}
-        for phi in sigma_cfds:
-            if phi.relation in touched:
-                groups.setdefault(phi.relation, []).append(phi)
+            return min_cover(state[0])
         minimized: list[CFD] = []
-        for relation in sorted(groups):
-            key = frozenset(groups[relation])
-            cover = self._min_covers.get(key)
-            if cover is None:
-                cover = min_cover(groups[relation], kernel=self.kernel)
-                self._min_covers.put(key, cover)
-            minimized.extend(cover)
+        for relation in sorted(touched):
+            group, key = state.scope(frozenset((relation,)))
+            if group:
+                cover = self._min_covers.get(key)
+                if cover is None:
+                    cover = min_cover(group, kernel=self.kernel)
+                    self._min_covers.put(key, cover)
+                minimized.extend(cover)
         return minimized
 
     def _compute_cover(
-        self, sigma: list[DependencyLike], sigma_cfds: list[CFD], view: ViewLike
+        self, sigma: list[DependencyLike], state: SigmaState, view: ViewLike
     ) -> list[CFD]:
         if isinstance(view, SPCUView):
             if len(view.branches) == 1:
@@ -1060,7 +1004,7 @@ class PropagationEngine:
                     b_token = self._views.intern(branch)
                     b_touched = self._views.touched(b_token)
                     memo_key = (
-                        frozenset(scoped_sigma(sigma_cfds, b_touched)),
+                        state.scope(b_touched)[1],
                         b_touched,
                         b_token,
                         partition_size,
@@ -1068,7 +1012,7 @@ class PropagationEngine:
                     cover = self._branch_covers.get(memo_key)
                     if cover is None:
                         cover = prop_cfd_spc(
-                            self._minimized_sigma(sigma_cfds, b_touched),
+                            self._minimized_sigma(state, b_touched),
                             branch,
                             partition_size=partition_size,
                             minimize_input=False,
@@ -1085,7 +1029,7 @@ class PropagationEngine:
                     branch_cover=branch_cover,
                     kernel=self.kernel,
                 )
-        minimized = self._minimized_sigma(sigma_cfds, touched_relations(view))
+        minimized = self._minimized_sigma(state, touched_relations(view))
         report = prop_cfd_spc_report(
             minimized,
             view,

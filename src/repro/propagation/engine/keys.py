@@ -15,6 +15,7 @@ system (the engine owns every memo line built from it):
 - :func:`scoped_sigma` / the structural memory-tier key — Sigma filtered
   to the touched relations before it enters any key, so the in-memory
   LRU tiers survive edits to untouched relations within one process.
+  Each Sigma state scopes a touched set once (``SigmaState.scope``).
 - :func:`relation_fingerprints` / :func:`provenance_fingerprint` — the
   persistent-tier analogue: one stable fingerprint *per relation's* CFD
   group, combined into a composite ``[(relation, fingerprint), ...]``
@@ -28,11 +29,9 @@ Key-schema change = store schema change: the composite keys are
 whole-Sigma keys (version 1) are dropped on open — the
 migration-to-cold fallback, never a misread line.
 
-:func:`structural_view_key` (the process-local view key) and
-:class:`ViewTokens`, which interns it to the int every memory line is
-keyed by, also live here so every key constructor is in one module.
-See ``docs/incremental.md`` for the invalidation rules this keyspace
-implies.
+The process-local view key (:func:`structural_view_key`, built once
+at registration by :func:`registered_view`) and :class:`ViewTokens`,
+its interner, live here too; ``docs/incremental.md`` gives the rules.
 """
 
 from __future__ import annotations
@@ -40,19 +39,22 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
+from ...algebra.spc import SPCView
 from ...algebra.spcu import SPCUView
 from ...core.cfd import CFD
 from ...io import dependency_to_json
 from ..cache import _canonical, query_persist_key, stable_digest
-from ..check import ViewLike, _branches
+from ..check import ViewLike, _branches, _sigma_state, scoped_sigma
 
 __all__ = [
+    "ViewKey",
     "ViewTokens",
     "branch_touched_relations",
     "cover_key",
     "make_stale_predicate",
     "provenance_doc",
     "provenance_fingerprint",
+    "registered_view",
     "relation_fingerprints",
     "scoped_sigma",
     "structural_view_key",
@@ -81,16 +83,7 @@ def touched_relations(view: ViewLike) -> frozenset[str]:
     so CFDs on any other relation are vacuous for both verdicts and
     covers.
     """
-    return frozenset(
-        atom.source for branch in _branches(view) for atom in branch.atoms
-    )
-
-
-def scoped_sigma(
-    sigma_cfds: Iterable[CFD], touched: frozenset[str]
-) -> list[CFD]:
-    """*sigma_cfds* restricted to the touched relations (order kept)."""
-    return [phi for phi in sigma_cfds if phi.relation in touched]
+    return frozenset().union(*branch_touched_relations(view))
 
 
 def branch_touched_relations(view: ViewLike) -> tuple[frozenset[str], ...]:
@@ -237,26 +230,48 @@ def structural_view_key(view: ViewLike) -> tuple:
     )
 
 
+class ViewKey(tuple):
+    """A structural view key that hashes its nested tuple once."""
+
+    def __new__(cls, key: tuple) -> "ViewKey":
+        self = super().__new__(cls, key)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def registered_view(view: ViewLike) -> ViewLike:
+    """A private copy of *view* (and of a union's branches) carrying its
+    :class:`ViewKey`, which :meth:`ViewTokens.intern` reads back.  Never
+    mutate it: lines keyed under its old shape would answer for it."""
+    if isinstance(view, SPCUView):
+        copy = SPCUView(view.name, [registered_view(b) for b in view.branches])
+    else:
+        _branches(view)  # an unsupported view language raises here
+        copy = SPCView(
+            view.name, view.source_schema, view.atoms, view.selection,
+            view.projection, view.constants, view.constant_domains,
+            view.unsatisfiable,
+        )
+    copy.structural_key = ViewKey(structural_view_key(copy))
+    return copy
+
+
 class ViewTokens:
     """Structural view keys interned to small int tokens.
 
-    Every memory line of an engine is keyed by its view's token instead
-    of the nested :func:`structural_view_key` tuple: the tuple's hash is
-    not cached, so each lookup and each delta-sweep line would re-hash
-    the whole view, where an int hashes for free.  :meth:`intern` pays
-    that hash once per call.  The engine is the only interner: the
-    service routes on the capabilities the engine returns with its
-    verdicts and keeps no token of its own.
+    Every memory line of an engine (the only interner) is keyed by its
+    view's token, not the nested key tuple, whose hash is not cached.  A
+    registered view brings its key with the hash (:func:`registered_view`),
+    so interning it is one dict probe; any other view builds its key.
 
-    A token is allocated from a monotonic counter and never reused, so
-    two structurally different views can never share a line; equal
-    views (distinct objects included) get the same token.  Each token
-    records, once, the view's touched-relation set (the provenance every
+    Tokens come from a monotonic counter and are never reused, so
+    structurally different views never share a line and equal views do.
+    Each token records, once, the view's touched-relation set (what a
     delta sweep reads) and whether it has a finite-domain attribute (the
-    ``general`` check route).  Tokens are process-local and owned by
-    one interner: they never enter a persistent key (those use
-    :func:`~repro.propagation.cache.view_fingerprint`).
-
+    ``general`` route).  Tokens never enter a persistent key.
     :attr:`relations`, the union of every interned touched set, is a
     superset of any line's provenance because no token is ever freed
     (an interner that frees tokens must keep it one).
@@ -271,7 +286,7 @@ class ViewTokens:
 
     def intern(self, view: ViewLike) -> int:
         """The token of *view*'s structural key (allocated on first sight)."""
-        key = structural_view_key(view)
+        key = _view_key(view)
         token = self._tokens.get(key)
         if token is None:
             # Publish the token's facts before the token: a concurrent
@@ -280,12 +295,13 @@ class ViewTokens:
             touched = self._touched[token] = touched_relations(view)
             self.relations.update(touched)  # one step: no update is lost
             self._finite[token] = view.has_finite_domain_attribute()
-            token = self._tokens.setdefault(key, token)
+            # A plain tuple: the interner outlives the registration.
+            token = self._tokens.setdefault(tuple(key), token)
         return token
 
     def lookup(self, view: ViewLike) -> int | None:
         """*view*'s token if it was ever interned; never allocates one."""
-        return self._tokens.get(structural_view_key(view))
+        return self._tokens.get(_view_key(view))
 
     def touched(self, token: int) -> frozenset[str] | None:
         """The touched-relation set of the view behind *token*."""
@@ -296,40 +312,32 @@ class ViewTokens:
         return self._finite[token]
 
 
-def make_stale_predicate(affected: frozenset, old_cfds: list[CFD] | None):
+def _view_key(view: ViewLike) -> tuple:
+    """The key *view* was registered with, else one built now."""
+    key = getattr(view, "structural_key", None)
+    return structural_view_key(view) if key is None else key
+
+
+def make_stale_predicate(affected: frozenset, old_sigma: Iterable | None):
     """The one invalidation rule every delta sweep applies.
 
-    Returns ``stale(sigma_component, touched)`` deciding whether a memo
-    line — keyed on a provenance-scoped Sigma ``frozenset`` plus a view
-    whose touched-relation set is *touched* — should be dropped after an
-    edit to *old_cfds* (the pre-edit normalized set; ``None`` = unknown,
-    sweep conservatively) on the *affected* relations.  A line survives
-    iff its provenance misses the affected relations, or it was derived
-    from some *other* Sigma (its key never moved, so it stays reachable
-    and correct).  It has one call site, the engine's
-    :meth:`~repro.propagation.engine.core.PropagationEngine.
-    invalidate_relations`, which applies it through :func:`sweep_stale`
-    to every memo the engine keeps; the service keeps none, so there is
-    one sweep site.  That site builds no predicate when *affected* misses
-    :attr:`ViewTokens.relations`: ``stale`` would be ``False`` for every
-    line.  The verdict is a function of its two arguments, so
-    a sweep tests each provenance group once, not each line; scoped
-    old-Sigma sets are memoized per touched set.
+    Returns ``stale(sigma_component, touched)``: whether a memo line keyed
+    on a provenance-scoped Sigma ``frozenset`` and a view with touched set
+    *touched* must go after an edit of *old_sigma* (the pre-edit Sigma;
+    ``None`` sweeps conservatively) on the *affected* relations.  A line
+    survives iff its provenance misses them or it was derived from some
+    *other* Sigma (its key never moved).  Its one call site is the
+    engine's ``invalidate_relations``, via :func:`sweep_stale`, once per
+    provenance group, against the old state's scopes.
     """
-    old_scoped: dict[frozenset, frozenset] = {}
+    old = None if old_sigma is None else _sigma_state(old_sigma)
 
     def stale(sigma_component, touched: frozenset | None) -> bool:
         if touched is not None and touched.isdisjoint(affected):
             return False
-        if old_cfds is None or touched is None:
+        if old is None or touched is None:
             return True
-        scoped = old_scoped.get(touched)
-        if scoped is None:
-            scoped = frozenset(
-                phi for phi in old_cfds if phi.relation in touched
-            )
-            old_scoped[touched] = scoped
-        return sigma_component == scoped
+        return sigma_component == old.scope(touched)[1]
 
     return stale
 

@@ -7,9 +7,11 @@ The service routes on capabilities the engine returns with its verdicts
    ``closure``, ``spcu``, ``spc``), both cover routes and ``emptiness``
    carry the same label on a miss, on a repeat hit, through
    :meth:`PropagationService.peek` and under ``use_cache=False``.
-2. *One keyspace per request* — a named check (miss or hit), a
-   loop-side peek hit and an emptiness request each build the view's
-   structural key exactly once: the engine is the only interner.
+2. *One keyspace per request, built at registration* — a named check
+   (miss or hit), a loop-side peek hit, a cover and an emptiness request
+   build no structural view key (the registered view carries it) and
+   scope Sigma at most once per Sigma state; an inline view builds its
+   key exactly once per request.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ from repro.api import (
     CoverRequest,
     EmptinessRequest,
     PropagationService,
+    UpdateSigmaRequest,
 )
 from repro.core.domains import BOOL
 from repro.core.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.propagation.closure_baseline import example_41_workload
+from repro.propagation import check as check_module
 from repro.propagation.engine import keys
 
 
@@ -113,25 +117,47 @@ def test_route_labels_are_pinned(case, customer_sigma, customer_view):
 
 
 def test_a_request_builds_one_keyspace(monkeypatch):
-    calls = []
-    original = keys.structural_view_key
+    """A registered view brings its key, and a Sigma state its scopes.
 
-    def counted(view):
-        calls.append(view)
-        return original(view)
+    After registration no named request builds a structural view key;
+    an inline view builds exactly one.  Sigma is scoped once per state
+    and touched set: a cover after a check under the same Sigma scopes
+    nothing, and neither does the first check after an edit to a
+    relation the view does not read (the edit carries the scope over).
+    """
+    view_keys, scopes = [], []
+    build_key, scope = keys.structural_view_key, check_module.scoped_sigma
 
-    monkeypatch.setattr(keys, "structural_view_key", counted)
+    def counted_key(view):
+        view_keys.append(view)
+        return build_key(view)
+
+    def counted_scope(sigma_cfds, touched):
+        scopes.append(touched)
+        return scope(sigma_cfds, touched)
+
+    monkeypatch.setattr(keys, "structural_view_key", counted_key)
+    monkeypatch.setattr(check_module, "scoped_sigma", counted_scope)
     sigma, view, phis = _projection(defeat_fast_path=True)
     with PropagationService() as service:
         service.workspace.add_sigma("default", sigma)
         service.workspace.add_view("V", view)
         check = CheckRequest(view="V", targets=phis)
-        for label, call in (
-            ("miss", lambda: service.check(check)),
-            ("hit", lambda: service.check(check)),
-            ("peek hit", lambda: service.peek(check)),
-            ("emptiness", lambda: service.emptiness(EmptinessRequest(view="V"))),
+        elsewhere = UpdateSigmaRequest(add=[FD("S", ("A",), ("B",))])
+        for label, call, scoped in (
+            ("miss", lambda: service.check(check), 1),
+            ("hit", lambda: service.check(check), 0),
+            ("peek hit", lambda: service.peek(check), 0),
+            ("cover", lambda: service.cover(CoverRequest(view="V")), 0),
+            ("emptiness", lambda: service.emptiness(EmptinessRequest(view="V")), 0),
+            ("edit elsewhere", lambda: service.delta_sigma(elsewhere), 0),
+            ("check after it", lambda: service.check(check), 0),
         ):
-            calls.clear()
+            view_keys.clear()
+            scopes.clear()
             assert call() is not None
-            assert len(calls) == 1, label
+            assert view_keys == [], label
+            assert len(scopes) == scoped, label
+        view_keys.clear()
+        service.check(CheckRequest(view=view, targets=phis))
+        assert len(view_keys) == 1

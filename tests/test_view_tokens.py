@@ -152,7 +152,6 @@ def _memo_lines(service: PropagationService) -> dict:
         lines[index, "branch_covers"] = engine._branch_covers.keys()
         lines[index, "prov_fps"] = engine._prov_fps.keys()
         lines[index, "min_covers"] = engine._min_covers.keys()
-        lines[index, "pair_sigma"] = engine._pair_sigma_intern.keys()
         lines[index, "pair_caches"] = engine._pair_caches.keys()
     return lines
 
@@ -182,13 +181,6 @@ def _reference_sweep(service, lines: dict, affected: frozenset, old_cfds):
                 k
                 for k in keys
                 if not stale(k, frozenset({next(iter(k)).relation}))
-            ]
-        elif layer == "pair_sigma":
-            keep = [
-                k
-                for k in keys
-                if not (k[1] & affected)
-                and not any(phi.relation in affected for phi in k[0])
             ]
         else:  # pair caches: the precise sweep keeps every one
             keep = list(keys)
