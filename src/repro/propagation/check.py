@@ -75,11 +75,16 @@ class UnsupportedViewError(ValueError):
     """Raised for view languages with no decision procedure (full RA)."""
 
 
-#: Normalized-Sigma memo: deps tuple -> its :class:`SigmaState`.  Batch
-#: callers re-send one dependency list per query, and normalizing and
-#: hashing it dominated cold sweeps; callers treat the state as
-#: immutable, and its one frozenset is hashed once per Sigma.  A plain
-#: list's scopes live in its entry: clearing this memo drops them too.
+#: Normalized-Sigma memo: deps tuple -> its :class:`SigmaState`
+#: (normal-form CFDs, frozenset, scopes).
+#: Batch callers re-send the same dependency list for every query of a
+#: view, and FD→CFD conversion, normalization and the per-query
+#: ``frozenset(sigma)`` hashing dominated the overhead of cold sweeps.
+#: Keyed by the input tuple itself (FDs/CFDs are frozen dataclasses);
+#: callers treat the returned state as immutable — reusing the *same*
+#: frozenset object also means its hash is computed once per Sigma, not
+#: once per query.  A plain list's scopes live in its entry, so clearing
+#: this memo drops them too.
 _SIGMA_MEMO: LRUCache = LRUCache(512)
 
 
@@ -92,29 +97,30 @@ def scoped_sigma(
 
 class SigmaState(tuple):
     """``(normal-form CFDs in order, their frozenset)`` plus ``scoped``,
-    the restrictions :meth:`scope` has built.  With *parts*, a
-    :class:`PreparedSigma`'s ``(forms, keys)``, a scope merges the
-    dependencies' frozensets instead of rehashing their CFDs."""
+    the restrictions :meth:`scope` has built, keyed by touched set."""
 
-    def __new__(cls, cfds: list[CFD], key: frozenset | None, parts=None):
+    def __new__(cls, cfds: list[CFD], key: frozenset | None):
         state = super().__new__(cls, (cfds, key))
-        state.parts, state.scoped = parts, {}
+        state.scoped = {}
         return state
 
-    def scope(self, touched: frozenset[str]) -> tuple[list[CFD], frozenset]:
+    def scope(
+        self, touched: frozenset[str], capacity: int | None = None
+    ) -> tuple[list[CFD], frozenset]:
         """``(scoped_sigma(cfds, touched), its frozenset)``, built once per
-        touched set: every caller gets the same objects."""
+        touched set: every caller gets the same objects.  Building one
+        drops the oldest scopes past *capacity* (``None``: unbounded)."""
         entry = self.scoped.get(touched)
         if entry is None:
             cfds = scoped_sigma(self[0], touched)
-            if self.parts is None:
-                key = frozenset(cfds)
-            else:
-                forms, keys = self.parts
-                key = frozenset().union(*(
-                    k for f, k in zip(forms, keys) if f and f[0].relation in touched
-                ))
-            entry = self.scoped[touched] = (cfds, key)
+            entry = (cfds, frozenset(cfds))
+            scoped = self.scoped
+            while capacity is not None and len(scoped) >= capacity:
+                try:
+                    del scoped[next(iter(scoped))]
+                except (KeyError, RuntimeError, StopIteration):
+                    break  # another thread changed the memo meanwhile
+            scoped[touched] = entry
         return entry
 
     def inherit(self, old: "SigmaState", affected: set[str]) -> None:
@@ -140,9 +146,7 @@ class PreparedSigma(list):
         self.forms = forms
         self.keys = [frozenset(form) for form in forms] if keys is None else keys
         self.state = SigmaState(
-            list(chain.from_iterable(forms)),
-            frozenset().union(*self.keys),
-            (forms, self.keys),
+            list(chain.from_iterable(forms)), frozenset().union(*self.keys)
         )
 
 

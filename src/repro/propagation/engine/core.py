@@ -305,25 +305,33 @@ class PropagationEngine:
     ) -> dict[str, int]:
         """Drop warm state whose provenance meets *relations*.
 
-        Provenance-scoped keys already make a stale line unservable (the
-        edit moves every affected key).  This hook evicts the unreachable
-        lines eagerly and reports how many memo-tier lines were
-        invalidated versus retained, which ``delta_sigma`` surfaces.
-        Only memory tiers are touched; old-provenance store rows are
-        unreachable and harmless.
+        The provenance-scoped keys already guarantee that a Sigma edit on
+        *relations* can never be *served* a stale line — the edit moves
+        the keys of every affected query.  This hook is the hygiene and
+        observability half of delta-aware invalidation: it evicts the
+        now-unreachable lines eagerly (instead of waiting for LRU churn)
+        and reports how many lines were invalidated versus retained
+        warm, which is what ``PropagationService.delta_sigma`` surfaces
+        to callers.  Only memory tiers are touched; the persistent store
+        keeps every row (old-provenance rows are unreachable under the
+        new keys and harmless).
 
-        *sigma*, the *pre-edit* dependency set, makes the sweep precise:
-        only lines derived from it go, so lines warmed under *other*
-        Sigmas survive (their keys never moved).  Without it every
-        provenance-meeting line goes.  An edit missing
-        :attr:`ViewTokens.relations` returns without visiting a line,
-        with the walk's counts.
+        *sigma* — the *pre-edit* dependency set being replaced — makes
+        the sweep precise: only lines whose key was derived from that
+        set are dropped, so lines warmed under *other* Sigmas that
+        happen to mention the affected relations survive (they remain
+        reachable — their keys never moved).  Without it every
+        provenance-meeting line goes (the conservative sweep).
+
+        An edit missing :attr:`ViewTokens.relations` (every line's
+        provenance lies within it) returns without visiting a line, with
+        the walk's counts: nothing invalidated, both tiers retained.
         """
         affected = frozenset(relations)
         if affected.isdisjoint(self._views.relations):
             retained = len(self._verdict_tier.memory) + len(self._cover_tier.memory)
             return {"invalidated": 0, "retained": retained}
-        stale = make_stale_predicate(affected, sigma)
+        stale = make_stale_predicate(affected, sigma, self.cache_size)
         touched_of = self._views.touched
 
         invalidated = retained = 0
@@ -371,7 +379,7 @@ class PropagationEngine:
         if token is None:
             return None
         touched = views.touched(token)
-        return (token, touched, *state.scope(touched))
+        return (token, touched, *state.scope(touched, self.cache_size))
 
     def _memo_key(self, sigma_key: frozenset, token: int, *phi: CFD) -> tuple:
         """The memory-tier key of *phi*'s verdict, or without *phi* the cover's;
@@ -743,8 +751,13 @@ class PropagationEngine:
     def _branch_provenance(
         self, view: SPCUView, token: int
     ) -> tuple[tuple[frozenset[str], ...], dict]:
-        """Per-branch provenance plus the pair-union table, built once per
-        view so every unit's lookups reuse one frozenset (hash cached)."""
+        """Per-branch provenance plus the interned pair-union table.
+
+        The ``(i, j) -> union`` frozensets are built once per view and
+        reused for every unit, so their (cached) hashes make the pair
+        memo lookups cheap — rebuilding the union per unit would re-hash
+        every member on every lookup.
+        """
         entry = self._branch_touched.get(token)
         if entry is None:
             per_branch = branch_touched_relations(view)
@@ -770,17 +783,20 @@ class PropagationEngine:
     ) -> bool:
         """One multi-branch SPCU miss, unit by unit through the pair memo.
 
-        A verdict path (no witness database) walking
+        A verdict path (no witness database; a kernel-named pair is
+        answered by its certified chased state) walking
         :func:`~repro.propagation.check.search_violation`'s loop exactly
         — ``conjuncts`` in order, the ``k^2`` pairs row-major for pattern
-        conjuncts and the diagonal for equality conjuncts, early exit on
-        the first violating unit — but consulting a per-unit verdict memo
-        first.  Each unit's memo key scopes Sigma to the *pair's*
-        provenance (*state*'s own scope: CFDs elsewhere are vacuous for
-        the pair), so a ``delta_sigma`` edit leaves every unit missing
-        the edited relation warm.  The search still receives the full
-        view-scoped Sigma and the shared tableau cache, so verdicts,
-        chased-layer keys and chase order equal the unrestricted sweep.
+        conjuncts and the diagonal branches for equality conjuncts, early
+        exit on the first violating unit — but consulting a per-unit
+        verdict memo before searching that one unit.  Each unit's memo
+        key scopes Sigma to the *pair's* provenance (the relations
+        branches ``i`` and ``j`` read; CFDs elsewhere are vacuous for
+        that pair), read off *state*'s scope memo, so a ``delta_sigma``
+        edit leaves every unit missing the edited relation warm.  The
+        search still receives the full view-scoped Sigma and the shared
+        tableau cache, so verdicts, chased-layer keys and chase order
+        equal the unrestricted sweep.
         """
         branches = list(view.branches)
         k = len(branches)
@@ -794,7 +810,7 @@ class PropagationEngine:
             for i, j in units:
                 pair_touched = pair_unions[i, j]
                 memo_key = (
-                    state.scope(pair_touched)[1],
+                    state.scope(pair_touched, self.cache_size)[1],
                     pair_touched,
                     token,
                     i,
@@ -964,7 +980,7 @@ class PropagationEngine:
             return min_cover(state[0])
         minimized: list[CFD] = []
         for relation in sorted(touched):
-            group, key = state.scope(frozenset((relation,)))
+            group, key = state.scope(frozenset((relation,)), self.cache_size)
             if group:
                 cover = self._min_covers.get(key)
                 if cover is None:
@@ -1004,7 +1020,7 @@ class PropagationEngine:
                     b_token = self._views.intern(branch)
                     b_touched = self._views.touched(b_token)
                     memo_key = (
-                        state.scope(b_touched)[1],
+                        state.scope(b_touched, self.cache_size)[1],
                         b_touched,
                         b_token,
                         partition_size,

@@ -29,9 +29,12 @@ Key-schema change = store schema change: the composite keys are
 whole-Sigma keys (version 1) are dropped on open — the
 migration-to-cold fallback, never a misread line.
 
-The process-local view key (:func:`structural_view_key`, built once
+:func:`structural_view_key` (the process-local view key, built once
 at registration by :func:`registered_view`) and :class:`ViewTokens`,
-its interner, live here too; ``docs/incremental.md`` gives the rules.
+which interns it to the int every memory line is keyed by, also live
+here so every key constructor is in one module.  See
+``docs/incremental.md`` for the invalidation rules this keyspace
+implies.
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ def touched_relations(view: ViewLike) -> frozenset[str]:
     so CFDs on any other relation are vacuous for both verdicts and
     covers.
     """
-    return frozenset().union(*branch_touched_relations(view))
+    return frozenset(
+        atom.source for branch in _branches(view) for atom in branch.atoms
+    )
 
 
 def branch_touched_relations(view: ViewLike) -> tuple[frozenset[str], ...]:
@@ -262,16 +267,25 @@ def registered_view(view: ViewLike) -> ViewLike:
 class ViewTokens:
     """Structural view keys interned to small int tokens.
 
-    Every memory line of an engine (the only interner) is keyed by its
-    view's token, not the nested key tuple, whose hash is not cached.  A
-    registered view brings its key with the hash (:func:`registered_view`),
-    so interning it is one dict probe; any other view builds its key.
+    Every memory line of an engine is keyed by its view's token instead
+    of the nested :func:`structural_view_key` tuple: the tuple's hash is
+    not cached, so each lookup and each delta-sweep line would re-hash
+    the whole view, where an int hashes for free.  :meth:`intern` pays
+    that hash once per call for an inline view; a registered view
+    brings its key with the hash cached (:func:`registered_view`), so
+    interning it is one dict probe.  The engine is the only interner:
+    the service routes on the capabilities the engine returns with its
+    verdicts and keeps no token of its own.
 
-    Tokens come from a monotonic counter and are never reused, so
-    structurally different views never share a line and equal views do.
-    Each token records, once, the view's touched-relation set (what a
+    A token is allocated from a monotonic counter and never reused, so
+    two structurally different views can never share a line; equal
+    views (distinct objects included) get the same token.  Each token
+    records, once, the view's touched-relation set (the provenance every
     delta sweep reads) and whether it has a finite-domain attribute (the
-    ``general`` route).  Tokens never enter a persistent key.
+    ``general`` check route).  Tokens are process-local and owned by
+    one interner: they never enter a persistent key (those use
+    :func:`~repro.propagation.cache.view_fingerprint`).
+
     :attr:`relations`, the union of every interned touched set, is a
     superset of any line's provenance because no token is ever freed
     (an interner that frees tokens must keep it one).
@@ -318,17 +332,28 @@ def _view_key(view: ViewLike) -> tuple:
     return structural_view_key(view) if key is None else key
 
 
-def make_stale_predicate(affected: frozenset, old_sigma: Iterable | None):
+def make_stale_predicate(
+    affected: frozenset, old_sigma: Iterable | None, capacity: int | None = None
+):
     """The one invalidation rule every delta sweep applies.
 
-    Returns ``stale(sigma_component, touched)``: whether a memo line keyed
-    on a provenance-scoped Sigma ``frozenset`` and a view with touched set
-    *touched* must go after an edit of *old_sigma* (the pre-edit Sigma;
-    ``None`` sweeps conservatively) on the *affected* relations.  A line
-    survives iff its provenance misses them or it was derived from some
-    *other* Sigma (its key never moved).  Its one call site is the
-    engine's ``invalidate_relations``, via :func:`sweep_stale`, once per
-    provenance group, against the old state's scopes.
+    Returns ``stale(sigma_component, touched)`` deciding whether a memo
+    line — keyed on a provenance-scoped Sigma ``frozenset`` plus a view
+    whose touched-relation set is *touched* — should be dropped after an
+    edit to *old_sigma* (the pre-edit Sigma; ``None`` = unknown, sweep
+    conservatively) on the *affected* relations.  A line survives iff
+    its provenance misses the affected relations, or it was derived
+    from some *other* Sigma (its key never moved, so it stays reachable
+    and correct).  It has one call site, the engine's
+    :meth:`~repro.propagation.engine.core.PropagationEngine.
+    invalidate_relations`, which applies it through :func:`sweep_stale`
+    to every memo the engine keeps; the service keeps none, so there is
+    one sweep site.  That site builds no predicate when *affected* misses
+    :attr:`ViewTokens.relations`: ``stale`` would be ``False`` for every
+    line.  The verdict is a function of its two arguments, so
+    a sweep tests each provenance group once, not each line; scoped
+    old-Sigma sets are read off the old state's scope memo (bounded by
+    *capacity*, the engine's ``cache_size``).
     """
     old = None if old_sigma is None else _sigma_state(old_sigma)
 
@@ -337,7 +362,7 @@ def make_stale_predicate(affected: frozenset, old_sigma: Iterable | None):
             return False
         if old is None or touched is None:
             return True
-        return sigma_component == old.scope(touched)[1]
+        return sigma_component == old.scope(touched, capacity)[1]
 
     return stale
 

@@ -23,6 +23,7 @@ import pytest
 from repro import CFD, FD
 from repro.algebra.spc import RelationAtom, SPCView
 from repro.algebra.spcu import SPCUView
+from repro.api import CheckRequest, PropagationService
 from repro.core.schema import DatabaseSchema, RelationSchema
 from repro.propagation.cache import (
     LRUCache,
@@ -384,8 +385,8 @@ def test_cache_size_bounds_the_fast_path_and_fingerprint_memos(tmp_path):
     """Each distinct Sigma adds a fast-path context and a provenance
     fingerprint, and each distinct view a tableau cache, a view
     fingerprint and (for unions) its branch provenance; ``cache_size``
-    bounds them all like the verdict tier.  (Pair-scoped Sigma sets
-    belong to the Sigma's state, not to the engine.)"""
+    bounds them all like the verdict tier.  A Sigma state's scopes, one
+    per distinct touched set, are bounded by it too."""
     fds, view, queries = _family(4)
     with PropagationEngine(cache_size=16, cache_dir=str(tmp_path)) as engine:
         for i in range(300):
@@ -419,6 +420,22 @@ def test_cache_size_bounds_the_fast_path_and_fingerprint_memos(tmp_path):
         assert len(engine._pair_caches) <= 16
         assert len(engine._view_fps) <= 16
         assert len(engine._branch_touched) <= 16
+
+    # One registered Sigma, views over 40 distinct relation sets.
+    relations = [f"S{i}" for i in range(40)]
+    schema = DatabaseSchema([RelationSchema(rel, ["A", "B"]) for rel in relations])
+    with PropagationService(cache_size=16) as service:
+        service.workspace.add_schema("default", schema)
+        service.workspace.add_sigma(
+            "default", [FD(rel, ("A",), ("B",)) for rel in relations]
+        )
+        for i, rel in enumerate(relations):
+            atoms = [RelationAtom(rel, {"A": "A", "B": "B"})]
+            if i:  # a product with the previous relation: a new touched set
+                atoms.append(RelationAtom(relations[i - 1], {"A": "A0", "B": "B0"}))
+            view = SPCView("V", schema, atoms, projection=["A", "B"])
+            service.check(CheckRequest(view=view, targets=[FD("V", ("A",), ("B",))]))
+        assert len(service.workspace.sigma("default").state.scoped) <= 16
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,8 @@ built"):
    previous Sigma state had scoped and the edit misses keeps the same
    ``(list, frozenset)`` objects, every other one is gone, and each
    scope equals a from-scratch restriction; pair-verdict memo keys
-   equal the restriction of the Sigma they were decided under.
+   equal the restriction of the Sigma they were decided under.  A
+   capacity (an engine's ``cache_size``) drops the oldest scopes first.
 3. *Cold stays cold* — a plain-list Sigma's scopes live in its
    ``_SIGMA_MEMO`` entry, so clearing that memo scopes it again.
 4. *No state outlives its Sigma* — over a 2,000-edit trace, superseded
@@ -180,7 +181,7 @@ def test_an_edit_carries_exactly_the_scopes_it_misses(seed):
     assert carried > 0 and rebuilt > 0
 
 
-def test_a_prepared_scope_merges_the_dependency_keys():
+def test_a_scope_is_a_fresh_restriction_built_once():
     schema = _schema()
     with PropagationService() as service:
         service.workspace.add_schema("default", schema)
@@ -194,6 +195,17 @@ def test_a_prepared_scope_merges_the_dependency_keys():
                 frozenset(scoped_sigma(_as_cfds(list(prepared)), touched)),
             )
             assert prepared.state.scope(touched)[1] is key
+
+
+def test_a_bounded_scope_memo_drops_its_oldest_scopes():
+    state = Workspace().add_sigma("default", SIGMA).state
+    first = state.scope(frozenset({"R1"}))
+    for rel in RELATIONS[1:]:
+        state.scope(frozenset({rel}), capacity=2)
+    assert list(state.scoped) == [frozenset({"R2"}), frozenset({"R3"})]
+    again = state.scope(frozenset({"R1"}), capacity=2)
+    assert again == first and again is not first
+    assert list(state.scoped) == [frozenset({"R3"}), frozenset({"R1"})]
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +326,8 @@ def test_a_long_edit_stream_frees_every_superseded_sigma_state():
             # The registration is the one prepared state alive; plain
             # lists' states are bounded by their LRU memo.
             assert len(_live(PreparedSigma)) == 1
-            prepared = [s for s in _live(SigmaState) if s.parts is not None]
+            memo = {id(s) for s in check_module._SIGMA_MEMO.values()}
+            prepared = [s for s in _live(SigmaState) if id(s) not in memo]
             assert prepared == [service.workspace.sigma("default").state]
             assert _keys_by_id(service.engine) == []
             assert len(final) > 500
